@@ -20,13 +20,13 @@ from itertools import product
 from .braiding import (
     BraidMatrix,
     _lemma_3c_matrix,
-    _lemma_5a_matrix,
+    _lemma_5a_entry as _b,
     braid_matrix,
     lemma_3c_entry,
     lemma_5a_combos,
     named_label,
 )
-from .exact import CyclotomicNumber, zeta
+from .exact import CyclotomicNumber, echelon, two_i_sin, zeta
 from .minimal import MinimalModel, ModuleLabel, QDim, fuse, is_admissible, qdim_tensor
 
 
@@ -40,12 +40,6 @@ def _one() -> CyclotomicNumber:
 
 def _zero() -> CyclotomicNumber:
     return CyclotomicNumber.from_rational(0)
-
-
-def _two_i_sin(k: int, b: int) -> CyclotomicNumber:
-    """2i sin(k pi / b) as an exact cyclotomic number."""
-    order = 2 * b
-    return zeta(order, k % order) - zeta(order, -k % order)
 
 
 @dataclass(frozen=True)
@@ -254,7 +248,7 @@ def check_subalgebra_chain(alg: GradedAlgebra) -> tuple[ChainCheck, ...]:
     """Closure and relative quantum dimension of the simple-current chains."""
     s = alg.sectors
     if alg.name == "5A":
-        sin8 = _two_i_sin(1, 8)
+        sin8 = two_i_sin(1, 8, 16)
         checks = (
             _closure_check(alg, s[:8], "U1..U8 closed"),
             _ratio_check(s[8:], s[:8], "qdim(U9+..+U12)/qdim(U1+..+U8) = 1"),
@@ -263,7 +257,7 @@ def check_subalgebra_chain(alg: GradedAlgebra) -> tuple[ChainCheck, ...]:
             _value_check(
                 "qdim(U3) = (sin(3pi/8)/sin(pi/8))^2",
                 qdim_tensor(s[2].components).exact,
-                (_two_i_sin(3, 8) * sin8.inv()) ** 2,
+                (two_i_sin(3, 8, 16) * sin8.inv()) ** 2,
             ),
             _value_check(
                 "qdim(U9) = 1/sin(pi/8)^2",
@@ -281,7 +275,7 @@ def check_subalgebra_chain(alg: GradedAlgebra) -> tuple[ChainCheck, ...]:
             _value_check(
                 "qdim(U5) = sqrt(2)sin(pi/3)/sin(pi/12)",
                 qdim_tensor(s[4].components).exact,
-                sqrt2 * _two_i_sin(1, 3) * _two_i_sin(1, 12).inv(),
+                sqrt2 * two_i_sin(1, 3, 6) * two_i_sin(1, 12, 24).inv(),
             ),
         )
     return checks
@@ -304,21 +298,15 @@ _ROWS_9 = ((2, 2), (3, 3), (4, 4), (2, 3), (2, 4), (3, 2), (3, 4), (4, 2), (4, 3
 
 
 @lru_cache(maxsize=None)
-def _pair_5a() -> tuple[BraidMatrix, BraidMatrix]:
+def _bt_matrix() -> BraidMatrix:
     model = MinimalModel(7, 8)
     p3 = named_label(model, 3)
     p4 = named_label(model, 4)
-    return _lemma_5a_matrix(), braid_matrix(model, (p4, p4, p3, p3))
-
-
-def _b(i: int, j: int) -> CyclotomicNumber:
-    matrix, _ = _pair_5a()
-    model = MinimalModel(7, 8)
-    return matrix.entry(named_label(model, i), named_label(model, j))
+    return braid_matrix(model, (p4, p4, p3, p3))
 
 
 def _bt(i: int, j: int) -> CyclotomicNumber:
-    _, matrix = _pair_5a()
+    matrix = _bt_matrix()
     model = MinimalModel(7, 8)
     return matrix.entry(named_label(model, _Q_OF[i]), named_label(model, _Q_OF[j]))
 
@@ -411,29 +399,6 @@ def _equation(system: SectorSystem, label: str) -> SectorEquation:
     raise KeyError(label)
 
 
-def _rank(rows: list[list[CyclotomicNumber]]) -> int:
-    rows = [list(row) for row in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot_row = None
-        for r in range(rank, len(rows)):
-            if not rows[r][col].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        for r in range(len(rows)):
-            if r == rank or rows[r][col].is_zero():
-                continue
-            factor = rows[r][col] * pivot.inv()
-            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def _check_solution(system: SectorSystem, values: tuple[CyclotomicNumber, ...]) -> None:
     for equation in system.equations:
         total = _zero()
@@ -501,7 +466,7 @@ def _solve_5a_uniqueness(system: SectorSystem) -> SolutionSet:
         raise DegenerateSystem("5A-uniqueness: row (4,3) pivot vanishes")
     zero = _zero()
     _check_solution(system, (zero, zero))
-    if _rank([list(eq.coefficients) for eq in system.equations]) != 2:
+    if len(echelon([eq.coefficients for eq in system.equations])[1]) != 2:
         raise DegenerateSystem("5A-uniqueness: coefficient matrix is rank deficient")
     steps = (
         "rows (2,3) and (4,3) eliminate to (1-mu^2) * m2 * Bt[3,3] = 0 "
@@ -551,20 +516,15 @@ def normalization_residuals(name: str) -> tuple[tuple[str, CyclotomicNumber], ..
     never gated on.
     """
     key = name.strip().upper()
-    one = _one()
     out = []
     if key == "5A":
-        for i, j in _ROWS_9:
-            total = _zero()
-            for k in (2, 3, 4):
-                total = total + _b(k, i) * _bt(k, j)
-            if i == j:
-                total = total - one
-            out.append((f"({i},{j})", total))
+        # each 5A-existence row is this identity with its coefficients
+        # split out, so the residual is their sum
+        for equation in build_sector_system("5A-existence").equations:
+            out.append((equation.label, sum(equation.coefficients, _zero())))
     elif key == "3C":
         for j in (1, 2):
-            total = _e3c(1, j) + _e3c(2, j) - one
-            out.append((f"(.,{j})", total))
+            out.append((f"(.,{j})", _e3c(1, j) + _e3c(2, j) - 1))
     else:
         raise ValueError(f"unknown algebra {name!r}, expected '5A' or '3C'")
     return tuple(out)
@@ -691,12 +651,12 @@ def qdim_module(alg: GradedAlgebra, key) -> QDim:
     if alg.name == "5A":
         i, j = key
         value = (
-            _two_i_sin(8 * i, 7)
-            * _two_i_sin(8 * j, 7)
-            * (_two_i_sin(8, 7) ** 2).inv()
+            two_i_sin(8 * i, 7, 14)
+            * two_i_sin(8 * j, 7, 14)
+            * (two_i_sin(8, 7, 14) ** 2).inv()
         )
     else:
-        value = _two_i_sin(key + 1, 11) * _two_i_sin(1, 11).inv()
+        value = two_i_sin(key + 1, 11, 22) * two_i_sin(1, 11, 22).inv()
     if not value.is_real():
         raise ArithmeticError(f"quantum dimension of {key} is not real")
     approx = value.embed()

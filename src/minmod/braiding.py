@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
+from math import prod
 
-from .exact import CyclotomicNumber, DivisionByZero, zeta
+from .exact import CyclotomicNumber, DivisionByZero, echelon, two_i_sin, zeta
 from .minimal import (
     MinimalModel,
     ModuleLabel,
@@ -61,7 +61,7 @@ class BracketTable:
     [-l] = -[l]; inverses are cached alongside.
     """
 
-    __slots__ = ("model", "variant", "bound", "values", "_quarter", "_inverses")
+    __slots__ = ("model", "variant", "bound", "values", "_other", "_inverses")
 
     def __init__(self, model: MinimalModel, variant: str) -> None:
         if not model.is_unitary:
@@ -71,21 +71,19 @@ class BracketTable:
         self.model = model
         self.variant = variant
         if variant == "primed":
-            self.bound = model.q
-            self._quarter = model.p * model.p
+            self.bound, self._other = model.q, model.p
         else:
-            self.bound = model.p
-            self._quarter = model.q * model.q
+            self.bound, self._other = model.p, model.q
         self.values: dict[int, CyclotomicNumber] = {}
         self._inverses: dict[int, CyclotomicNumber] = {}
 
     def power(self, k: int) -> CyclotomicNumber:
-        return zeta(self.model.field_order, k * self._quarter)
+        return zeta(self.model.field_order, k * self._other**2)
 
     def __getitem__(self, l: int) -> CyclotomicNumber:
         val = self.values.get(l)
         if val is None:
-            val = self.power(2 * l) - self.power(-2 * l)
+            val = two_i_sin(l * self._other, self.bound, self.model.field_order)
             self.values[l] = val
         return val
 
@@ -270,17 +268,12 @@ class BraidMatrix:
     def det(self) -> CyclotomicNumber:
         if len(self.rows) != len(self.cols):
             raise ValueError("determinant of a non-square braiding matrix")
-        k = len(self.rows)
-        total = _ZERO
-        for perm in permutations(range(k)):
-            inversions = sum(
-                1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j]
-            )
-            term = _ONE if inversions % 2 == 0 else -_ONE
-            for i in range(k):
-                term = term * self.entry(self.rows[i], self.cols[perm[i]])
-            total = total + term
-        return total
+        reduced, pivots, sign = echelon(
+            [[self.entry(mu, ga) for ga in self.cols] for mu in self.rows]
+        )
+        if len(pivots) < len(self.rows):
+            return _ZERO
+        return sign * prod((row[i] for i, row in enumerate(reduced)), start=_ONE)
 
 
 def braid_entry(
@@ -343,6 +336,12 @@ def _lemma_5a_matrix() -> BraidMatrix:
     return braid_matrix(model, (p3, p3, p4, p4))
 
 
+def _lemma_5a_entry(i: int, j: int) -> CyclotomicNumber:
+    """Entry (i, j) of B_{3,3}^{4,4} at (7,8), indices naming P1..P4."""
+    model = MinimalModel(7, 8)
+    return _lemma_5a_matrix().entry(named_label(model, i), named_label(model, j))
+
+
 def lemma_5a_combos() -> tuple[CyclotomicNumber, CyclotomicNumber]:
     """The two 2x2 minors of B_{3,3}^{4,4} at (7,8) that the nonvanishing
     argument rests on.
@@ -350,13 +349,7 @@ def lemma_5a_combos() -> tuple[CyclotomicNumber, CyclotomicNumber]:
     Returns (B44*B23 - B43*B24, B32*B44 - B42*B34) with numeric
     subscripts referring to the named modules P2, P3, P4.
     """
-    matrix = _lemma_5a_matrix()
-    model = MinimalModel(7, 8)
-    lab = {i: named_label(model, i) for i in (2, 3, 4)}
-
-    def e(i: int, j: int) -> CyclotomicNumber:
-        return matrix.entry(lab[i], lab[j])
-
+    e = _lemma_5a_entry
     first = e(4, 4) * e(2, 3) - e(4, 3) * e(2, 4)
     second = e(3, 2) * e(4, 4) - e(4, 2) * e(3, 4)
     return first, second

@@ -15,7 +15,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
@@ -30,8 +29,11 @@ from .algebra import (
     qdim_module,
     solve_sector_system,
 )
-from .braiding import braid_matrix, brackets, lemma_5a_combos, named_label
-from .exact import CyclotomicNumber, zeta
+from .braiding import (
+    NonIntegerExponent, _lemma_3c_matrix, _lemma_5a_entry, _lemma_5a_matrix,
+    braid_matrix, brackets, lemma_3c_entry, lemma_5a_combos, named_label,
+)
+from .exact import CyclotomicNumber, solve, zeta
 from .minimal import MinimalModel, ModuleLabel, fuse, qdim, qdim_tensor
 
 _ONE = CyclotomicNumber.from_rational(1)
@@ -159,35 +161,16 @@ def _radical_coordinates(value: CyclotomicNumber):
     order = lcm(value.order, 24)
     cols = _radical_columns(order)
     target = value.promote(order).coefficients
-    width = len(cols)
-    aug = [[col[r] for col in cols] + [target[r]] for r in range(len(target))]
-    pivots = []
-    r = 0
-    for c in range(width):
-        hit = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if hit is None:
-            continue
-        aug[r], aug[hit] = aug[hit], aug[r]
-        head = aug[r][c]
-        aug[r] = [x / head for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    if any(row[width] for row in aug[r:]):
+    sol = solve([list(row) for row in zip(*cols, target)])
+    if sol is None:
         return None
-    sol = [Fraction(0)] * width
-    for row_i, c in enumerate(pivots):
-        sol[c] = aug[row_i][width]
     rebuilt = CyclotomicNumber.from_rational(0)
     for coeff, base in zip(sol, _radical_basis()):
         if coeff:
             rebuilt = rebuilt + base * coeff
     if rebuilt != value:
         return None
-    return tuple(sol)
+    return sol
 
 
 def as_radical(value: CyclotomicNumber) -> str | None:
@@ -267,6 +250,13 @@ def _entry_labels(model: MinimalModel, text: str) -> tuple:
             ModuleLabel(model, parts[2], parts[3]),
         )
     raise ValueError("--entry wants two named indices or two m,n pairs")
+
+
+def _bits(text: str) -> int:
+    bits = int(text)
+    if bits < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {bits}")
+    return bits
 
 
 def _module_key(text: str):
@@ -398,13 +388,7 @@ def cmd_decompose(args) -> Report:
 
 def _verify_lemma_5a(precision: int) -> list:
     model = MinimalModel(7, 8)
-    p3, p4 = named_label(model, 3), named_label(model, 4)
-    matrix = braid_matrix(model, (p3, p3, p4, p4))
-    lab = {i: named_label(model, i) for i in (2, 3, 4)}
-
-    def b(i, j):
-        return matrix.entry(lab[i], lab[j])
-
+    b = _lemma_5a_entry
     t = brackets(model, "primed")
     y = t.power(4)
     y_inv = y.inv()
@@ -420,7 +404,7 @@ def _verify_lemma_5a(precision: int) -> list:
         + t[1] * t[7] * (t[5] + t[7]) * (t[6] ** 2 * t[5]).inv()
     )
     form_23 = y_inv * t[6] * t[7] * t.inv(4) * t.inv(5)
-    det = matrix.det()
+    det = _lemma_5a_matrix().det()
     return [
         _claim("B44*B23 - B43*B24 nonzero", not first.is_zero(), first, precision),
         _claim("B32*B44 - B42*B34 = 1 + i",
@@ -444,9 +428,7 @@ def _verify_lemma_5a(precision: int) -> list:
 
 def _verify_lemma_3c(precision: int) -> list:
     model = MinimalModel(11, 12)
-    u1, u2 = named_label(model, 1), named_label(model, 2)
-    matrix = braid_matrix(model, (u2, u2, u2, u2))
-    entry = matrix.entry(u2, u1)
+    entry = lemma_3c_entry()
     t = brackets(model, "primed")
     y = t.power(4)
     product = (
@@ -458,7 +440,7 @@ def _verify_lemma_3c(precision: int) -> list:
     )
     approx = entry.embed(precision)
     drift = abs(complex(approx.real, approx.imag) - _3C_REFERENCE)
-    det = matrix.det()
+    det = _lemma_3c_matrix().det()
     return [
         _claim("B21 nonzero", not entry.is_zero(), entry, precision),
         _claim("B21 matches its bracket product", entry == product,
@@ -601,8 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json"), default="table")
-    common.add_argument("--precision", type=int, default=53, metavar="BITS",
-                        help="working precision for numeric columns")
+    common.add_argument("--precision", type=_bits, default=53, metavar="BITS",
+                        help="working precision for numeric columns, at least 1")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", parents=[common],
@@ -654,7 +636,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report = args.func(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, NonIntegerExponent) as exc:
         reason = exc.args[0] if exc.args else exc
         print(f"error: {reason}", file=sys.stderr)
         return 2

@@ -507,6 +507,63 @@ def zeta(order: int, exponent: int = 1) -> CyclotomicNumber:
     return CyclotomicNumber._raw(order, _reduce(vec, order), 1)
 
 
+def two_i_sin(k: int, b: int, order: int) -> CyclotomicNumber:
+    """2i*sin(pi*k/b) as zeta_{2b}^k - zeta_{2b}^{-k}, in Q(zeta_order).
+
+    order must be a multiple of 2b.
+    """
+    step = order // (2 * b)
+    return zeta(order, k * step) - zeta(order, -k * step)
+
+
+def echelon(rows):
+    """Row echelon form by forward elimination over an exact field.
+
+    Entries may be Fractions or CyclotomicNumbers: only truth, *, - and
+    1 / x are used.  Each pivot is inverted once and only the entries
+    right of it are updated.  Returns (rows, pivot_cols, sign): row i has
+    its pivot in column pivot_cols[i] and holds the reduced values from
+    there on; entries left of that, and the rows past the last pivot, are
+    stale.  sign is the parity of the row swaps.
+    """
+    rows = [list(row) for row in rows]
+    width = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    sign = 1
+    for c in range(width):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        if hit != r:
+            rows[r], rows[hit] = rows[hit], rows[r]
+            sign = -sign
+        pivots.append(c)
+        if c + 1 == width:
+            break
+        top = rows[r]
+        inv = 1 / top[c]
+        for row in rows[r + 1:]:
+            if row[c]:
+                f = row[c] * inv
+                row[c + 1:] = [x - f * y for x, y in zip(row[c + 1:], top[c + 1:])]
+    return rows, tuple(pivots), sign
+
+
+def solve(aug):
+    """A solution of the system whose augmented matrix is aug, free
+    unknowns set to 0; None when the system is inconsistent."""
+    rows, pivots, _ = echelon(aug)
+    width = len(aug[0]) - 1
+    if pivots and pivots[-1] == width:
+        return None
+    sol = [0] * width
+    for row, c in reversed(list(zip(rows, pivots))):
+        known = sum(row[j] * sol[j] for j in range(c + 1, width))
+        sol[c] = (row[width] - known) / row[c]
+    return tuple(sol)
+
+
 def embed(value: CyclotomicNumber, precision: int = 53) -> "ComplexApprox":
     """Module-level alias for CyclotomicNumber.embed."""
     return value.embed(precision)

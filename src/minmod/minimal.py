@@ -16,7 +16,7 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Sequence, Union
 
-from .exact import CyclotomicNumber, zeta
+from .exact import CyclotomicNumber, two_i_sin
 
 
 class InvalidModel(ValueError):
@@ -104,9 +104,7 @@ class MinimalModel:
 
         b must divide 2pq so that zeta_{2b} lies in Q(zeta_{4pq}).
         """
-        order = self.field_order
-        step = order // (2 * b)
-        return zeta(order, k * step) - zeta(order, -k * step)
+        return two_i_sin(k, b, self.field_order)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,12 @@
 
 Everything here recomputes results through a different route than the
 package: plain complex floats for the braid recursion, a numpy S-matrix
-for fusion multiplicities, and integer power iteration for quantum
-dimensions.  Nothing imports from minmod.
+for fusion multiplicities, integer power iteration for quantum
+dimensions, and the permutation expansion for determinants.  Nothing
+imports from minmod.
 """
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -235,3 +237,22 @@ def braid_matrix(p, q, exts):
     entries = {(mu, ga): braid_entry(p, exts, mu, ga)
                for mu in rows for ga in cols}
     return rows, cols, entries
+
+
+# -- Leibniz determinant ------------------------------------------------------
+
+def leibniz_det(matrix):
+    """Determinant as the signed sum over all k! permutations.
+
+    Entries may come from any commutative ring that mixes with Python
+    ints under +, - and *; the empty matrix gives 1.
+    """
+    k = len(matrix)
+    total = 0
+    for perm in itertools.permutations(range(k)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = term * matrix[i][j]
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        total = total + (-term if inversions % 2 else term)
+    return total

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from minmod import (
@@ -351,3 +351,51 @@ def test_exact_matches_float_everywhere(variant, a, m, n, c, b, d):
         return
     got = r_matrix(RQuery(M78, variant, a, m, n, c, b, d))
     assert abs(_embed(got) - want) < 1e-9
+
+
+def _array(matrix):
+    return [[matrix.entry(mu, ga) for ga in matrix.cols] for mu in matrix.rows]
+
+
+@pytest.mark.parametrize(
+    "p,q,exts",
+    [
+        (7, 8, ((1, 3), (1, 3), (1, 5), (1, 5))),
+        (7, 8, ((1, 5), (1, 5), (1, 3), (1, 3))),
+        (11, 12, ((1, 7), (1, 7), (1, 7), (1, 7))),
+        (7, 8, ((1, 1), (1, 1), (1, 1), (1, 1))),
+    ],
+)
+def test_det_matches_leibniz_expansion(p, q, exts):
+    model = MinimalModel(p, q)
+    matrix = braid_matrix(model, tuple(model.label(m, n) for m, n in exts))
+    assert matrix.det() == oracles.leibniz_det(_array(matrix))
+
+
+@given(st.data())
+@settings(max_examples=12, deadline=None)
+def test_det_matches_leibniz_on_random_externals(data):
+    # a4 is drawn from a3 x (a2 x a1), so at least one channel survives
+    labels = oracles.labels(7, 8)
+    a1, a2, a3 = (data.draw(st.sampled_from(labels)) for _ in range(3))
+    mu = data.draw(st.sampled_from(oracles.fuse(7, 8, a2, a1)))
+    a4 = data.draw(st.sampled_from(oracles.fuse(7, 8, a3, mu)))
+    exts = tuple(M78.label(m, n) for m, n in (a4, a1, a3, a2))
+    try:
+        matrix = braid_matrix(M78, exts)
+    except NonIntegerExponent:
+        assume(False)
+    assume(len(matrix.rows) <= 5)
+    assert matrix.det() == oracles.leibniz_det(_array(matrix))
+
+
+def test_dense_eight_channel_det():
+    # far past the reach of the permutation expansion: 8! * 8 products
+    exts = ((2, 7), (2, 7), (3, 6), (3, 4))
+    matrix = braid_matrix(M1112, tuple(M1112.label(m, n) for m, n in exts))
+    assert len(matrix.rows) == len(matrix.cols) == 8
+    array = np.array([[_embed(x) for x in row] for row in _array(matrix)])
+    assert np.all(np.abs(array) > 1e-12)
+    det = matrix.det()
+    assert not det.is_zero()
+    assert abs(_embed(det) - np.linalg.det(array)) < 1e-9

@@ -244,3 +244,28 @@ def test_precision_flag_widens_output(capsys):
     )
     assert code == 0
     assert "3.732050807568878" in out
+
+
+def test_braid_half_integral_sign_exponent_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "braid", "--p", "7", "--q", "8", "--ext", "2,3,2,7,3,3,3,5"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: sign exponent ")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("bits", ["0", "-5", "x"])
+def test_precision_below_one_is_rejected(capsys, bits):
+    with pytest.raises(SystemExit) as exc:
+        main(["qdim", "--p", "7", "--q", "8", "--label", "1,3", "--precision", bits])
+    assert exc.value.code == 2
+    assert "--precision" in capsys.readouterr().err
+
+
+def test_precision_one_is_accepted(capsys):
+    code, out, err = run(
+        capsys, "qdim", "--p", "7", "--q", "8", "--label", "1,3", "--precision", "1"
+    )
+    assert code == 0

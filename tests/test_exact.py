@@ -1,7 +1,9 @@
 """Field arithmetic in the cyclotomic layer."""
 import cmath
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from minmod import (
     parse_exact,
     zeta,
 )
+from minmod.exact import echelon, solve, two_i_sin
 
 ONE = CyclotomicNumber.from_rational(1)
 ZERO = CyclotomicNumber.from_rational(0)
@@ -188,3 +191,88 @@ def test_mixed_order_coercion(a):
     assert ONE * a == a
     assert a + 0 == a
     assert a * Fraction(1, 1) == a
+
+
+def test_two_i_sin_embeds_at_any_multiple_order():
+    for k, b, order in ((1, 8, 16), (3, 8, 224), (5, 7, 56), (-2, 3, 12)):
+        got = complex(two_i_sin(k, b, order).embed())
+        assert abs(got - 2j * math.sin(math.pi * k / b)) < 1e-12
+    assert two_i_sin(3, 8, 16) == two_i_sin(3, 8, 224)
+
+
+# -- the elimination kernel, on Fraction matrices against numpy ---------------
+
+_MATRICES = {
+    "full rank": [[2, 1, 0], [1, 3, 1], [0, 1, 4]],
+    "rank deficient": [[1, 2, 3], [2, 4, 6], [1, 0, 1]],
+    "zero row": [[1, 2], [0, 0], [3, 4]],
+    "zero column": [[0, 1, 2], [0, 3, 4], [0, 5, 7]],
+    "wide": [[1, 2, 3, 4], [2, 4, 6, 9]],
+    "all zero": [[0, 0], [0, 0]],
+}
+
+
+def _fractions(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def _rank(rows):
+    return len(echelon(_fractions(rows))[1])
+
+
+def _np_rank(rows):
+    return int(np.linalg.matrix_rank(np.array(rows, dtype=float)))
+
+
+def _check_solve(a, b):
+    aug = _fractions([row + [rhs] for row, rhs in zip(a, b)])
+    sol = solve(aug)
+    consistent = _np_rank(a) == _np_rank([row + [rhs] for row, rhs in zip(a, b)])
+    if not consistent:
+        assert sol is None
+        return
+    assert sol is not None and len(sol) == len(a[0])
+    for row, rhs in zip(a, b):
+        assert sum(x * y for x, y in zip(row, sol)) == rhs
+
+
+@pytest.mark.parametrize("name", sorted(_MATRICES))
+def test_echelon_rank_matches_numpy(name):
+    assert _rank(_MATRICES[name]) == _np_rank(_MATRICES[name])
+
+
+def test_echelon_sign_and_pivots_give_det():
+    rows, pivots, sign = echelon(_fractions([[0, 2, 1], [3, 1, 0], [1, 1, 1]]))
+    assert pivots == (0, 1, 2)
+    det = sign * rows[0][0] * rows[1][1] * rows[2][2]
+    assert det == round(np.linalg.det([[0, 2, 1], [3, 1, 0], [1, 1, 1]]))
+
+
+@pytest.mark.parametrize("name", sorted(_MATRICES))
+def test_solve_substitutes_back(name):
+    a = _MATRICES[name]
+    _check_solve(a, [i + 1 for i in range(len(a))])
+    _check_solve(a, [sum(row) for row in a])
+
+
+def test_solve_rejects_inconsistent_systems():
+    assert solve(_fractions([[1, 1, 1], [2, 2, 3]])) is None
+    assert solve(_fractions([[1, 0, 1], [0, 0, 1]])) is None
+    assert solve(_fractions([[0, 0, 1]])) is None
+    assert solve(_fractions([[0, 0, 0]])) == (0, 0)
+
+
+_SMALL_MATRIX = st.integers(1, 5).flatmap(
+    lambda cols: st.lists(
+        st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
+        min_size=1,
+        max_size=5,
+    )
+)
+
+
+@given(_SMALL_MATRIX, st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_numpy_on_random_matrices(a, b):
+    assert _rank(a) == _np_rank(a)
+    _check_solve(a, b[: len(a)])
