@@ -3,14 +3,17 @@
 The matrix (B_{a4,a1}^{a3,a2})_{mu,gamma} factorizes, up to an explicit
 prefactor, into two chiral pieces r'(...) and r(...), each defined by
 base cases on indices 1 and 2 together with a two-index recursion.  The
-chiral pieces live on the q = p + 1 and p sides respectively and are
-computed here in Q(zeta_{4pq}), so every nonvanishing claim is a
-decidable coefficient comparison.
+chiral pieces live on the q = p + 1 and p sides respectively, and each
+is computed in the smallest field its side needs: r' in Q(zeta_{4q}),
+r in Q(zeta_{4p}).  Only a braiding-matrix entry multiplies the two
+back up to Q(zeta_{4pq}), and stays in the smaller field when one side
+is trivial.  Every nonvanishing claim is a decidable coefficient
+comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
@@ -56,9 +59,11 @@ class BracketTable:
     primed:   [l]' = y^{l/2} - y^{-l/2}, y for exp(2*pi*i*p/q), bound q
     unprimed: [l]  = x^{l/2} - x^{-l/2}, x for exp(2*pi*i*q/p), bound p
 
-    power(k) is the quarter power (x or y)^{k/4} as an exact root of
-    unity in Q(zeta_{4pq}).  Bracket values satisfy [0] = 0 and
-    [-l] = -[l]; inverses are cached alongside.
+    With b the bound and o the other index, (x or y)^{1/4} is the root
+    zeta_{4b}^o, so power(k), the quarter power (x or y)^{k/4}, and every
+    bracket and inverse live in Q(zeta_{4b}): Q(zeta_{4q}) on the primed
+    side, Q(zeta_{4p}) on the unprimed side.  Bracket values satisfy
+    [0] = 0 and [-l] = -[l]; inverses are cached alongside.
     """
 
     __slots__ = ("model", "variant", "bound", "values", "_other", "_inverses")
@@ -78,12 +83,12 @@ class BracketTable:
         self._inverses: dict[int, CyclotomicNumber] = {}
 
     def power(self, k: int) -> CyclotomicNumber:
-        return zeta(self.model.field_order, k * self._other**2)
+        return zeta(4 * self.bound, k * self._other)
 
     def __getitem__(self, l: int) -> CyclotomicNumber:
         val = self.values.get(l)
         if val is None:
-            val = two_i_sin(l * self._other, self.bound, self.model.field_order)
+            val = two_i_sin(l * self._other, self.bound, 4 * self.bound)
             self.values[l] = val
         return val
 

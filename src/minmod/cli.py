@@ -353,8 +353,7 @@ def cmd_verify(args) -> Report:
                 c.name = f"{target}: {c.name}"
         checks.extend(sub)
     if args.inject_failure:
-        checks.append(Check("injected failure", "fail",
-                            "forced by the hidden test flag"))
+        checks.append(Check("injected failure", "fail"))
     return Report(f"verify {args.target}", checks)
 
 

@@ -3,8 +3,9 @@
 The model L(c_{p,q}, 0) for coprime 2 <= p < q has (p-1)(q-1)/2
 irreducible modules, labelled by Kac pairs (m, n) with 0 < m < p,
 0 < n < q modulo the identification (m, n) ~ (p-m, q-n).  Everything
-here is exact: weights and central charges are Fractions, quantum
-dimensions live in the cyclotomic field Q(zeta_{4pq}).
+here is exact: weights and central charges are Fractions, and a
+quantum dimension is a product of two sine ratios, one in Q(zeta_{2p})
+and one in Q(zeta_{2q}), so it lives in Q(zeta_{2pq}).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Sequence
 
 from .exact import CyclotomicNumber, two_i_sin
 
@@ -66,11 +67,6 @@ class MinimalModel:
     def is_unitary(self) -> bool:
         return self.q == self.p + 1
 
-    @property
-    def field_order(self) -> int:
-        """Order of the cyclotomic field all exact values of this model share."""
-        return 4 * self.p * self.q
-
     def central_charge(self) -> Fraction:
         p, q = self.p, self.q
         return 1 - Fraction(6 * (p - q) ** 2, p * q)
@@ -98,13 +94,6 @@ class MinimalModel:
 
     def labels(self) -> tuple["ModuleLabel", ...]:
         return tuple(ModuleLabel(self, m, n) for m, n in _canonical_pairs(self.p, self.q))
-
-    def two_i_sin(self, k: int, b: int) -> CyclotomicNumber:
-        """2i*sin(pi*k/b) as zeta_{2b}^k - zeta_{2b}^{-k}, in the model field.
-
-        b must divide 2pq so that zeta_{2b} lies in Q(zeta_{4pq}).
-        """
-        return two_i_sin(k, b, self.field_order)
 
 
 @dataclass(frozen=True)
@@ -313,17 +302,18 @@ def qdim(label: ModuleLabel) -> QDim:
 
     Closed form |sin(pi*q*m/p) * sin(pi*p*n/q)| / (sin(pi*q/p) * sin(pi*p/q))
     with each sine realized as a difference of roots of unity.  The factors
-    of 2i cancel between numerator and denominator; the overall sign is
-    normalized by the positivity of the embedding.
+    of 2i cancel within each ratio, which is computed in its own field,
+    Q(zeta_{2p}) or Q(zeta_{2q}); the product lands in Q(zeta_{2pq}).  The
+    overall sign is normalized by the positivity of the embedding.
     """
     return _qdim_cached(label.model.p, label.model.q, label.m, label.n)
 
 
 @lru_cache(maxsize=None)
 def _qdim_cached(p: int, q: int, m: int, n: int) -> QDim:
-    model = MinimalModel(p, q)
-    num = model.two_i_sin(q * m, p) * model.two_i_sin(p * n, q)
-    value = num * _qdim_denominator_inv(p, q)
+    value = (two_i_sin(q * m, p, 2 * p) * _sine_inv(q, p)) * (
+        two_i_sin(p * n, q, 2 * q) * _sine_inv(p, q)
+    )
     approx = value.embed()
     if approx.real < 0:
         value = -value
@@ -333,9 +323,9 @@ def _qdim_cached(p: int, q: int, m: int, n: int) -> QDim:
 
 
 @lru_cache(maxsize=None)
-def _qdim_denominator_inv(p: int, q: int) -> CyclotomicNumber:
-    model = MinimalModel(p, q)
-    return (model.two_i_sin(q, p) * model.two_i_sin(p, q)).inv()
+def _sine_inv(k: int, b: int) -> CyclotomicNumber:
+    """1 / (2i*sin(pi*k/b)) in Q(zeta_{2b})."""
+    return two_i_sin(k, b, 2 * b).inv()
 
 
 def qdim_tensor(labels: Sequence[ModuleLabel]) -> QDim:

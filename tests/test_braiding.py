@@ -30,6 +30,8 @@ from minmod import (
     r_matrix_variants,
     zeta,
 )
+from minmod.braiding import _lemma_3c_matrix, _lemma_5a_matrix
+from minmod.exact import two_i_sin
 
 M78 = MinimalModel(7, 8)
 M1112 = MinimalModel(11, 12)
@@ -88,6 +90,43 @@ def test_bracket_against_sine_oracle():
         for l in range(1, side.bound):
             got = _embed(bracket(M78, variant, l))
             assert abs(got - side.br(l)) < 1e-12
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+@pytest.mark.parametrize("variant", ["primed", "unprimed"])
+def test_brackets_live_in_their_side_field(p, variant):
+    # the full-field route: the same roots of unity taken in Q(zeta_{4pq})
+    model = MinimalModel(p, p + 1)
+    table = brackets(model, variant)
+    bound, other = (p + 1, p) if variant == "primed" else (p, p + 1)
+    full, side = 4 * p * (p + 1), 4 * bound
+    for l in range(1, bound):
+        old = two_i_sin(l * other, bound, full)
+        assert side % table[l].order == 0
+        assert table[l].promote(full) == old
+        assert side % table.inv(l).order == 0
+        assert (table.inv(l).promote(full) * old).is_one()
+    for k in range(-2 * bound - 1, 2 * bound + 2):
+        assert side % table.power(k).order == 0
+        assert table.power(k).promote(full) == zeta(full, k * other**2)
+
+
+def test_memoized_values_live_in_their_side_field():
+    _lemma_5a_matrix()
+    _lemma_3c_matrix()
+    queries = memoized_queries()
+    assert {M78, M1112} <= {query.model for query in queries}
+    for query in queries:
+        bound = query.model.q if query.variant == "primed" else query.model.p
+        assert (4 * bound) % r_matrix(query).order == 0
+
+
+def test_lemma_matrix_entries_live_in_the_primed_field():
+    # every external and channel is (1, n), so the unprimed side is trivial
+    for matrix, order in ((_lemma_5a_matrix(), 32), (_lemma_3c_matrix(), 48)):
+        assert matrix.entries
+        for value in matrix.entries.values():
+            assert order % value.order == 0
 
 
 def test_nonunitary_has_no_brackets():

@@ -1,7 +1,10 @@
 """End-to-end CLI checks, run in process through main()."""
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minmod import parse_exact
 from minmod.cli import main
@@ -269,3 +272,124 @@ def test_precision_one_is_accepted(capsys):
         capsys, "qdim", "--p", "7", "--q", "8", "--label", "1,3", "--precision", "1"
     )
     assert code == 0
+
+
+# -- the contract on generated argv ---------------------------------------------
+
+_MALFORMED = st.sampled_from(["x", "", "3.5", "1e2", " ", "1,,2", "-"])
+
+
+def _valid(draw):
+    # four draws in five take the valid branch
+    return draw(st.sampled_from((True, True, True, True, False)))
+
+
+def _join(xs):
+    return ",".join(map(str, xs))
+
+
+def _draw_model(draw, max_p):
+    if _valid(draw):
+        p = draw(st.integers(2, max_p))
+        return p, p + 1
+    # out of range, non-coprime, non-unitary or malformed
+    return draw(st.one_of(
+        st.tuples(st.integers(-1, max_p + 2), st.integers(-1, max_p + 3)),
+        st.tuples(_MALFORMED, st.integers(2, 14)),
+    ))
+
+
+def _draw_pairs(draw, model, count):
+    p, q = model
+    if _valid(draw) and isinstance(p, int) and 1 < p < q:
+        pairs = [(draw(st.integers(1, p - 1)), draw(st.integers(1, q - 1)))
+                 for _ in range(count)]
+        return _join(x for pair in pairs for x in pair)
+    return draw(st.one_of(
+        st.lists(st.integers(-1, 15), min_size=1, max_size=2 * count + 1).map(_join),
+        _MALFORMED,
+    ))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(
+        ["info", "fusion", "qdim", "braid", "decompose", "verify"]))
+    argv = [command]
+    if command in ("info", "fusion", "qdim", "braid"):
+        model = _draw_model(draw, 11 if command == "braid" else 13)
+        argv += ["--p", str(model[0]), "--q", str(model[1])]
+    if command == "fusion":
+        argv += ["--a", _draw_pairs(draw, model, 1),
+                 "--b", _draw_pairs(draw, model, 1)]
+    elif command == "qdim":
+        argv += ["--label", _draw_pairs(draw, model, 1)]
+    elif command == "braid":
+        named = st.lists(st.integers(0, 5), min_size=4, max_size=4).map(_join)
+        argv += ["--ext", _draw_pairs(draw, model, 4) if _valid(draw) else draw(named)]
+        if draw(st.booleans()):
+            argv += ["--entry", _draw_pairs(draw, model, 2)]
+    elif command == "decompose":
+        argv.append(draw(st.sampled_from(["5a", "3c", "5A", "3C", "6a", ""])))
+        if draw(st.booleans()):
+            argv += ["--module", draw(st.sampled_from(
+                ["4", "0", "2", "3", "8", "1,1", "3,5", "2,2", "1,2,3"]) | _MALFORMED)]
+    elif command == "verify":
+        argv.append(draw(st.sampled_from(
+            ["lemma-5a", "lemma-3c", "uniqueness-5a", "uniqueness-3c",
+             "chains-5a", "chains-3c", "fusion-5a", "fusion-3c", "all", "lemma-9x"])))
+        if draw(st.booleans()):
+            argv.append("--inject-failure")
+    argv += ["--format", draw(st.sampled_from(["json", "json", "table"]))]
+    if not _valid(draw):
+        argv += ["--precision", draw(st.sampled_from(["1", "80", "200", "0", "x"]))]
+    return argv
+
+
+def _parse_approx(text):
+    # the three shapes _fmt_complex prints: "re", "im i", "re +/- im i"
+    if not text.endswith("i"):
+        return complex(float(text), 0.0)
+    parts = text[:-1].split(" ")
+    if len(parts) == 1:
+        return complex(0.0, float(parts[0]))
+    re, sign, im = parts
+    return complex(float(re), float(sign + im))
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the argv
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(_argv())
+@settings(max_examples=100, deadline=None)
+def test_cli_contract_on_generated_argv(argv):
+    code, out, err = _call(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert "Traceback" not in err
+        return
+    assert err == "" and out
+    if argv[argv.index("--format") + 1] != "json":
+        return
+    report = json.loads(out)
+    assert_schema(report)
+    for check in report["checks"]:
+        if not check["exact"]:
+            continue
+        value = parse_exact(check["exact"])
+        if argv[0] in ("info", "fusion") and check["name"] != "central charge":
+            # module rows: the weight as exact, the quantum dimension as approx
+            assert value.is_rational()
+            continue
+        want = complex(value.embed())
+        got = _parse_approx(check["approx"])
+        assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), check

@@ -23,6 +23,7 @@ from minmod import (
     qdim_tensor,
     zeta,
 )
+from minmod.exact import two_i_sin
 
 M34 = MinimalModel(3, 4)
 M78 = MinimalModel(7, 8)
@@ -152,6 +153,19 @@ def test_qdim_against_perron_frobenius(p, q):
         bracket = float(oracles.pf_qdim(p, q, label.kac))
         assert abs(qdim(label).approx - bracket) < 1e-9
         assert qdim(label).approx > 0
+
+
+@pytest.mark.parametrize("p,q", [(7, 8), (11, 12), (2, 5), (3, 5)])
+def test_qdim_lives_in_q_zeta_2pq(p, q):
+    # the full-field route: both sine ratios taken in Q(zeta_{4pq})
+    full = 4 * p * q
+    den_inv = (two_i_sin(q, p, full) * two_i_sin(p, q, full)).inv()
+    for label in list_labels(MinimalModel(p, q)):
+        m, n = label.kac
+        old = two_i_sin(q * m, p, full) * two_i_sin(p * n, q, full) * den_inv
+        value = qdim(label).exact
+        assert (2 * p * q) % value.order == 0
+        assert value == old or value == -old
 
 
 def test_qdim_tensor_multiplies_across_models():
