@@ -66,21 +66,12 @@ def _cyclotomic(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    # Row j - phi expresses zeta_n^j, phi <= j < n, in the power basis
-    # 1, zeta, ..., zeta^(phi-1).  Built iteratively from the monic Phi_n.
+def _reduction_tail(n: int) -> tuple[tuple[int, int], ...]:
+    # The nonzero terms (k, -c_k) of the monic Phi_n below its leading
+    # one, so zeta_n^phi = sum of -c_k * zeta_n^k.  Phi_n is sparse at the
+    # orders used here (30 terms at n = 2208, where phi = 704).
     poly = _cyclotomic(n)
-    phi = len(poly) - 1
-    rows = []
-    row = [-c for c in poly[:phi]]
-    for _ in range(phi, n):
-        rows.append(tuple(row))
-        top = row[phi - 1]
-        row = [0] + row[: phi - 1]
-        if top:
-            for k in range(phi):
-                row[k] += top * rows[0][k]
-    return tuple(rows)
+    return tuple((k, -c) for k, c in enumerate(poly[:-1]) if c)
 
 
 def _degree(n: int) -> int:
@@ -89,16 +80,24 @@ def _degree(n: int) -> int:
 
 def _reduce(vec: list[int], n: int) -> list[int]:
     # vec holds coefficients for exponents 0..len(vec)-1, already < n.
+    # For even n, zeta_n^(n/2) = -1 folds the upper half first; then long
+    # division by Phi_n, top exponent down, visits only its nonzero terms.
     phi = _degree(n)
-    out = list(vec[:phi]) + [0] * (phi - min(phi, len(vec)))
-    if len(vec) > phi:
-        rows = _reduction_rows(n)
-        for j in range(phi, len(vec)):
-            c = vec[j]
+    out = list(vec) + [0] * (phi - len(vec))
+    half = n // 2
+    if n % 2 == 0 and len(out) > half:
+        for j in range(half, len(out)):
+            out[j - half] -= out[j]
+        del out[half:]
+    if len(out) > phi:
+        tail = _reduction_tail(n)
+        for j in range(len(out) - 1, phi - 1, -1):
+            c = out[j]
             if c:
-                row = rows[j - phi]
-                for k in range(phi):
-                    out[k] += c * row[k]
+                base = j - phi
+                for k, t in tail:
+                    out[base + k] += c * t
+        del out[phi:]
     return out
 
 

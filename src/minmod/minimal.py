@@ -318,7 +318,8 @@ def _qdim_cached(p: int, q: int, m: int, n: int) -> QDim:
     if approx.real < 0:
         value = -value
         approx = value.embed()
-    assert abs(approx.imag) <= approx.error_bound and value.is_real()
+    if abs(approx.imag) > approx.error_bound or not value.is_real():
+        raise ArithmeticError(f"quantum dimension of ({m},{n}) at ({p},{q}) is not real")
     return QDim(exact=value, approx=approx.real)
 
 

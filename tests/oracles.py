@@ -3,10 +3,12 @@
 Everything here recomputes results through a different route than the
 package: plain complex floats for the braid recursion, a numpy S-matrix
 for fusion multiplicities, integer power iteration for quantum
-dimensions, and the permutation expansion for determinants.  Nothing
-imports from minmod.
+dimensions, the permutation expansion for determinants, and dense long
+division by a Moebius-product cyclotomic polynomial for the reduction
+into the power basis.  Nothing imports from minmod.
 """
 import cmath
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -256,3 +258,64 @@ def leibniz_det(matrix):
         inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
         total = total + (-term if inversions % 2 else term)
     return total
+
+
+# -- cyclotomic reduction -----------------------------------------------------
+
+def _mobius(n):
+    sign, m, d = 1, n, 2
+    while d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return 0
+            sign = -sign
+        d += 1
+    return -sign if m > 1 else sign
+
+
+def _times_xd_minus_1(poly, d):
+    out = [0] * (len(poly) + d)
+    for i, c in enumerate(poly):
+        out[i + d] += c
+        out[i] -= c
+    return out
+
+
+def _long_divide(num, den):
+    """(quotient, remainder) of integer polynomials, ascending; den monic."""
+    num = list(num)
+    dd = len(den) - 1
+    quot = [0] * max(len(num) - dd, 0)
+    for j in range(len(num) - 1, dd - 1, -1):
+        c = num[j]
+        quot[j - dd] = c
+        if c:
+            for i in range(dd + 1):
+                num[j - dd + i] -= c * den[i]
+    return quot, num[:dd] + [0] * (dd - len(num))
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic_poly(n):
+    """Phi_n, ascending integer coefficients, as the product over d | n
+    of (x^d - 1)^mu(n/d): the mu = +1 factors multiplied out, the
+    mu = -1 ones divided out exactly."""
+    top, bottom = [1], [1]
+    for d in range(1, n + 1):
+        if n % d == 0:
+            mu = _mobius(n // d)
+            if mu == 1:
+                top = _times_xd_minus_1(top, d)
+            elif mu == -1:
+                bottom = _times_xd_minus_1(bottom, d)
+    quot, rem = _long_divide(top, bottom)
+    assert not any(rem), "Moebius product did not divide exactly"
+    return tuple(quot)
+
+
+def reduce_mod_cyclotomic(n, coeffs):
+    """Coordinates of sum coeffs[e] * zeta_n^e in the power basis
+    1, zeta_n, ..., zeta_n^(phi-1): the remainder of plain long division
+    by Phi_n over every one of its coefficients."""
+    return _long_divide(coeffs, cyclotomic_poly(n))[1]

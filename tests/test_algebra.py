@@ -23,6 +23,7 @@ from minmod import (
     solve_sector_system,
     zeta,
 )
+from minmod.algebra import _qdim_sum, _ratio_check
 
 ONE = CyclotomicNumber.from_rational(1)
 I = zeta(4)
@@ -163,6 +164,20 @@ def test_subalgebra_chains_all_pass():
         checks = check_subalgebra_chain(alg)
         assert tuple(c.name for c in checks) == expected_names
         assert all(c.passed for c in checks), [c for c in checks if not c.passed]
+
+
+def test_ratio_check_needs_equal_nonzero_sums():
+    s5, s3 = A5.sectors, A3.sectors
+    for top, bottom in ((s5[8:], s5[:8]), (s5[4:8], s5[:4]), (s3[4:], s3[:4]), (s3[2:4], s3[:2])):
+        assert _ratio_check(top, bottom, "shipped").passed
+    # 8 sqrt2 + 16 over 4 sqrt2 + 8: a ratio of 2
+    unequal = _ratio_check(s5[8:], s5[:4], "unequal")
+    assert not unequal.passed
+    assert unequal.detail == f"{_qdim_sum(s5[8:])} over {_qdim_sum(s5[:4])}"
+    # 0 over 0 is no ratio of 1
+    empty = _ratio_check((), (), "empty")
+    assert not empty.passed
+    assert empty.detail == "0 over 0"
 
 
 def test_sector_qdims_exact():

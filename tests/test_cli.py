@@ -1,11 +1,16 @@
 """End-to-end CLI checks, run in process through main()."""
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import minmod
 from minmod import parse_exact
 from minmod.cli import main
 
@@ -154,6 +159,24 @@ def test_verify_all(capsys):
     names = [c["name"] for c in report["checks"]]
     for prefix in ("lemma-5a:", "uniqueness-3c:", "fusion-3c:"):
         assert any(n.startswith(prefix) for n in names), prefix
+
+
+@pytest.mark.parametrize("argv", [("verify", "all"), ("info", "--p", "13", "--q", "14")])
+def test_report_does_not_rest_on_assert(argv):
+    # python -O strips assert statements, so no check may live in one.
+    env = dict(os.environ, PYTHONPATH=str(Path(minmod.__file__).resolve().parents[1]))
+
+    def report(*flags):
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "minmod.cli", *argv, "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        out = json.loads(done.stdout)
+        del out["elapsed_ms"]
+        return out
+
+    assert report("-O") == report()
 
 
 def test_verify_inject_failure(capsys):

@@ -1,12 +1,14 @@
 """Field arithmetic in the cyclotomic layer."""
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from minmod import (
     CyclotomicNumber,
     DivisionByZero,
@@ -198,6 +200,41 @@ def test_two_i_sin_embeds_at_any_multiple_order():
         got = complex(two_i_sin(k, b, order).embed())
         assert abs(got - 2j * math.sin(math.pi * k / b)) < 1e-12
     assert two_i_sin(3, 8, 16) == two_i_sin(3, 8, 224)
+
+
+# -- reduction into the power basis, against dense long division ---------------
+
+# Odd orders; even orders at every size the program reaches (bracket,
+# qdim and braid-entry fields up to (23,24)); 105 and 210, whose
+# cyclotomic polynomials have a coefficient of absolute value 2.
+_REDUCTION_ORDERS = (7, 11, 23, 105, 28, 32, 48, 56, 210, 264, 336, 728, 1104, 2208)
+
+
+def _exponents(order, rng):
+    if order <= 64:
+        return range(order)
+    phi = len(oracles.cyclotomic_poly(order)) - 1
+    half = order // 2
+    edges = {0, phi - 1, phi, phi + 1, half - 1, half, half + 1, order - 1}
+    return sorted(edges | set(rng.sample(range(order), 12)))
+
+
+@pytest.mark.parametrize("order", _REDUCTION_ORDERS)
+def test_reduction_matches_dense_long_division(order):
+    rng = random.Random(order)
+    lengths = [order, order // 2 + 1, rng.randint(0, order), rng.randint(0, order)]
+    for length in lengths:
+        coeffs = [rng.randint(-5, 5) if rng.random() < 0.6 else 0 for _ in range(length)]
+        want = oracles.reduce_mod_cyclotomic(order, coeffs)
+        assert CyclotomicNumber(order, coeffs).coefficients == tuple(want)
+    for e in _exponents(order, rng):
+        unit = [0] * e + [1]
+        assert zeta(order, e).coefficients == tuple(oracles.reduce_mod_cyclotomic(order, unit))
+
+
+def test_reduction_orders_cover_a_coefficient_two():
+    for order in (105, 210):
+        assert max(abs(c) for c in oracles.cyclotomic_poly(order)) == 2
 
 
 # -- the elimination kernel, on Fraction matrices against numpy ---------------

@@ -23,6 +23,7 @@ from minmod import (
     qdim_tensor,
     zeta,
 )
+from minmod import minimal
 from minmod.exact import two_i_sin
 
 M34 = MinimalModel(3, 4)
@@ -166,6 +167,16 @@ def test_qdim_lives_in_q_zeta_2pq(p, q):
         value = qdim(label).exact
         assert (2 * p * q) % value.order == 0
         assert value == old or value == -old
+
+
+@pytest.mark.parametrize("tilt", [zeta(8), 1 + Fraction(1, 2**60) * zeta(4)])
+def test_non_real_qdim_raises(monkeypatch, tilt):
+    # zeta_8 is caught by the embedding; 1 + 2^-60 i only by the exact
+    # realness test, since its imaginary part is below the error bound.
+    sine_inv = minimal._sine_inv
+    monkeypatch.setattr(minimal, "_sine_inv", lambda k, b: sine_inv(k, b) * tilt)
+    with pytest.raises(ArithmeticError, match="not real"):
+        minimal._qdim_cached.__wrapped__(7, 8, 2, 3)
 
 
 def test_qdim_tensor_multiplies_across_models():
