@@ -20,10 +20,11 @@ from math import prod
 from .exact import CyclotomicNumber, DivisionByZero, echelon, two_i_sin, zeta
 from .minimal import (
     MinimalModel,
+    ModelMismatch,
     ModuleLabel,
     NonUnitaryModel,
     ffk_pair,
-    is_admissible,
+    fuse,
     _side_admissible,
 )
 
@@ -313,17 +314,12 @@ def braid_matrix(model: MinimalModel, externals) -> BraidMatrix:
     """Assemble the full braiding matrix over fusion-allowed channels."""
     if not model.is_unitary:
         raise NonUnitaryModel(f"{model!r} has no braiding data here")
+    if any(x.model != model for x in externals):
+        raise ModelMismatch(f"externals {externals} do not all belong to {model!r}")
     a4, a1, a3, a2 = externals
-    rows = tuple(
-        x
-        for x in model.labels()
-        if is_admissible(a3, x, a4, model) and is_admissible(a2, a1, x, model)
-    )
-    cols = tuple(
-        x
-        for x in model.labels()
-        if is_admissible(a2, x, a4, model) and is_admissible(a3, a1, x, model)
-    )
+    a3a4, a3a1 = fuse(a3, a4), fuse(a3, a1)
+    rows = tuple(x for x in fuse(a2, a1) if x in a3a4)
+    cols = tuple(x for x in fuse(a2, a4) if x in a3a1)
     entries = {
         (mu, ga): braid_entry(model, tuple(externals), mu, ga)
         for mu in rows

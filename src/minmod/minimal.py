@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .exact import CyclotomicNumber, two_i_sin
+from .exact import ComplexApprox, CyclotomicNumber, two_i_sin
 
 
 class InvalidModel(ValueError):
@@ -282,10 +282,17 @@ def is_admissible(t1, t2, t3, model: MinimalModel) -> bool:
 
 @lru_cache(maxsize=None)
 def _fuse_pairs(p: int, q: int, ab: tuple, bb: tuple) -> tuple[tuple[int, int], ...]:
+    # The product of two truncated su(2) rules, at bound p on the m side
+    # and q on the n side.  One of p, q is odd, so m3 and p - m3 (or n3
+    # and q - n3) differ in parity and no label arises twice.
     model = MinimalModel(p, q)
-    return tuple(
-        c for c in _canonical_pairs(p, q) if is_admissible(ab, bb, c, model)
-    )
+    (m1, n1), (m2, n2) = ab, bb
+    out = {
+        model.canonical(m3, n3)
+        for m3 in range(abs(m1 - m2) + 1, min(m1 + m2, 2 * p - m1 - m2), 2)
+        for n3 in range(abs(n1 - n2) + 1, min(n1 + n2, 2 * q - n1 - n2), 2)
+    }
+    return tuple(c for c in _canonical_pairs(p, q) if c in out)
 
 
 def fuse(a: ModuleLabel, b: ModuleLabel) -> FusionMultiset:
@@ -295,6 +302,71 @@ def fuse(a: ModuleLabel, b: ModuleLabel) -> FusionMultiset:
     model = a.model
     pairs = _fuse_pairs(model.p, model.q, a.kac, b.kac)
     return FusionMultiset({ModuleLabel(model, m, n): 1 for m, n in pairs})
+
+
+class RingCheck(NamedTuple):
+    """The first counterexample to each fusion-ring axiom, None where it holds.
+
+    unit is (a,) with unit x a != a, commutative is (a, b) with
+    a x b != b x a, associative is (a, b, c) with (a x b) x c != a x (b x c).
+    """
+
+    unit: tuple | None = None
+    commutative: tuple | None = None
+    associative: tuple | None = None
+
+
+def check_fusion_ring(keys, multiply, unit) -> RingCheck:
+    """Check the unit, commutativity and associativity axioms over all keys.
+
+    multiply(a, b) returns a mapping (or FusionMultiset) from labels to
+    multiplicities; it is evaluated once per pair, and keys need not be
+    closed under it.  Associativity compares (a x b) x c with a x (b x c)
+    for every triple of keys.
+    """
+    keys = tuple(keys)
+    table = {}
+
+    def counts(a, b):
+        if (a, b) not in table:
+            table[(a, b)] = {c: n for c, n in multiply(a, b).items() if n}
+        return table[(a, b)]
+
+    unit_bad = next(((a,) for a in keys if counts(unit, a) != {a: 1}), None)
+    comm_bad = next(
+        ((a, b) for a in keys for b in keys if counts(a, b) != counts(b, a)), None
+    )
+    # Fill in every product the associativity sums read, then go over to
+    # integer ids.  A product's multiplicity vector packs into one
+    # integer, a signed digit per label wide enough for any sum of
+    # products, so each side of a triple is a short integer sum.
+    outputs = dict.fromkeys(c for a in keys for b in keys for c in counts(a, b))
+    for c in outputs:
+        for a in keys:
+            counts(a, c)
+            counts(c, a)
+    labels = dict.fromkeys(chain((unit,), keys, *table.values()))
+    ids = {x: i for i, x in enumerate(labels)}
+    bound = max((sum(map(abs, v.values())) for v in table.values()), default=0)
+    width = (bound * bound).bit_length() + 2
+    terms = [[()] * len(ids) for _ in ids]
+    packed = [[0] * len(ids) for _ in ids]
+    for (a, b), v in table.items():
+        terms[ids[a]][ids[b]] = tuple((ids[c], n) for c, n in v.items())
+        packed[ids[a]][ids[b]] = sum(n << width * ids[c] for c, n in v.items())
+    index = [ids[k] for k in keys]
+    assoc_bad = next(
+        (
+            (keys[i], keys[j], keys[k])
+            for i, a in enumerate(index)
+            for j, b in enumerate(index)
+            for k, c in enumerate(index)
+            if sum(n * packed[e][c] for e, n in terms[a][b])
+            != sum(n * packed[a][f] for f, n in terms[b][c])
+        ),
+        None,
+    )
+    return RingCheck(unit_bad, comm_bad, assoc_bad)
 
 
 def qdim(label: ModuleLabel) -> QDim:
@@ -316,8 +388,9 @@ def _qdim_cached(p: int, q: int, m: int, n: int) -> QDim:
     )
     approx = value.embed()
     if approx.real < 0:
+        # negation is exact in floats too, so no second embedding
         value = -value
-        approx = value.embed()
+        approx = ComplexApprox(-approx.real, -approx.imag, approx.error_bound)
     if abs(approx.imag) > approx.error_bound or not value.is_real():
         raise ArithmeticError(f"quantum dimension of ({m},{n}) at ({p},{q}) is not real")
     return QDim(exact=value, approx=approx.real)

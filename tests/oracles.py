@@ -3,9 +3,10 @@
 Everything here recomputes results through a different route than the
 package: plain complex floats for the braid recursion, a numpy S-matrix
 for fusion multiplicities, integer power iteration for quantum
-dimensions, the permutation expansion for determinants, and dense long
+dimensions, the permutation expansion for determinants, dense long
 division by a Moebius-product cyclotomic polynomial for the reduction
-into the power basis.  Nothing imports from minmod.
+into the power basis, and plain dictionary sums for the fusion-ring
+axioms.  Nothing imports from minmod.
 """
 import cmath
 import functools
@@ -239,6 +240,31 @@ def braid_matrix(p, q, exts):
     entries = {(mu, ga): braid_entry(p, exts, mu, ga)
                for mu in rows for ga in cols}
     return rows, cols, entries
+
+
+# -- fusion-ring axioms --------------------------------------------------------
+
+def ring_axioms(keys, multiply, unit):
+    """First counterexamples (unit, commutativity, associativity) over keys,
+    None where the axiom holds; products as dicts label -> multiplicity."""
+    def prod(a, b):
+        return {c: n for c, n in multiply(a, b).items() if n}
+
+    def times(counts, c, on_right):
+        out = {}
+        for e, m1 in counts.items():
+            for d, m2 in prod(*((e, c) if on_right else (c, e))).items():
+                out[d] = out.get(d, 0) + m1 * m2
+        return {d: n for d, n in out.items() if n}
+
+    keys = list(keys)
+    return (
+        next(((a,) for a in keys if prod(unit, a) != {a: 1}), None),
+        next(((a, b) for a, b in itertools.product(keys, repeat=2)
+              if prod(a, b) != prod(b, a)), None),
+        next(((a, b, c) for a, b, c in itertools.product(keys, repeat=3)
+              if times(prod(a, b), c, True) != times(prod(b, c), a, False)), None),
+    )
 
 
 # -- Leibniz determinant ------------------------------------------------------

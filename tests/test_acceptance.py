@@ -22,11 +22,13 @@ from minmod import (
     MinimalModel,
     ModuleLabel,
     RQuery,
+    RingCheck,
     braid_matrix,
     brackets,
     build_algebra,
     build_sector_system,
     central_charge,
+    check_fusion_ring,
     check_subalgebra_chain,
     conformal_weight,
     ffk_pair,
@@ -290,41 +292,10 @@ def test_criterion_07_module_fusion():
                     assert got.get(c, 0) == round(tensor[spot(a), spot(b), spot(c)])
 
         for alg, keys in ((a5, keys_5a), (a3, keys_3c)):
-            unit = keys[0]
-            for a in keys:
-                assert module_fusion(alg, unit, a) == {a: 1}
-                for b in keys:
-                    for c in keys:
-                        left = {}
-                        for e, m1 in module_fusion(alg, a, b).items():
-                            for d, m2 in module_fusion(alg, e, c).items():
-                                left[d] = left.get(d, 0) + m1 * m2
-                        right = {}
-                        for f, m1 in module_fusion(alg, b, c).items():
-                            for d, m2 in module_fusion(alg, a, f).items():
-                                right[d] = right.get(d, 0) + m1 * m2
-                        assert left == right
-
-
-def _associativity_exhaustive(model: MinimalModel) -> None:
-    labs = list_labels(model)
-    pair = {}
-    for a in labs:
-        for b in labs:
-            pair[(a, b)] = dict(fuse(a, b).items())
-    for a in labs:
-        for b in labs:
-            ab = pair[(a, b)]
-            for c in labs:
-                left = {}
-                for e, m1 in ab.items():
-                    for d, m2 in pair[(e, c)].items():
-                        left[d] = left.get(d, 0) + m1 * m2
-                right = {}
-                for f, m1 in pair[(b, c)].items():
-                    for d, m2 in pair[(a, f)].items():
-                        right[d] = right.get(d, 0) + m1 * m2
-                assert left == right, (a, b, c)
+            ring = check_fusion_ring(
+                keys, lambda a, b: module_fusion(alg, a, b), keys[0]
+            )
+            assert ring == RingCheck(), alg.name
 
 
 def test_criterion_08_property_suites():
@@ -348,7 +319,9 @@ def test_criterion_08_property_suites():
                 assert (a * a.inv()).is_one()
 
         for p, q in ((3, 4), (7, 8), (11, 12)):
-            _associativity_exhaustive(MinimalModel(p, q))
+            model = MinimalModel(p, q)
+            ring = check_fusion_ring(list_labels(model), fuse, model.vacuum)
+            assert ring == RingCheck(), (p, q)
 
         braid_matrix(M78, tuple(named_label(M78, i) for i in (3, 3, 4, 4)))
         braid_matrix(M1112, (named_label(M1112, 2),) * 4)

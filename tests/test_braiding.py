@@ -14,6 +14,7 @@ from minmod import (
     DivisionByZero,
     IndexOutOfRange,
     MinimalModel,
+    ModelMismatch,
     ModuleLabel,
     NonIntegerExponent,
     NonUnitaryModel,
@@ -22,6 +23,8 @@ from minmod import (
     braid_matrix,
     bracket,
     brackets,
+    is_admissible,
+    list_labels,
     lemma_3c_entry,
     lemma_5a_combos,
     memoized_queries,
@@ -30,6 +33,7 @@ from minmod import (
     r_matrix_variants,
     zeta,
 )
+from minmod import braiding
 from minmod.braiding import _lemma_3c_matrix, _lemma_5a_matrix
 from minmod.exact import two_i_sin
 
@@ -352,6 +356,32 @@ def test_braid_entry_sign_exponent_guard():
     )
     with pytest.raises(NonIntegerExponent):
         braid_matrix(M78, exts)
+
+
+@given(st.sampled_from(((7, 8), (11, 12))), st.data())
+@settings(max_examples=40, deadline=None)
+def test_braid_channels_match_admissibility_scan(pq, data):
+    # a4 comes from a3 x (a2 x a1) or from anywhere, so both channel-rich
+    # and empty draws occur; entries are stubbed, only the channels count
+    p, q = pq
+    model = MinimalModel(p, q)
+    a1, a2, a3 = (data.draw(st.sampled_from(oracles.labels(p, q))) for _ in range(3))
+    mu = data.draw(st.sampled_from(oracles.fuse(p, q, a2, a1)))
+    a4 = data.draw(st.sampled_from(oracles.fuse(p, q, a3, mu) + oracles.labels(p, q)))
+    a4, a1, a3, a2 = exts = tuple(model.label(m, n) for m, n in (a4, a1, a3, a2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(braiding, "braid_entry", lambda *args: None)
+        matrix = braid_matrix(model, exts)
+    adm = lambda x, y, z: is_admissible(x, y, z, model)
+    labs = list_labels(model)
+    assert matrix.rows == tuple(x for x in labs if adm(a3, x, a4) and adm(a2, a1, x))
+    assert matrix.cols == tuple(x for x in labs if adm(a2, x, a4) and adm(a3, a1, x))
+
+
+def test_braid_matrix_rejects_foreign_externals():
+    vac = MinimalModel(11, 12).vacuum
+    with pytest.raises(ModelMismatch):
+        braid_matrix(M78, (vac, vac, vac, vac))
 
 
 def test_braid_matrix_rejects_nonunitary():

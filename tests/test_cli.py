@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import minmod
-from minmod import parse_exact
+from minmod import DegenerateSystem, DivisionByZero, cli, minimal, parse_exact, zeta
 from minmod.cli import main
 
 
@@ -280,6 +280,37 @@ def test_braid_half_integral_sign_exponent_is_a_usage_error(capsys):
     assert out == ""
     assert err.startswith("error: sign exponent ")
     assert len(err.strip().splitlines()) == 1
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def _non_real_qdims(monkeypatch):
+    # tilt one sine ratio off the real line, as in test_non_real_qdim_raises
+    sine_inv = minimal._sine_inv
+    monkeypatch.setattr(minimal, "_sine_inv", lambda k, b: sine_inv(k, b) * zeta(8))
+    monkeypatch.setattr(minimal, "_qdim_cached", minimal._qdim_cached.__wrapped__)
+
+
+@pytest.mark.parametrize("patch,argv", [
+    (lambda mp: mp.setattr(cli, "check_subalgebra_chain",
+                           _raise(DegenerateSystem("pivot 2 vanished"))),
+     ["verify", "chains-5a"]),
+    (lambda mp: mp.setattr(cli, "braid_matrix",
+                           _raise(DivisionByZero("bracket [7] vanishes"))),
+     ["braid", "--p", "7", "--q", "8", "--ext", "3,3,4,4"]),
+    (_non_real_qdims, ["qdim", "--p", "7", "--q", "8", "--label", "2,3"]),
+], ids=["degenerate-system", "division-by-zero", "non-real-qdim"])
+def test_arithmetic_error_is_one_error_line(capsys, monkeypatch, patch, argv):
+    patch(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("bits", ["0", "-5", "x"])

@@ -1,6 +1,9 @@
 """Minimal models: weights, labels, fusion, quantum dimensions."""
+import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +16,9 @@ from minmod import (
     ModelMismatch,
     ModuleLabel,
     NonUnitaryModel,
+    RingCheck,
     central_charge,
+    check_fusion_ring,
     conformal_weight,
     ffk_pair,
     fuse,
@@ -126,6 +131,120 @@ def test_cross_model_fuse_rejected():
         fuse(ModuleLabel(M34, 1, 1), ModuleLabel(M78, 1, 1))
 
 
+ENUMERATION_MODELS = [(2, 5), (3, 5), (4, 7), (5, 7), (7, 9), (13, 14)]
+
+
+@pytest.mark.parametrize("p,q", ENUMERATION_MODELS)
+def test_fusion_enumeration_matches_admissibility_scan(p, q):
+    # Both admissibility predicates are symmetric in their three labels
+    # (test_admissibility_is_symmetric), so each is evaluated once per
+    # unordered triple; the ordered scan {c : is_admissible(a, b, c)} for
+    # every pair a, b is then read off in label order.  fuse re-sorts its
+    # output, so the enumeration's own order is checked on _fuse_pairs;
+    # fuse itself meets the oracle in the next test.
+    model = MinimalModel(p, q)
+    labs = list_labels(model)
+    assert [lab.kac for lab in labs] == oracles.labels(p, q)
+    hits = []
+    for triple in combinations_with_replacement(range(len(labs)), 3):
+        a, b, c = (labs[k] for k in triple)
+        admissible = is_admissible(a, b, c, model)
+        assert admissible == oracles.adm(p, q, a.kac, b.kac, c.kac), (a, b, c)
+        if admissible:
+            hits.append(triple)
+    scan = np.zeros((len(labs),) * 3, dtype=bool)
+    for order in permutations(np.array(hits).T):
+        scan[order] = True
+    for i, a in enumerate(labs):
+        for j, b in enumerate(labs):
+            want = tuple(labs[k].kac for k in np.flatnonzero(scan[i, j]))
+            assert minimal._fuse_pairs(p, q, a.kac, b.kac) == want, (a, b)
+            # the other Kac representative of a, where the m side truncates
+            assert minimal._fuse_pairs(p, q, (p - a.m, q - a.n), b.kac) == want, (a, b)
+
+
+@pytest.mark.parametrize("p,q", ENUMERATION_MODELS[:-1])
+def test_fusion_enumeration_matches_oracle_fuse(p, q):
+    # (13,14) is covered triple by triple above; the oracle rebuilds its
+    # label list on every call, about 1 ms at 78 labels.
+    labs = list_labels(MinimalModel(p, q))
+    for a in labs:
+        for b in labs:
+            got = [c.kac for c in fuse(a, b)]
+            assert got == oracles.fuse(p, q, a.kac, b.kac), (a, b)
+
+
+def test_ring_checker_passes_a_group_ring_and_flags_commutativity():
+    # the group ring of S3: associative with unit, not commutative
+    keys = sorted(permutations(range(3)))
+    compose = lambda g, h: {tuple(g[h[i]] for i in range(3)): 1}
+    assert check_fusion_ring(keys, compose, (0, 1, 2)) == RingCheck(
+        commutative=((0, 2, 1), (1, 0, 2))
+    )
+
+
+def test_ring_checker_flags_non_associative_table():
+    # unital and commutative, but (x x) y = y y = y while x (x y) = x 1 = x
+    table = {("x", "x"): "y", ("x", "y"): "1", ("y", "x"): "1", ("y", "y"): "y"}
+    multiply = lambda a, b: {b if a == "1" else a if b == "1" else table[(a, b)]: 1}
+    assert check_fusion_ring(("1", "x", "y"), multiply, "1") == RingCheck(
+        associative=("x", "x", "y")
+    )
+
+
+def test_ring_checker_flags_wrong_unit():
+    labs = list_labels(M34)
+    sigma = ModuleLabel(M34, 2, 2)
+    assert check_fusion_ring(labs, fuse, M34.vacuum) == RingCheck()
+    assert check_fusion_ring(labs, fuse, sigma) == RingCheck(unit=(M34.vacuum,))
+
+
+def test_ring_checker_counts_multiplicities():
+    # integer spins of su(2), 1 x 1 = 0 + 1 + 2: a wrongly doubled
+    # channel in that one product must break associativity
+    def spin(a, b, extra=False):
+        out = {c: 1 for c in range(abs(a - b), a + b + 1)}
+        if extra and (a, b) == (1, 1):
+            out[0] += 1
+        return out
+
+    assert check_fusion_ring(range(3), spin, 0) == RingCheck()
+    doubled = check_fusion_ring(range(3), lambda a, b: spin(a, b, True), 0)
+    assert doubled == RingCheck(associative=(1, 1, 2))
+
+
+@pytest.mark.parametrize("k,m", [(1, 1), (2, 3)])
+def test_ring_checker_sums_do_not_carry(k, m):
+    # (1 x 1) x 1 = k (2 x 1) + 3 x 1 = 2 [5] or 8 [5], 1 x (1 x 1) = [6].
+    # Packed with a digit of 1 or 3 bits per label, the left side would
+    # carry into [6] and pass; a digit must hold any sum of products.
+    table = {(1, 1): {2: k, 3: 1}, (2, 1): {5: m}, (3, 1): {5: m - k + 1},
+             (1, 2): {}, (1, 3): {6: 1}}
+    multiply = lambda a, b: {b: 1} if a == 0 else {a: 1} if b == 0 else table[(a, b)]
+    assert check_fusion_ring((0, 1), multiply, 0) == RingCheck(associative=(1, 1, 1))
+
+
+@st.composite
+def _product_tables(draw):
+    # small tables over 0..n-1, 0 the unit on the left; entries may
+    # leave the keys, repeat or be negative
+    n = draw(st.integers(1, 4))
+    labels = range(n + draw(st.integers(0, 2)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    entry = lambda: {c: rng.choice((-1, 1, 1, 2, 3))
+                     for c in rng.sample(labels, rng.randint(0, len(labels)))}
+    table = {(a, b): ({b: 1} if a == 0 else entry()) for a in labels for b in labels}
+    return tuple(range(n)), table, draw(st.sampled_from((0, 0, n - 1)))
+
+
+@given(_product_tables())
+@settings(max_examples=100, deadline=None)
+def test_ring_checker_matches_plain_sums(bundle):
+    keys, table, unit = bundle
+    multiply = lambda a, b: table[(a, b)]
+    assert check_fusion_ring(keys, multiply, unit) == oracles.ring_axioms(keys, multiply, unit)
+
+
 @pytest.mark.parametrize("p,q", [(3, 4), (7, 8), (11, 12)])
 def test_fusion_matches_verlinde(p, q):
     model = MinimalModel(p, q)
@@ -179,6 +298,20 @@ def test_non_real_qdim_raises(monkeypatch, tilt):
         minimal._qdim_cached.__wrapped__(7, 8, 2, 3)
 
 
+def test_qdim_embeds_once_per_label(monkeypatch):
+    # a sign flip negates the first approximation instead of embedding again
+    labs = list_labels(MinimalModel(23, 24))
+    calls = []
+    embed = CyclotomicNumber.embed
+    monkeypatch.setattr(
+        CyclotomicNumber, "embed", lambda self, *a: calls.append(1) or embed(self, *a)
+    )
+    dims = [minimal._qdim_cached.__wrapped__(23, 24, *lab.kac) for lab in labs]
+    assert len(calls) == len(dims) == 253
+    monkeypatch.undo()
+    assert all(d.approx == d.exact.embed().real > 0 for d in dims)
+
+
 def test_qdim_tensor_multiplies_across_models():
     a = ModuleLabel(M34, 2, 2)
     b = ModuleLabel(M78, 1, 3)
@@ -208,13 +341,6 @@ def _model_and_labels(draw, count):
     return (model,) + picks
 
 
-def _product_counts(counts_by_label, extra):
-    out = dict(counts_by_label)
-    for label, count in extra:
-        out[label] = out.get(label, 0) + count
-    return out
-
-
 @given(_model_and_labels(2))
 @settings(max_examples=60, deadline=None)
 def test_fusion_commutes(bundle):
@@ -225,16 +351,8 @@ def test_fusion_commutes(bundle):
 @given(_model_and_labels(3))
 @settings(max_examples=40, deadline=None)
 def test_fusion_associates(bundle):
-    _, a, b, c = bundle
-    left = {}
-    for e, m1 in fuse(a, b).items():
-        for d, m2 in fuse(e, c).items():
-            left[d] = left.get(d, 0) + m1 * m2
-    right = {}
-    for f, m1 in fuse(b, c).items():
-        for d, m2 in fuse(a, f).items():
-            right[d] = right.get(d, 0) + m1 * m2
-    assert left == right
+    model, a, b, c = bundle
+    assert check_fusion_ring((a, b, c), fuse, model.vacuum) == RingCheck()
 
 
 @given(_model_and_labels(3))
