@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import prod
+from typing import Callable
 
 from .braiding import (
     BraidMatrix,
@@ -27,7 +29,7 @@ from .braiding import (
     named_label,
 )
 from .exact import CyclotomicNumber, echelon, two_i_sin, zeta
-from .minimal import MinimalModel, ModuleLabel, QDim, fuse, is_admissible, qdim_tensor
+from .minimal import MinimalModel, ModuleLabel, QDim, _sine_ratio, fuse, qdim_tensor
 
 
 class DegenerateSystem(ArithmeticError):
@@ -91,45 +93,105 @@ class GradedAlgebra:
         return f"{self.name} algebra over {shape}, {len(self.sectors)} sectors"
 
 
-# Sector tables, as Kac labels per tensor factor.  In the 5A list the
-# pairs U3/U4 and U11/U12 couple the two (7,8) factors crosswise, they
-# are not diagonal: the second factor carries (1,3),(1,5) where the
-# third carries (1,5),(1,3), and likewise (1,4),(1,6) against (1,6),(1,4).
-_SECTORS_5A = (
-    ("U1", ((1, 1), (1, 1), (1, 1))),
-    ("U2", ((1, 1), (1, 7), (1, 7))),
-    ("U3", ((1, 1), (1, 3), (1, 5))),
-    ("U4", ((1, 1), (1, 5), (1, 3))),
-    ("U5", ((1, 3), (1, 1), (1, 7))),
-    ("U6", ((1, 3), (1, 7), (1, 1))),
-    ("U7", ((1, 3), (1, 3), (1, 3))),
-    ("U8", ((1, 3), (1, 5), (1, 5))),
-    ("U9", ((1, 2), (1, 2), (1, 4))),
-    ("U10", ((1, 2), (1, 4), (1, 2))),
-    ("U11", ((1, 2), (1, 4), (1, 6))),
-    ("U12", ((1, 2), (1, 6), (1, 4))),
-)
+@dataclass(frozen=True)
+class _Spec:
+    """The data that tells one extension algebra from the other.
 
-_SECTORS_3C = (
-    ("U1", ((1, 1), (1, 1))),
-    ("U2", ((1, 1), (1, 7))),
-    ("U3", ((1, 3), (1, 11))),
-    ("U4", ((1, 3), (1, 5))),
-    ("U5", ((1, 2), (1, 4))),
-    ("U6", ((1, 2), (1, 8))),
-)
+    chain lists the sizes n of the halving chain of subalgebras U1..Un.
+    claims are the paper's quantum dimensions as (check name, sector
+    index, value thunk); thunks keep field inverses out of the import.
+    A module key maps to the m-indices of its (m,1) labels on the
+    factors after the Ising one; a pattern row is a component's Ising
+    Kac label followed by one n-index per such factor.
+    """
+
+    factors: tuple[tuple[int, int], ...]
+    sectors: tuple[tuple[str, tuple[tuple[int, int], ...]], ...]
+    chain: tuple[int, ...]
+    claims: tuple[tuple[str, int, Callable[[], CyclotomicNumber]], ...]
+    modules: dict
+    pattern: tuple[tuple, ...]
+
+
+# In the 5A sector list the pairs U3/U4 and U11/U12 couple the two (7,8)
+# factors crosswise, they are not diagonal: the second factor carries
+# (1,3),(1,5) where the third carries (1,5),(1,3), and likewise
+# (1,4),(1,6) against (1,6),(1,4).
+_SPECS = {
+    "5A": _Spec(
+        factors=((3, 4), (7, 8), (7, 8)),
+        sectors=(
+            ("U1", ((1, 1), (1, 1), (1, 1))),
+            ("U2", ((1, 1), (1, 7), (1, 7))),
+            ("U3", ((1, 1), (1, 3), (1, 5))),
+            ("U4", ((1, 1), (1, 5), (1, 3))),
+            ("U5", ((1, 3), (1, 1), (1, 7))),
+            ("U6", ((1, 3), (1, 7), (1, 1))),
+            ("U7", ((1, 3), (1, 3), (1, 3))),
+            ("U8", ((1, 3), (1, 5), (1, 5))),
+            ("U9", ((1, 2), (1, 2), (1, 4))),
+            ("U10", ((1, 2), (1, 4), (1, 2))),
+            ("U11", ((1, 2), (1, 4), (1, 6))),
+            ("U12", ((1, 2), (1, 6), (1, 4))),
+        ),
+        chain=(8, 4),
+        claims=(
+            ("qdim(U3) = (sin(3pi/8)/sin(pi/8))^2", 2,
+             lambda: (two_i_sin(3, 8, 16) * two_i_sin(1, 8, 16).inv()) ** 2),
+            ("qdim(U9) = 1/sin(pi/8)^2", 8,
+             lambda: CyclotomicNumber.from_rational(-4) * (two_i_sin(1, 8, 16) ** 2).inv()),
+        ),
+        modules={(i, j): (i, j) for i in (1, 3, 5) for j in (1, 3, 5)},
+        pattern=(
+            ((1, 1), 1, 1),
+            ((1, 1), 3, 5),
+            ((1, 1), 5, 3),
+            ((1, 1), 7, 7),
+            ((1, 3), 1, 7),
+            ((1, 3), 3, 3),
+            ((1, 3), 5, 5),
+            ((1, 3), 7, 1),
+            ((1, 2), 2, 4),
+            ((1, 2), 4, 2),
+            ((1, 2), 6, 4),
+            ((1, 2), 4, 6),
+        ),
+    ),
+    "3C": _Spec(
+        factors=((3, 4), (11, 12)),
+        sectors=(
+            ("U1", ((1, 1), (1, 1))),
+            ("U2", ((1, 1), (1, 7))),
+            ("U3", ((1, 3), (1, 11))),
+            ("U4", ((1, 3), (1, 5))),
+            ("U5", ((1, 2), (1, 4))),
+            ("U6", ((1, 2), (1, 8))),
+        ),
+        chain=(4, 2),
+        claims=(
+            ("qdim(U5) = sqrt(2)sin(pi/3)/sin(pi/12)", 4,
+             lambda: (zeta(8) + zeta(8, -1)) * two_i_sin(1, 3, 6)
+             * two_i_sin(1, 12, 24).inv()),
+        ),
+        modules={k: (k + 1,) for k in (0, 2, 4, 6, 8)},
+        pattern=(
+            ((1, 1), 1),
+            ((1, 1), 7),
+            ((1, 3), 11),
+            ((1, 3), 5),
+            ((1, 2), 4),
+            ((1, 2), 8),
+        ),
+    ),
+}
 
 
 @lru_cache(maxsize=None)
 def _build(name: str) -> GradedAlgebra:
-    if name == "5A":
-        factors = (MinimalModel(3, 4), MinimalModel(7, 8), MinimalModel(7, 8))
-        table = _SECTORS_5A
-    else:
-        factors = (MinimalModel(3, 4), MinimalModel(11, 12))
-        table = _SECTORS_3C
+    spec = _SPECS[name]
+    factors = tuple(MinimalModel(p, q) for p, q in spec.factors)
     sectors = []
-    for sector_name, kacs in table:
+    for sector_name, kacs in spec.sectors:
         components = tuple(
             ModuleLabel(model, m, n) for model, (m, n) in zip(factors, kacs)
         )
@@ -141,7 +203,7 @@ def _build(name: str) -> GradedAlgebra:
 def build_algebra(name: str) -> GradedAlgebra:
     """The 12-sector 5A algebra or the 6-sector 3C algebra."""
     key = name.strip().upper()
-    if key not in ("5A", "3C"):
+    if key not in _SPECS:
         raise ValueError(f"unknown algebra {name!r}, expected '5A' or '3C'")
     return _build(key)
 
@@ -240,45 +302,26 @@ def _ratio_check(top, bottom, name: str) -> ChainCheck:
     return ChainCheck(name, ok, f"{s_top} over {s_bottom}")
 
 
-def _value_check(name: str, got: CyclotomicNumber, want: CyclotomicNumber) -> ChainCheck:
-    return ChainCheck(name, got == want, f"value {got}")
+def _span(lo: int, hi: int) -> str:
+    return f"U{lo}+U{hi}" if hi == lo + 1 else f"U{lo}+..+U{hi}"
 
 
 def check_subalgebra_chain(alg: GradedAlgebra) -> tuple[ChainCheck, ...]:
     """Closure and relative quantum dimension of the simple-current chains."""
+    spec = _SPECS[alg.name]
     s = alg.sectors
-    if alg.name == "5A":
-        sin8 = two_i_sin(1, 8, 16)
-        checks = (
-            _closure_check(alg, s[:8], "U1..U8 closed"),
-            _ratio_check(s[8:], s[:8], "qdim(U9+..+U12)/qdim(U1+..+U8) = 1"),
-            _closure_check(alg, s[:4], "U1..U4 closed"),
-            _ratio_check(s[4:8], s[:4], "qdim(U5+..+U8)/qdim(U1+..+U4) = 1"),
-            _value_check(
-                "qdim(U3) = (sin(3pi/8)/sin(pi/8))^2",
-                qdim_tensor(s[2].components).exact,
-                (two_i_sin(3, 8, 16) * sin8.inv()) ** 2,
-            ),
-            _value_check(
-                "qdim(U9) = 1/sin(pi/8)^2",
-                qdim_tensor(s[8].components).exact,
-                CyclotomicNumber.from_rational(-4) * (sin8**2).inv(),
-            ),
-        )
-    else:
-        sqrt2 = zeta(8) + zeta(8, -1)
-        checks = (
-            _closure_check(alg, s[:4], "U1..U4 closed"),
-            _ratio_check(s[4:], s[:4], "qdim(U5+U6)/qdim(U1+..+U4) = 1"),
-            _closure_check(alg, s[:2], "U1..U2 closed"),
-            _ratio_check(s[2:4], s[:2], "qdim(U3+U4)/qdim(U1+U2) = 1"),
-            _value_check(
-                "qdim(U5) = sqrt(2)sin(pi/3)/sin(pi/12)",
-                qdim_tensor(s[4].components).exact,
-                sqrt2 * two_i_sin(1, 3, 6) * two_i_sin(1, 12, 24).inv(),
-            ),
-        )
-    return checks
+    checks = []
+    top = len(s)
+    for n in spec.chain:
+        checks.append(_closure_check(alg, s[:n], f"U1..U{n} closed"))
+        checks.append(_ratio_check(
+            s[n:top], s[:n], f"qdim({_span(n + 1, top)})/qdim({_span(1, n)}) = 1"
+        ))
+        top = n
+    for name, index, value in spec.claims:
+        got = qdim_tensor(s[index].components).exact
+        checks.append(ChainCheck(name, got == value(), f"value {got}"))
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -533,36 +576,6 @@ def normalization_residuals(name: str) -> tuple[tuple[str, CyclotomicNumber], ..
 # ---------------------------------------------------------------------------
 # Irreducible modules and their fusion rules.
 
-_5A_KEYS = tuple((i, j) for i in (1, 3, 5) for j in (1, 3, 5))
-_3C_KEYS = (0, 2, 4, 6, 8)
-
-# Component pattern of a 5A module: Ising label, then the Kac n-indices
-# paired with the key (i, j) in the two (7,8) factors.
-_PATTERN_5A = (
-    ((1, 1), 1, 1),
-    ((1, 1), 3, 5),
-    ((1, 1), 5, 3),
-    ((1, 1), 7, 7),
-    ((1, 3), 1, 7),
-    ((1, 3), 3, 3),
-    ((1, 3), 5, 5),
-    ((1, 3), 7, 1),
-    ((1, 2), 2, 4),
-    ((1, 2), 4, 2),
-    ((1, 2), 6, 4),
-    ((1, 2), 4, 6),
-)
-
-_PATTERN_3C = (
-    ((1, 1), 1),
-    ((1, 1), 7),
-    ((1, 3), 11),
-    ((1, 3), 5),
-    ((1, 2), 4),
-    ((1, 2), 8),
-)
-
-
 @dataclass(frozen=True)
 class IrreducibleModuleSpec:
     algebra: GradedAlgebra
@@ -577,41 +590,38 @@ class IrreducibleModuleSpec:
 
 
 def _norm_key(alg: GradedAlgebra, key):
-    if alg.name == "5A":
-        if isinstance(key, (tuple, list)) and tuple(key) in _5A_KEYS:
-            return tuple(key)
-        raise ValueError(f"unknown 5A module key {key!r}")
-    if isinstance(key, int) and key in _3C_KEYS:
-        return key
-    raise ValueError(f"unknown 3C module key {key!r}")
+    want = tuple(key) if isinstance(key, list) else key
+    for known in _SPECS[alg.name].modules:
+        if known == want:
+            return known
+    raise ValueError(f"unknown {alg.name} module key {key!r}")
 
 
 @lru_cache(maxsize=None)
 def _modules(name: str) -> tuple[IrreducibleModuleSpec, ...]:
     alg = _build(name)
-    ising = alg.factors[0]
-    specs = []
-    if name == "5A":
-        big = alg.factors[1]
-        for i, j in _5A_KEYS:
-            components = tuple(
-                (
-                    ModuleLabel(ising, *kac),
-                    ModuleLabel(big, i, ni),
-                    ModuleLabel(big, j, nj),
-                )
-                for kac, ni, nj in _PATTERN_5A
+    spec = _SPECS[name]
+    ising, *index = alg.factors
+    return tuple(
+        IrreducibleModuleSpec(alg, key, tuple(
+            (
+                ModuleLabel(ising, *kac),
+                *(ModuleLabel(model, m, n) for model, m, n in zip(index, ms, ns)),
             )
-            specs.append(IrreducibleModuleSpec(alg, (i, j), components))
-    else:
-        big = alg.factors[1]
-        for key in _3C_KEYS:
-            components = tuple(
-                (ModuleLabel(ising, *kac), ModuleLabel(big, key + 1, n))
-                for kac, n in _PATTERN_3C
-            )
-            specs.append(IrreducibleModuleSpec(alg, key, components))
-    return tuple(specs)
+            for kac, *ns in spec.pattern
+        ))
+        for key, ms in spec.modules.items()
+    )
+
+
+@lru_cache(maxsize=None)
+def _index_labels(name: str) -> dict:
+    # module key -> its (m,1) labels on the factors after the Ising one
+    index = _build(name).factors[1:]
+    return {
+        key: tuple(ModuleLabel(model, m, 1) for model, m in zip(index, ms))
+        for key, ms in _SPECS[name].modules.items()
+    }
 
 
 def irreducible_modules(alg: GradedAlgebra) -> tuple[IrreducibleModuleSpec, ...]:
@@ -622,41 +632,32 @@ def irreducible_modules(alg: GradedAlgebra) -> tuple[IrreducibleModuleSpec, ...]
 def module_fusion(alg: GradedAlgebra, key_a, key_b) -> dict:
     """Fusion multiplicities between irreducible modules, each 0 or 1.
 
-    A target appears iff the defining Kac triples are admissible: both
-    (i,1),(i',1),(i'',1) and (j,1),(j',1),(j'',1) at (7,8) for 5A, and
-    (i+1,1),(j+1,1),(k+1,1) at (11,12) for 3C.
+    A module is named by (m,1) labels of the factor models after the
+    Ising one: (i,1),(j,1) at (7,8) for 5A, (k+1,1) at (11,12) for 3C.
+    The multiplicity of a target is the product over those factors of
+    its labels' multiplicities in the factor fusion.
     """
-    key_a = _norm_key(alg, key_a)
-    key_b = _norm_key(alg, key_b)
+    labels = _index_labels(alg.name)
+    fused = [
+        fuse(a, b)
+        for a, b in zip(labels[_norm_key(alg, key_a)], labels[_norm_key(alg, key_b)])
+    ]
     out = {}
-    if alg.name == "5A":
-        model = alg.factors[1]
-        for i, j in _5A_KEYS:
-            dim = int(
-                is_admissible((key_a[0], 1), (key_b[0], 1), (i, 1), model)
-            ) * int(is_admissible((key_a[1], 1), (key_b[1], 1), (j, 1), model))
-            if dim:
-                out[(i, j)] = dim
-    else:
-        model = alg.factors[1]
-        for key in _3C_KEYS:
-            if is_admissible((key_a + 1, 1), (key_b + 1, 1), (key + 1, 1), model):
-                out[key] = 1
+    for key, targets in labels.items():
+        dim = prod(counts[t] for counts, t in zip(fused, targets))
+        if dim:
+            out[key] = dim
     return out
 
 
 def qdim_module(alg: GradedAlgebra, key) -> QDim:
-    """Quantum dimension of an irreducible module, as a sine ratio."""
-    key = _norm_key(alg, key)
-    if alg.name == "5A":
-        i, j = key
-        value = (
-            two_i_sin(8 * i, 7, 14)
-            * two_i_sin(8 * j, 7, 14)
-            * (two_i_sin(8, 7, 14) ** 2).inv()
-        )
-    else:
-        value = two_i_sin(key + 1, 11, 22) * two_i_sin(1, 11, 22).inv()
+    """Quantum dimension of an irreducible module, as a sine ratio.
+
+    It is the product of the m-side ratios sin(pi*q*m/p)/sin(pi*q/p) of
+    the module's index labels, each in Q(zeta_2p).
+    """
+    ms = _SPECS[alg.name].modules[_norm_key(alg, key)]
+    value = prod(_sine_ratio(model.q, m, model.p) for model, m in zip(alg.factors[1:], ms))
     if not value.is_real():
         raise ArithmeticError(f"quantum dimension of {key} is not real")
     approx = value.embed()

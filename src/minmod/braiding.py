@@ -167,8 +167,8 @@ def r_matrix(query: RQuery) -> CyclotomicNumber:
     Entries whose indices are compatible in range but not linked by the
     fusion constraints are exactly zero.  Indices outside the open
     range of the side raise IndexOutOfRange.  The recursion picks the
-    smallest admissible splitting index; r_matrix_variants exists to
-    check that the choice does not matter.
+    smallest admissible splitting index; the tests recompute entries
+    under every other choice to check that it does not matter.
     """
     cached = _R_MEMO.get(query)
     if cached is not None:
@@ -229,28 +229,6 @@ def _r_value(query: RQuery, table: BracketTable, split: int | None = None) -> Cy
                 query, d1, m, n - 1, c, c1, d
             )
     return total
-
-
-def r_matrix_variants(query: RQuery) -> tuple[CyclotomicNumber, ...]:
-    """The value recomputed once per admissible top-level splitting choice.
-
-    All entries must coincide; returning them lets tests assert that
-    instead of trusting the default.
-    """
-    table = brackets(query.model, query.variant)
-    bound = table.bound
-    if not all(0 < x < bound for x in query.indices()):
-        raise IndexOutOfRange(f"{query} outside 1..{bound - 1}")
-    if not _supported(query, bound):
-        return (_ZERO,)
-    a, m, n, c, b, d = query.indices()
-    if m > 2:
-        options = _splittings(bound, a, m, b)
-    elif n > 2:
-        options = _splittings(bound, b, n, c)
-    else:
-        return (r_matrix(query),)
-    return tuple(_r_value(query, table, split=s) for s in options)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm
 
 from .algebra import (
@@ -347,7 +347,7 @@ def cmd_braid(args) -> Report:
 
 
 def cmd_verify(args) -> Report:
-    targets = _TARGET_ORDER if args.target == "all" else (args.target,)
+    targets = tuple(_VERIFY) if args.target == "all" else (args.target,)
     checks = []
     for target in targets:
         sub = _VERIFY[target](args.precision)
@@ -363,9 +363,9 @@ def cmd_verify(args) -> Report:
 def cmd_decompose(args) -> Report:
     alg = build_algebra(args.algebra)
     digits = _digits(args.precision)
-    vacuum_key = (1, 1) if alg.name == "5A" else 0
-    key = _module_key(args.module) if args.module is not None else vacuum_key
-    if key == vacuum_key:
+    modules = irreducible_modules(alg)
+    key = _module_key(args.module) if args.module is not None else modules[0].key
+    if key == modules[0].key:
         # the vacuum module is the algebra itself; list its sectors
         checks = []
         for sector in alg.sectors:
@@ -373,7 +373,7 @@ def cmd_decompose(args) -> Report:
             checks.append(Check(str(sector), "info", _render_exact(d.exact),
                                 _fmt_real(d.approx, digits)))
         return Report(f"decompose {alg.name}", checks)
-    spec = next((m for m in irreducible_modules(alg) if m.key == key), None)
+    spec = next((m for m in modules if m.key == key), None)
     if spec is None:
         raise ValueError(f"unknown {alg.name} module key {args.module!r}")
     checks = []
@@ -528,36 +528,15 @@ def _verify_fusion(name: str, precision: int) -> list:
     ]
 
 
-def _chains_5a(precision):
-    return _verify_chains("5A", precision)
-
-
-def _chains_3c(precision):
-    return _verify_chains("3C", precision)
-
-
-def _fusion_5a(precision):
-    return _verify_fusion("5A", precision)
-
-
-def _fusion_3c(precision):
-    return _verify_fusion("3C", precision)
-
-
-_TARGET_ORDER = (
-    "lemma-5a", "lemma-3c", "uniqueness-5a", "uniqueness-3c",
-    "chains-5a", "chains-3c", "fusion-5a", "fusion-3c",
-)
-
 _VERIFY = {
     "lemma-5a": _verify_lemma_5a,
     "lemma-3c": _verify_lemma_3c,
     "uniqueness-5a": _verify_uniqueness_5a,
     "uniqueness-3c": _verify_uniqueness_3c,
-    "chains-5a": _chains_5a,
-    "chains-3c": _chains_3c,
-    "fusion-5a": _fusion_5a,
-    "fusion-3c": _fusion_3c,
+    "chains-5a": partial(_verify_chains, "5A"),
+    "chains-3c": partial(_verify_chains, "3C"),
+    "fusion-5a": partial(_verify_fusion, "5A"),
+    "fusion-3c": partial(_verify_fusion, "3C"),
 }
 
 
@@ -603,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run one verification target or all of them")
-    p.add_argument("target", choices=_TARGET_ORDER + ("all",))
+    p.add_argument("target", choices=tuple(_VERIFY) + ("all",))
     p.add_argument("--inject-failure", action="store_true",
                    help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)

@@ -383,9 +383,7 @@ def qdim(label: ModuleLabel) -> QDim:
 
 @lru_cache(maxsize=None)
 def _qdim_cached(p: int, q: int, m: int, n: int) -> QDim:
-    value = (two_i_sin(q * m, p, 2 * p) * _sine_inv(q, p)) * (
-        two_i_sin(p * n, q, 2 * q) * _sine_inv(p, q)
-    )
+    value = _sine_ratio(q, m, p) * _sine_ratio(p, n, q)
     approx = value.embed()
     if approx.real < 0:
         # negation is exact in floats too, so no second embedding
@@ -394,6 +392,11 @@ def _qdim_cached(p: int, q: int, m: int, n: int) -> QDim:
     if abs(approx.imag) > approx.error_bound or not value.is_real():
         raise ArithmeticError(f"quantum dimension of ({m},{n}) at ({p},{q}) is not real")
     return QDim(exact=value, approx=approx.real)
+
+
+def _sine_ratio(k: int, m: int, b: int) -> CyclotomicNumber:
+    """sin(pi*k*m/b) / sin(pi*k/b) in Q(zeta_{2b})."""
+    return two_i_sin(k * m, b, 2 * b) * _sine_inv(k, b)
 
 
 @lru_cache(maxsize=None)

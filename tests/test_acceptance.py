@@ -45,12 +45,12 @@ from minmod import (
     qdim,
     qdim_module,
     qdim_tensor,
-    r_matrix_variants,
     sector_fusion,
     solve_sector_system,
     zeta,
 )
 from minmod.cli import main
+from test_braiding import r_matrix_variants
 
 ONE = CyclotomicNumber.from_rational(1)
 I = zeta(4)

@@ -8,8 +8,6 @@ import oracles
 from minmod import (
     CyclotomicNumber,
     DegenerateSystem,
-    MinimalModel,
-    ModuleLabel,
     RingCheck,
     build_algebra,
     build_sector_system,
@@ -18,7 +16,6 @@ from minmod import (
     irreducible_modules,
     module_fusion,
     normalization_residuals,
-    qdim,
     qdim_module,
     qdim_tensor,
     sector_fusion,
@@ -26,6 +23,7 @@ from minmod import (
     zeta,
 )
 from minmod.algebra import _qdim_sum, _ratio_check
+from minmod.exact import two_i_sin
 
 ONE = CyclotomicNumber.from_rational(1)
 I = zeta(4)
@@ -412,19 +410,22 @@ def test_qdim_module_values():
         assert abs(qdim_module(A3, k).approx - want) < 1e-12
 
 
-def test_qdim_module_cross_identities():
-    m78 = MinimalModel(7, 8)
-    m1112 = MinimalModel(11, 12)
+def test_qdim_module_sine_formulas():
+    # the paper's sine ratios written out by hand: the strings pin both
+    # the element and its field, Q(zeta_14) for 5A and Q(zeta_22) for 3C
     for i in (1, 3, 5):
         for j in (1, 3, 5):
-            product = qdim(ModuleLabel(m78, i, 1)).exact * qdim(
-                ModuleLabel(m78, j, 1)
-            ).exact
-            assert qdim_module(A5, (i, j)).exact == product
+            want = (
+                two_i_sin(8 * i, 7, 14)
+                * two_i_sin(8 * j, 7, 14)
+                * (two_i_sin(8, 7, 14) ** 2).inv()
+            )
+            got = qdim_module(A5, (i, j)).exact
+            assert got == want and got.to_string() == want.to_string()
     for k in (0, 2, 4, 6, 8):
-        assert (
-            qdim_module(A3, k).exact == qdim(ModuleLabel(m1112, k + 1, 1)).exact
-        )
+        want = two_i_sin(k + 1, 11, 22) * two_i_sin(1, 11, 22).inv()
+        got = qdim_module(A3, k).exact
+        assert got == want and got.to_string() == want.to_string()
 
 
 def test_qdim_module_is_ring_hom():
@@ -446,3 +447,12 @@ def test_module_key_validation():
         module_fusion(A5, (1, 1), 0)
     with pytest.raises(ValueError):
         module_fusion(A3, 0, (1, 1))
+    with pytest.raises(ValueError):
+        module_fusion(A3, "0", 0)
+    with pytest.raises(ValueError):
+        qdim_module(A3, "0")
+    with pytest.raises(ValueError):
+        qdim_module(A3, (1, 1))
+    # a list names the same 5A module as its tuple
+    assert module_fusion(A5, [3, 5], (1, 1)) == module_fusion(A5, (3, 5), (1, 1))
+    assert qdim_module(A5, [3, 5]) == qdim_module(A5, (3, 5))

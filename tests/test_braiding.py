@@ -30,7 +30,6 @@ from minmod import (
     memoized_queries,
     named_label,
     r_matrix,
-    r_matrix_variants,
     zeta,
 )
 from minmod import braiding
@@ -185,6 +184,24 @@ def test_r_against_float_oracle():
                                     RQuery(M78, variant, a, m, n, c, b, d)
                                 )
                                 assert abs(_embed(got) - want) < 1e-9
+
+
+def r_matrix_variants(query):
+    """An r-matrix entry recomputed once per admissible top-level splitting.
+
+    r_matrix takes the smallest splitting index; every other choice must
+    give the same value.
+    """
+    table = brackets(query.model, query.variant)
+    bound = table.bound
+    a, m, n, c, b, d = query.indices()
+    splits = [None]
+    if braiding._supported(query, bound):
+        if m > 2:
+            splits = braiding._splittings(bound, a, m, b)
+        elif n > 2:
+            splits = braiding._splittings(bound, b, n, c)
+    return tuple(braiding._r_value(query, table, split=s) for s in splits)
 
 
 def test_recursion_choice_independence():

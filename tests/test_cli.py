@@ -239,10 +239,12 @@ def test_decompose_3c_module(capsys):
 
 
 def test_decompose_vacuum_module_is_sector_listing(capsys):
-    code_a, rep_a = run_json(capsys, "decompose", "5a", "--module", "1,1")
-    code_b, rep_b = run_json(capsys, "decompose", "5a")
-    assert code_a == code_b == 0
-    assert rep_a["checks"] == rep_b["checks"]
+    for algebra, key in (("5a", "1,1"), ("3c", "0")):
+        code_a, rep_a = run_json(capsys, "decompose", algebra, "--module", key)
+        code_b, rep_b = run_json(capsys, "decompose", algebra)
+        assert code_a == code_b == 0
+        assert rep_a["command"] == rep_b["command"] == f"decompose {algebra.upper()}"
+        assert rep_a["checks"] == rep_b["checks"]
 
 
 def test_decompose_rejects_bad_input(capsys):

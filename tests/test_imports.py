@@ -6,6 +6,8 @@ reads it.  Names the package re-exports through ``__init__.__all__`` and
 ``from __future__`` switches are exempt.
 """
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 import minmod
 
 SOURCES = sorted(Path(minmod.__file__).parent.glob("*.py"))
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
 def unused_imports(source: str) -> set:
@@ -56,3 +59,14 @@ def test_scan_flags_an_unused_import():
         "    return os.path.join(x)\n"
     )
     assert unused_imports(source) == {"Iterable"}
+
+
+def test_bench_traced_names_resolve():
+    # bench/tracing.install raises KeyError on a traced name that no
+    # longer exists; exec'ing the source writes no bytecode into bench/
+    tracing = types.ModuleType("tracing")
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), tracing.__dict__)
+    for module_name, attr in tracing.TRACED.values():
+        importlib.import_module(module_name)
+        owner, name = tracing._resolve(module_name, attr)
+        assert name in vars(owner), (module_name, attr)
