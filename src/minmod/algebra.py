@@ -12,12 +12,11 @@ rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import prod
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .braiding import (
     BraidMatrix,
@@ -44,38 +43,45 @@ def _zero() -> CyclotomicNumber:
     return CyclotomicNumber.from_rational(0)
 
 
-@dataclass(frozen=True)
-class Sector:
+class _SectorFields(NamedTuple):
+    name: str
+    components: tuple[ModuleLabel, ...]
+    weights: tuple[Fraction, ...]
+
+
+class Sector(_SectorFields):
     """One homogeneous piece of a graded algebra.
 
     `weights` repeats the conformal weights of `components` for display;
     the constructor checks the redundancy.
     """
 
-    name: str
-    components: tuple[ModuleLabel, ...]
-    weights: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.weights != tuple(label.h for label in self.components):
-            raise ValueError(f"weights of {self.name} disagree with components")
+    def __new__(cls, name, components, weights):
+        if weights != tuple(label.h for label in components):
+            raise ValueError(f"weights of {name} disagree with components")
+        return super().__new__(cls, name, components, weights)
 
     def __str__(self) -> str:
         return f"{self.name} = [{', '.join(str(w) for w in self.weights)}]"
 
 
-@dataclass(frozen=True)
-class GradedAlgebra:
+class _AlgebraFields(NamedTuple):
     name: str
     factors: tuple[MinimalModel, ...]
     sectors: tuple[Sector, ...]
 
-    def __post_init__(self) -> None:
-        seen = {sector.components for sector in self.sectors}
-        if len(seen) != len(self.sectors):
+
+class GradedAlgebra(_AlgebraFields):
+    __slots__ = ()
+
+    def __new__(cls, name, factors, sectors):
+        if len({sector.components for sector in sectors}) != len(sectors):
             raise ValueError("sector components are not pairwise distinct")
-        if any(label.h != 0 for label in self.sectors[0].components):
+        if any(label.h != 0 for label in sectors[0].components):
             raise ValueError("first sector is not the vacuum")
+        return super().__new__(cls, name, factors, sectors)
 
     @property
     def vacuum(self) -> Sector:
@@ -93,8 +99,7 @@ class GradedAlgebra:
         return f"{self.name} algebra over {shape}, {len(self.sectors)} sectors"
 
 
-@dataclass(frozen=True)
-class _Spec:
+class _Spec(NamedTuple):
     """The data that tells one extension algebra from the other.
 
     chain lists the sizes n of the halving chain of subalgebras U1..Un.
@@ -208,17 +213,26 @@ def build_algebra(name: str) -> GradedAlgebra:
     return _build(key)
 
 
-@dataclass(frozen=True)
 class SectorProduct:
     """Graded fusion product: matched sectors plus stray components.
 
-    `extras` collects componentwise products that do not assemble into
-    any sector of the algebra.  They are expected: only designated
-    subalgebra chains close, and the closure checks look at `terms`.
+    `terms` pairs each matched sector with its multiplicity.  `extras`
+    pairs each componentwise product that does not assemble into any
+    sector of the algebra with its multiplicity.  They are expected: only
+    designated subalgebra chains close, and the closure checks look at
+    `terms`.  Products compare by value.
     """
 
-    terms: tuple[tuple[Sector, int], ...]
-    extras: tuple[tuple[tuple[ModuleLabel, ...], int], ...]
+    __slots__ = ("terms", "extras")
+
+    def __init__(self, terms: tuple, extras: tuple) -> None:
+        self.terms = terms
+        self.extras = extras
+
+    def __eq__(self, other):
+        if not isinstance(other, SectorProduct):
+            return NotImplemented
+        return (self.terms, self.extras) == (other.terms, other.extras)
 
     def sector_names(self) -> tuple[str, ...]:
         return tuple(sector.name for sector, _ in self.terms)
@@ -268,8 +282,7 @@ def sector_fusion(alg: GradedAlgebra, a: Sector, b: Sector) -> SectorProduct:
     )
 
 
-@dataclass(frozen=True)
-class ChainCheck:
+class ChainCheck(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -359,8 +372,7 @@ def _e3c(i: int, j: int) -> CyclotomicNumber:
     return _lemma_3c_matrix().entry(named_label(model, i), named_label(model, j))
 
 
-@dataclass(frozen=True)
-class SectorEquation:
+class SectorEquation(NamedTuple):
     """One linear relation sum_k coefficients[k] * unknowns[k] = rhs."""
 
     label: str
@@ -368,8 +380,7 @@ class SectorEquation:
     rhs: CyclotomicNumber
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(NamedTuple):
     kind: str  # "unique" or "contradiction"
     assignments: tuple[tuple[str, CyclotomicNumber], ...]
     steps: tuple[str, ...]
@@ -381,12 +392,14 @@ class SolutionSet:
         raise KeyError(unknown)
 
 
-@dataclass
 class SectorSystem:
-    name: str
-    unknowns: tuple[str, ...]
-    equations: tuple[SectorEquation, ...]
-    solutions: SolutionSet | None = None
+    """A named linear system; solve_sector_system records its solutions."""
+
+    def __init__(self, name: str, unknowns: tuple, equations: tuple) -> None:
+        self.name = name
+        self.unknowns = unknowns
+        self.equations = equations
+        self.solutions: SolutionSet | None = None
 
 
 _SYSTEM_NAMES = ("5A-existence", "5A-uniqueness", "3C")
@@ -576,8 +589,7 @@ def normalization_residuals(name: str) -> tuple[tuple[str, CyclotomicNumber], ..
 # ---------------------------------------------------------------------------
 # Irreducible modules and their fusion rules.
 
-@dataclass(frozen=True)
-class IrreducibleModuleSpec:
+class IrreducibleModuleSpec(NamedTuple):
     algebra: GradedAlgebra
     key: tuple[int, int] | int
     components: tuple[tuple[ModuleLabel, ...], ...]

@@ -13,9 +13,9 @@ comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
+from typing import NamedTuple
 
 from .exact import CyclotomicNumber, DivisionByZero, echelon, two_i_sin, zeta
 from .minimal import (
@@ -114,8 +114,7 @@ def bracket(model: MinimalModel, variant: str, l: int) -> CyclotomicNumber:
     return brackets(model, variant)[l]
 
 
-@dataclass(frozen=True)
-class RQuery:
+class RQuery(NamedTuple):
     """One chiral r-matrix evaluation r(a, m, n, c)_{b, d}."""
 
     model: MinimalModel
@@ -128,7 +127,7 @@ class RQuery:
     d: int
 
     def indices(self) -> tuple[int, int, int, int, int, int]:
-        return (self.a, self.m, self.n, self.c, self.b, self.d)
+        return self[2:]
 
 
 _R_MEMO: dict[RQuery, CyclotomicNumber] = {}
@@ -231,8 +230,7 @@ def _r_value(query: RQuery, table: BracketTable, split: int | None = None) -> Cy
     return total
 
 
-@dataclass(frozen=True, eq=False)
-class BraidMatrix:
+class BraidMatrix(NamedTuple):
     """A braiding matrix over its fusion-allowed intermediate channels.
 
     external holds (a4, a1, a3, a2): subscripts first, superscripts

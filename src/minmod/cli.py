@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import lcm
+from typing import NamedTuple
 
 from .algebra import (
     DegenerateSystem,
@@ -48,32 +49,23 @@ _3C_REFERENCE = complex(-0.098076211353316, 0.0)
 
 # -- reports ----------------------------------------------------------------
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     status: str  # pass | fail | info
     exact: str = ""
     approx: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "exact": self.exact,
-            "approx": self.approx,
-        }
 
-
-@dataclass
 class Report:
-    command: str
-    checks: list
-    elapsed_ms: int = 0
+    def __init__(self, command: str, checks: list, elapsed_ms: int = 0) -> None:
+        self.command = command
+        self.checks = checks
+        self.elapsed_ms = elapsed_ms
 
     def as_dict(self) -> dict:
         return {
             "command": self.command,
-            "checks": [c.as_dict() for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
             "elapsed_ms": self.elapsed_ms,
         }
 
@@ -352,8 +344,7 @@ def cmd_verify(args) -> Report:
     for target in targets:
         sub = _VERIFY[target](args.precision)
         if len(targets) > 1:
-            for c in sub:
-                c.name = f"{target}: {c.name}"
+            sub = [c._replace(name=f"{target}: {c.name}") for c in sub]
         checks.extend(sub)
     if args.inject_failure:
         checks.append(Check("injected failure", "fail"))
@@ -606,10 +597,15 @@ def main(argv=None) -> int:
         print(f"error: {reason}", file=sys.stderr)
         return 2 if isinstance(exc, (ValueError, KeyError, NonIntegerExponent)) else 1
     report.elapsed_ms = int((time.perf_counter() - start) * 1000)
-    if args.format == "json":
-        print(_render_json(report))
-    else:
-        print(_render_table(report))
+    render = _render_json if args.format == "json" else _render_table
+    try:
+        print(render(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early.  Point stdout at the null device so the
+        # flush at exit cannot fail again, and report it by status alone.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 1 if report.failed() else 0
 
 

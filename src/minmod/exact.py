@@ -12,23 +12,16 @@ from __future__ import annotations
 
 import cmath
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-from typing import Union
+from math import gcd, isqrt, lcm
+from typing import NamedTuple, Union
 
 Rational = Union[int, Fraction]
 
 
 class DivisionByZero(ZeroDivisionError):
     """Raised when a vanishing value appears in a denominator."""
-
-
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n // 2 + 1) if n % d == 0]
-    out.append(n)
-    return out
 
 
 def _poly_divexact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -52,16 +45,24 @@ def _poly_divexact(num: list[int], den: tuple[int, ...]) -> list[int]:
 def _cyclotomic(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, ascending.
 
-    Computed by dividing X^n - 1 by the product of Phi_d over the proper
-    divisors d of n.
+    Phi_n(X) = Phi_{n/p}(X^p) whenever p^2 divides n, so the work is done
+    at the radical of n.  A squarefree n is computed by dividing X^n - 1
+    by Phi_d over its proper divisors d.
     """
     if n == 1:
         return (-1, 1)
+    p = next((k for k in range(2, isqrt(n) + 1) if n % (k * k) == 0), None)
+    if p is not None:
+        base = _cyclotomic(n // p)
+        poly = [0] * ((len(base) - 1) * p + 1)
+        poly[::p] = base
+        return tuple(poly)
     poly = [0] * (n + 1)
     poly[0] = -1
     poly[n] = 1
-    for d in _divisors(n)[:-1]:
-        poly = _poly_divexact(poly, _cyclotomic(d))
+    for d in range(1, n // 2 + 1):
+        if n % d == 0:
+            poly = _poly_divexact(poly, _cyclotomic(d))
     return tuple(poly)
 
 
@@ -568,8 +569,7 @@ def embed(value: CyclotomicNumber, precision: int = 53) -> "ComplexApprox":
     return value.embed(precision)
 
 
-@dataclass(frozen=True)
-class ComplexApprox:
+class ComplexApprox(NamedTuple):
     """A complex float approximation with an absolute error bound."""
 
     real: float

@@ -10,7 +10,6 @@ and one in Q(zeta_{2q}), so it lives in Q(zeta_{2pq}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
@@ -96,22 +95,32 @@ class MinimalModel:
         return tuple(ModuleLabel(self, m, n) for m, n in _canonical_pairs(self.p, self.q))
 
 
-@dataclass(frozen=True)
 class ModuleLabel:
     """A canonical Kac label of a minimal model.
 
     The constructor accepts either representative and stores the
     canonical one, so ModuleLabel(m34, 2, 2) equals ModuleLabel(m34, 1, 2).
+    Labels are immutable and compare equal only to labels.
     """
 
-    model: MinimalModel
-    m: int
-    n: int
+    __slots__ = ("model", "m", "n")
 
-    def __post_init__(self):
-        m, n = self.model.canonical(self.m, self.n)
+    def __init__(self, model: MinimalModel, m: int, n: int) -> None:
+        m, n = model.canonical(m, n)
+        object.__setattr__(self, "model", model)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ModuleLabel is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.model, self.m, self.n) == (other.model, other.m, other.n)
+
+    def __hash__(self):
+        return hash((self.model, self.m, self.n))
 
     @property
     def kac(self) -> tuple[int, int]:
@@ -191,8 +200,7 @@ class FusionMultiset:
         return "{" + inner + "}"
 
 
-@dataclass(frozen=True)
-class QDim:
+class QDim(NamedTuple):
     """A quantum dimension: exact real cyclotomic value plus its float."""
 
     exact: CyclotomicNumber

@@ -11,7 +11,6 @@ in the README, section "Acceptance suite".
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -119,7 +118,7 @@ def test_criterion_02a_first_minor_catalogued_value():
         entries = dict(matrix.entries)
         # the source display prints y in B23 where the recursion forces 1/y
         entries[(lab[2], lab[3])] = y * y * entries[(lab[2], lab[3])]
-        slipped = replace(matrix, entries=entries)
+        slipped = matrix._replace(entries=entries)
 
         def e(m, i, j):
             return m.entry(lab[i], lab[j])

@@ -22,7 +22,7 @@ from minmod import (
     solve_sector_system,
     zeta,
 )
-from minmod.algebra import _qdim_sum, _ratio_check
+from minmod.algebra import GradedAlgebra, Sector, _qdim_sum, _ratio_check
 from minmod.exact import two_i_sin
 
 ONE = CyclotomicNumber.from_rational(1)
@@ -74,6 +74,25 @@ def test_build_algebra_shapes():
     assert build_algebra(" 3c ") is A3
     with pytest.raises(ValueError):
         build_algebra("6A")
+
+
+def test_sector_and_algebra_validate_on_construction():
+    u2 = A3.sector(2)
+    with pytest.raises(ValueError, match="weights of U2"):
+        Sector("U2", u2.components, (0, 7))
+    assert Sector("U2", u2.components, u2.weights) == u2
+    with pytest.raises(ValueError, match="not the vacuum"):
+        GradedAlgebra("3C", A3.factors, A3.sectors[1:])
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        GradedAlgebra("3C", A3.factors, A3.sectors + (A3.sectors[1],))
+
+
+def test_sector_fusion_compares_by_value():
+    first = sector_fusion(A5, A5.sector(9), A5.sector(11))
+    again = sector_fusion(A5, A5.sector(9), A5.sector(11))
+    assert first is not again
+    assert first == again
+    assert first != sector_fusion(A5, A5.sector(1), A5.sector(9))
 
 
 def test_sector_weights_verbatim():

@@ -156,9 +156,28 @@ def test_verify_targets_pass(capsys, target):
 def test_verify_all(capsys):
     code, report = run_json(capsys, "verify", "all")
     assert code == 0
-    names = [c["name"] for c in report["checks"]]
-    for prefix in ("lemma-5a:", "uniqueness-3c:", "fusion-3c:"):
-        assert any(n.startswith(prefix) for n in names), prefix
+    # every target's checks, in order, each named "<target>: <check>"
+    want = []
+    for target in cli._VERIFY:
+        _, sub = run_json(capsys, "verify", target)
+        want += [f"{target}: {c['name']}" for c in sub["checks"]]
+    assert [c["name"] for c in report["checks"]] == want
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # The read end is closed before the child prints, so its first write
+    # fails with EPIPE whatever the timing.
+    env = dict(os.environ, PYTHONPATH=str(Path(minmod.__file__).resolve().parents[1]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "minmod.cli", "info", "--p", "13", "--q", "14"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=120) == 1
+    assert "Traceback" not in err and "Exception" not in err
+    lines = err.splitlines()
+    assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines)
 
 
 @pytest.mark.parametrize("argv", [("verify", "all"), ("info", "--p", "13", "--q", "14")])

@@ -16,7 +16,7 @@ from minmod import (
     parse_exact,
     zeta,
 )
-from minmod.exact import echelon, solve, two_i_sin
+from minmod.exact import _cyclotomic, echelon, solve, two_i_sin
 
 ONE = CyclotomicNumber.from_rational(1)
 ZERO = CyclotomicNumber.from_rational(0)
@@ -204,10 +204,13 @@ def test_two_i_sin_embeds_at_any_multiple_order():
 
 # -- reduction into the power basis, against dense long division ---------------
 
-# Odd orders; even orders at every size the program reaches (bracket,
-# qdim and braid-entry fields up to (23,24)); 105 and 210, whose
-# cyclotomic polynomials have a coefficient of absolute value 2.
-_REDUCTION_ORDERS = (7, 11, 23, 105, 28, 32, 48, 56, 210, 264, 336, 728, 1104, 2208)
+# Odd orders, prime powers among them; even orders at every size the
+# program reaches (bracket, qdim and braid-entry fields up to (23,24));
+# 105 and 210, whose cyclotomic polynomials have a coefficient of
+# absolute value 2.
+_REDUCTION_ORDERS = (
+    7, 11, 23, 27, 105, 125, 28, 32, 48, 56, 210, 264, 336, 728, 1104, 2208,
+)
 
 
 def _exponents(order, rng):
@@ -230,6 +233,14 @@ def test_reduction_matches_dense_long_division(order):
     for e in _exponents(order, rng):
         unit = [0] * e + [1]
         assert zeta(order, e).coefficients == tuple(oracles.reduce_mod_cyclotomic(order, unit))
+
+
+@pytest.mark.parametrize(
+    "orders", [range(1, 301), (336, 728, 1104, 2208)], ids=["le300", "program"]
+)
+def test_cyclotomic_matches_moebius_product(orders):
+    for n in orders:
+        assert _cyclotomic(n) == oracles.cyclotomic_poly(n), n
 
 
 def test_reduction_orders_cover_a_coefficient_two():

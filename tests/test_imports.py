@@ -7,6 +7,9 @@ reads it.  Names the package re-exports through ``__init__.__all__`` and
 """
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -70,3 +73,14 @@ def test_bench_traced_names_resolve():
         importlib.import_module(module_name)
         owner, name = tracing._resolve(module_name, attr)
         assert name in vars(owner), (module_name, attr)
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # Every mm process pays for what minmod.cli imports; dataclasses and
+    # the inspect/ast/dis chain behind it are loaded by nothing else.
+    env = dict(os.environ, PYTHONPATH=str(Path(minmod.__file__).resolve().parents[1]))
+    code = "import sys, minmod.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

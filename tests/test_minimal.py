@@ -69,6 +69,18 @@ def test_label_canonicalization():
     assert ModuleLabel(M78, 1, 3) == ModuleLabel(M78, 6, 5)
 
 
+def test_label_record_semantics():
+    label = ModuleLabel(M78, 6, 5)
+    assert label == ModuleLabel(M78, 1, 3)
+    assert hash(label) == hash(ModuleLabel(M78, 1, 3)) == hash((M78, 1, 3))
+    # a label equals only labels, never its plain (model, m, n) tuple
+    assert label != (M78, 1, 3)
+    assert label != ModuleLabel(M1112, 1, 3)
+    with pytest.raises(AttributeError):
+        label.m = 6
+    assert label.kac == (1, 3)
+
+
 def test_label_validation():
     with pytest.raises(InvalidLabel):
         ModuleLabel(M78, 0, 1)
