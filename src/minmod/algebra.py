@@ -13,20 +13,12 @@ rules.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import prod
 from typing import Callable, NamedTuple
 
-from .braiding import (
-    BraidMatrix,
-    _lemma_3c_matrix,
-    _lemma_5a_entry as _b,
-    braid_matrix,
-    lemma_3c_entry,
-    lemma_5a_combos,
-    named_label,
-)
+from .braiding import lemma_3c_entry, lemma_5a_combos, named_entry
 from .exact import CyclotomicNumber, echelon, two_i_sin, zeta
 from .minimal import MinimalModel, ModuleLabel, QDim, _sine_ratio, fuse, qdim_tensor
 
@@ -352,24 +344,12 @@ _Q_OF = {1: 1, 2: 2, 3: 4, 4: 3}
 # i indexes the B column, j the Bt column.
 _ROWS_9 = ((2, 2), (3, 3), (4, 4), (2, 3), (2, 4), (3, 2), (3, 4), (4, 2), (4, 3))
 
-
-@lru_cache(maxsize=None)
-def _bt_matrix() -> BraidMatrix:
-    model = MinimalModel(7, 8)
-    p3 = named_label(model, 3)
-    p4 = named_label(model, 4)
-    return braid_matrix(model, (p4, p4, p3, p3))
+_b = partial(named_entry, 7, (3, 3, 4, 4))
+_e3c = partial(named_entry, 11, (2, 2, 2, 2))
 
 
 def _bt(i: int, j: int) -> CyclotomicNumber:
-    matrix = _bt_matrix()
-    model = MinimalModel(7, 8)
-    return matrix.entry(named_label(model, _Q_OF[i]), named_label(model, _Q_OF[j]))
-
-
-def _e3c(i: int, j: int) -> CyclotomicNumber:
-    model = MinimalModel(11, 12)
-    return _lemma_3c_matrix().entry(named_label(model, i), named_label(model, j))
+    return named_entry(7, (4, 4, 3, 3), _Q_OF[i], _Q_OF[j])
 
 
 class SectorEquation(NamedTuple):
@@ -392,17 +372,25 @@ class SolutionSet(NamedTuple):
         raise KeyError(unknown)
 
 
-class SectorSystem:
-    """A named linear system; solve_sector_system records its solutions."""
+class SectorSystem(NamedTuple):
+    """A named linear system in the given unknowns."""
 
-    def __init__(self, name: str, unknowns: tuple, equations: tuple) -> None:
-        self.name = name
-        self.unknowns = unknowns
-        self.equations = equations
-        self.solutions: SolutionSet | None = None
+    name: str
+    unknowns: tuple[str, ...]
+    equations: tuple[SectorEquation, ...]
 
 
-_SYSTEM_NAMES = ("5A-existence", "5A-uniqueness", "3C")
+# Both 5A systems obey one row rule: in row (i, j) the unknown of
+# column k has coefficient B[k,i]*Bt[k,j] - [k = i = j].  Existence
+# has unknowns for k = 2, 3, 4: the pairwise products of structure
+# constants that the crossing relation on (U3, U4, U4, U3) ties
+# together.  Uniqueness has them for k = 3, 4: differences of the same
+# relation for two candidate structures, linear in 1-mu^2 and
+# 1-gamma^2.
+_5A_COLUMNS = {
+    "5A-existence": (("u", "v", "w"), (2, 3, 4)),
+    "5A-uniqueness": (("1 - mu^2", "1 - gamma^2"), (3, 4)),
+}
 
 
 def build_sector_system(name: str) -> SectorSystem:
@@ -414,38 +402,24 @@ def build_sector_system(name: str) -> SectorSystem:
     constant side.
     """
     key = name.strip().upper()
-    canonical = {n.upper(): n for n in _SYSTEM_NAMES}.get(key)
+    names = tuple(_SOLVERS)
+    canonical = {n.upper(): n for n in names}.get(key)
     if canonical is None:
-        raise ValueError(f"unknown system {name!r}, expected one of {_SYSTEM_NAMES}")
-
-    equations = []
-    if canonical == "5A-existence":
-        # Unknowns are the pairwise products of structure constants that
-        # the crossing relation on (U3, U4, U4, U3) ties together.
-        unknowns = ("u", "v", "w")
-        for i, j in _ROWS_9:
-            coefficients = [_b(k, i) * _bt(k, j) for k in (2, 3, 4)]
-            if i == j:
-                coefficients[i - 2] = coefficients[i - 2] - 1
-            equations.append(SectorEquation(f"({i},{j})", tuple(coefficients), _zero()))
-    elif canonical == "5A-uniqueness":
-        # Differences of the same relation for two candidate structures,
-        # linear in 1-mu^2 and 1-gamma^2.
-        unknowns = ("1 - mu^2", "1 - gamma^2")
-        for i, j in _ROWS_9:
-            coefficients = [_b(3, i) * _bt(3, j), _b(4, i) * _bt(4, j)]
-            if (i, j) == (3, 3):
-                coefficients[0] = coefficients[0] - 1
-            if (i, j) == (4, 4):
-                coefficients[1] = coefficients[1] - 1
-            equations.append(SectorEquation(f"({i},{j})", tuple(coefficients), _zero()))
-    else:
-        unknowns = ("lambda^2",)
-        e21 = _e3c(2, 1)
-        e22 = _e3c(2, 2)
-        equations.append(SectorEquation("(2,1)", (e21,), e21))
-        equations.append(SectorEquation("(2,2)", (e22 - 1,), e22 - 1))
-    return SectorSystem(canonical, unknowns, tuple(equations))
+        raise ValueError(f"unknown system {name!r}, expected one of {names}")
+    if canonical == "3C":
+        e21, e22 = _e3c(2, 1), _e3c(2, 2)
+        return SectorSystem(canonical, ("lambda^2",), (
+            SectorEquation("(2,1)", (e21,), e21),
+            SectorEquation("(2,2)", (e22 - 1,), e22 - 1),
+        ))
+    unknowns, ks = _5A_COLUMNS[canonical]
+    equations = tuple(
+        SectorEquation(f"({i},{j})", tuple(
+            _b(k, i) * _bt(k, j) - 1 if k == i == j else _b(k, i) * _bt(k, j) for k in ks
+        ), _zero())
+        for i, j in _ROWS_9
+    )
+    return SectorSystem(canonical, unknowns, equations)
 
 
 def _equation(system: SectorSystem, label: str) -> SectorEquation:
@@ -466,6 +440,16 @@ def _check_solution(system: SectorSystem, values: tuple[CyclotomicNumber, ...]) 
             )
 
 
+def _eliminates(system: SectorSystem, i1, i2, j, x, y, want) -> bool:
+    """Whether B[x,i2] * row (i1,j) - B[x,i1] * row (i2,j) of a 5A system
+    clears the column-x unknown and leaves `want` on the column-y one."""
+    ks = _5A_COLUMNS[system.name][1]
+    top = _equation(system, f"({i1},{j})").coefficients
+    bottom = _equation(system, f"({i2},{j})").coefficients
+    combo = [_b(x, i2) * a - _b(x, i1) * b for a, b in zip(top, bottom)]
+    return combo[ks.index(x)].is_zero() and combo[ks.index(y)] == want
+
+
 def solve_sector_system(system: SectorSystem) -> SolutionSet:
     """Solve exactly, replaying the published elimination as certificate steps.
 
@@ -473,16 +457,10 @@ def solve_sector_system(system: SectorSystem) -> SolutionSet:
     raises DegenerateSystem, since the surrounding argument would then
     collapse.
     """
-    if system.name == "3C":
-        solution = _solve_3c(system)
-    elif system.name == "5A-uniqueness":
-        solution = _solve_5a_uniqueness(system)
-    elif system.name == "5A-existence":
-        solution = _solve_5a_existence(system)
-    else:
+    solver = _SOLVERS.get(system.name)
+    if solver is None:
         raise ValueError(f"unknown system {system.name!r}")
-    system.solutions = solution
-    return solution
+    return solver(system)
 
 
 def _solve_3c(system: SectorSystem) -> SolutionSet:
@@ -506,18 +484,12 @@ def _solve_5a_uniqueness(system: SectorSystem) -> SolutionSet:
     minor = lemma_5a_combos()[1]
     if minor.is_zero():
         raise DegenerateSystem("5A-uniqueness: the (3,2)/(4,4) minor vanishes")
-    r23 = _equation(system, "(2,3)").coefficients
-    r43 = _equation(system, "(4,3)").coefficients
-    bt33, bt43 = _bt(3, 3), _bt(4, 3)
     # Eliminate between rows (2,3) and (4,3); both combinations must
     # produce the minor times a single Bt entry.
-    lhs_a = _b(4, 4) * r23[0] - _b(4, 2) * r43[0]
-    lhs_b = _b(3, 4) * r23[1] - _b(3, 2) * r43[1]
-    if lhs_a != minor * bt33 or not (_b(4, 4) * r23[1] - _b(4, 2) * r43[1]).is_zero():
+    if not (_eliminates(system, 2, 4, 3, 4, 3, minor * _bt(3, 3))
+            and _eliminates(system, 2, 4, 3, 3, 4, -(minor * _bt(4, 3)))):
         raise DegenerateSystem("5A-uniqueness: elimination identity failed")
-    if lhs_b != -(minor * bt43) or not (_b(3, 4) * r23[0] - _b(3, 2) * r43[0]).is_zero():
-        raise DegenerateSystem("5A-uniqueness: elimination identity failed")
-    pivot = _b(4, 4) * bt43
+    pivot = _b(4, 4) * _bt(4, 3)
     if pivot.is_zero():
         raise DegenerateSystem("5A-uniqueness: row (4,3) pivot vanishes")
     zero = _zero()
@@ -543,15 +515,15 @@ def _solve_5a_existence(system: SectorSystem) -> SolutionSet:
         raise DegenerateSystem("5A-existence: the (4,4)/(2,3) minor vanishes")
     # Branch v = 0: only the u and w columns of rows (2,2), (3,2), (4,2)
     # survive.  Recover the printed eliminations exactly.
-    r32 = _equation(system, "(3,2)").coefficients
-    r42 = _equation(system, "(4,2)").coefficients
-    bt22, bt42 = _bt(2, 2), _bt(4, 2)
-    lhs_u = _b(4, 4) * r32[0] - _b(4, 3) * r42[0]
-    lhs_w = _b(2, 4) * r32[2] - _b(2, 3) * r42[2]
-    if lhs_u != minor * bt22 or not (_b(4, 4) * r32[2] - _b(4, 3) * r42[2]).is_zero():
+    if not (_eliminates(system, 3, 4, 2, 4, 2, minor * _bt(2, 2))
+            and _eliminates(system, 3, 4, 2, 2, 4, -(minor * _bt(4, 2)))):
         raise DegenerateSystem("5A-existence: elimination identity failed")
-    if lhs_w != -(minor * bt42) or not (_b(2, 4) * r32[0] - _b(2, 3) * r42[0]).is_zero():
-        raise DegenerateSystem("5A-existence: elimination identity failed")
+    # Either branch, v = 0 or w = 0, leaves two columns of rank 2: their
+    # only solution is zero, so u = 0 there.
+    for gone, columns in (("v", (0, 2)), ("w", (0, 1))):
+        kept = [[eq.coefficients[c] for c in columns] for eq in system.equations]
+        if len(echelon(kept)[1]) != 2:
+            raise DegenerateSystem(f"5A-existence: the {gone} = 0 branch is rank deficient")
     steps = (
         "assume v = 0; rows (2,2), (3,2), (4,2) close in u and w alone",
         "rows (3,2) and (4,2) eliminate to u * m1 * Bt[2,2] = 0 "
@@ -561,6 +533,13 @@ def _solve_5a_existence(system: SectorSystem) -> SolutionSet:
         "so v != 0; the mirrored elimination rules out w = 0 the same way",
     )
     return SolutionSet("contradiction", (), steps)
+
+
+_SOLVERS = {
+    "5A-existence": _solve_5a_existence,
+    "5A-uniqueness": _solve_5a_uniqueness,
+    "3C": _solve_3c,
+}
 
 
 def normalization_residuals(name: str) -> tuple[tuple[str, CyclotomicNumber], ...]:

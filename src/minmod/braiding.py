@@ -13,7 +13,7 @@ comparison.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import prod
 from typing import NamedTuple
 
@@ -307,16 +307,20 @@ def braid_matrix(model: MinimalModel, externals) -> BraidMatrix:
 
 
 @lru_cache(maxsize=None)
-def _lemma_5a_matrix() -> BraidMatrix:
-    model = MinimalModel(7, 8)
-    p3, p4 = named_label(model, 3), named_label(model, 4)
-    return braid_matrix(model, (p3, p3, p4, p4))
+def named_matrix(p: int, ext: tuple[int, int, int, int]) -> BraidMatrix:
+    """The braiding matrix at (p, p+1) whose externals are named modules.
+
+    The paper reads three: B_{3,3}^{4,4} and B_{4,4}^{3,3} at (7,8), and
+    B_{2,2}^{2,2} at (11,12).
+    """
+    model = MinimalModel(p, p + 1)
+    return braid_matrix(model, tuple(named_label(model, i) for i in ext))
 
 
-def _lemma_5a_entry(i: int, j: int) -> CyclotomicNumber:
-    """Entry (i, j) of B_{3,3}^{4,4} at (7,8), indices naming P1..P4."""
-    model = MinimalModel(7, 8)
-    return _lemma_5a_matrix().entry(named_label(model, i), named_label(model, j))
+def named_entry(p: int, ext: tuple[int, int, int, int], i: int, j: int) -> CyclotomicNumber:
+    """Entry (i, j) of named_matrix(p, ext), the channels named too."""
+    model = MinimalModel(p, p + 1)
+    return named_matrix(p, ext).entry(named_label(model, i), named_label(model, j))
 
 
 def lemma_5a_combos() -> tuple[CyclotomicNumber, CyclotomicNumber]:
@@ -326,20 +330,12 @@ def lemma_5a_combos() -> tuple[CyclotomicNumber, CyclotomicNumber]:
     Returns (B44*B23 - B43*B24, B32*B44 - B42*B34) with numeric
     subscripts referring to the named modules P2, P3, P4.
     """
-    e = _lemma_5a_entry
+    e = partial(named_entry, 7, (3, 3, 4, 4))
     first = e(4, 4) * e(2, 3) - e(4, 3) * e(2, 4)
     second = e(3, 2) * e(4, 4) - e(4, 2) * e(3, 4)
     return first, second
 
 
-@lru_cache(maxsize=None)
-def _lemma_3c_matrix() -> BraidMatrix:
-    model = MinimalModel(11, 12)
-    u2 = named_label(model, 2)
-    return braid_matrix(model, (u2, u2, u2, u2))
-
-
 def lemma_3c_entry() -> CyclotomicNumber:
     """The entry (B_{2,2}^{2,2})_{2,1} at (11,12), exactly."""
-    model = MinimalModel(11, 12)
-    return _lemma_3c_matrix().entry(named_label(model, 2), named_label(model, 1))
+    return named_entry(11, (2, 2, 2, 2), 2, 1)

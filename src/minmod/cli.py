@@ -32,8 +32,8 @@ from .algebra import (
     solve_sector_system,
 )
 from .braiding import (
-    NonIntegerExponent, _lemma_3c_matrix, _lemma_5a_entry, _lemma_5a_matrix,
-    braid_matrix, brackets, lemma_3c_entry, lemma_5a_combos, named_label,
+    NonIntegerExponent, braid_matrix, brackets, lemma_3c_entry, lemma_5a_combos,
+    named_entry, named_label, named_matrix,
 )
 from .exact import CyclotomicNumber, solve, zeta
 from .minimal import (
@@ -381,7 +381,7 @@ def cmd_decompose(args) -> Report:
 
 def _verify_lemma_5a(precision: int) -> list:
     model = MinimalModel(7, 8)
-    b = _lemma_5a_entry
+    b = partial(named_entry, 7, (3, 3, 4, 4))
     t = brackets(model, "primed")
     y = t.power(4)
     y_inv = y.inv()
@@ -397,7 +397,7 @@ def _verify_lemma_5a(precision: int) -> list:
         + t[1] * t[7] * (t[5] + t[7]) * (t[6] ** 2 * t[5]).inv()
     )
     form_23 = y_inv * t[6] * t[7] * t.inv(4) * t.inv(5)
-    det = _lemma_5a_matrix().det()
+    det = named_matrix(7, (3, 3, 4, 4)).det()
     return [
         _claim("B44*B23 - B43*B24 nonzero", not first.is_zero(), first, precision),
         _claim("B32*B44 - B42*B34 = 1 + i",
@@ -433,7 +433,7 @@ def _verify_lemma_3c(precision: int) -> list:
     )
     approx = entry.embed(precision)
     drift = abs(complex(approx.real, approx.imag) - _3C_REFERENCE)
-    det = _lemma_3c_matrix().det()
+    det = named_matrix(11, (2, 2, 2, 2)).det()
     return [
         _claim("B21 nonzero", not entry.is_zero(), entry, precision),
         _claim("B21 matches its bracket product", entry == product,

@@ -24,23 +24,6 @@ class DivisionByZero(ZeroDivisionError):
     """Raised when a vanishing value appears in a denominator."""
 
 
-def _poly_divexact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # Exact division of integer polynomials, ascending coefficients.
-    # The divisor must be monic, which holds for every cyclotomic factor.
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - dd - 1, -1, -1):
-        c = num[i + dd]
-        out[i] = c
-        if c:
-            for j in range(dd + 1):
-                num[i + j] -= c * den[j]
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return out
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, ascending.
@@ -62,7 +45,9 @@ def _cyclotomic(n: int) -> tuple[int, ...]:
     poly[n] = 1
     for d in range(1, n // 2 + 1):
         if n % d == 0:
-            poly = _poly_divexact(poly, _cyclotomic(d))
+            poly, rem = _poly_divmod(poly, _cyclotomic(d))
+            if rem:
+                raise ArithmeticError("inexact polynomial division")
     return tuple(poly)
 
 
@@ -105,7 +90,8 @@ def _reduce(vec: list[int], n: int) -> list[int]:
 def _poly_divmod(
     num: list[Fraction], den: list[Fraction]
 ) -> tuple[list[Fraction], list[Fraction]]:
-    # den is monic.  Returns (quotient, remainder) with deg rem < deg den.
+    # den is monic, so integer coefficients stay integers.  Returns
+    # (quotient, remainder) with deg rem < deg den.
     num = list(num)
     dd = len(den) - 1
     if len(num) < len(den):

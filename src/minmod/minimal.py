@@ -150,16 +150,15 @@ def _canonical_pairs(p: int, q: int) -> tuple[tuple[int, int], ...]:
 class FusionMultiset:
     """A fusion product decomposition: canonical labels with multiplicities.
 
-    Compares equal to any mapping label -> multiplicity and, when every
-    multiplicity is one, to a plain set of labels.
+    Built from a mapping label -> multiplicity.  Compares equal to any
+    such mapping and, when every multiplicity is one, to a plain set of
+    labels.
     """
 
     __slots__ = ("_counts",)
 
-    def __init__(self, counts) -> None:
-        if isinstance(counts, (set, frozenset, list, tuple)):
-            counts = {label: 1 for label in counts}
-        self._counts = {l: int(k) for l, k in dict(counts).items() if k}
+    def __init__(self, counts: dict) -> None:
+        self._counts = {l: int(k) for l, k in counts.items() if k}
 
     def __getitem__(self, label) -> int:
         return self._counts.get(label, 0)
@@ -172,12 +171,6 @@ class FusionMultiset:
 
     def __len__(self) -> int:
         return len(self._counts)
-
-    def total(self) -> int:
-        return sum(self._counts.values())
-
-    def labels(self) -> tuple[ModuleLabel, ...]:
-        return tuple(self)
 
     def items(self):
         return [(l, self._counts[l]) for l in self]

@@ -13,14 +13,11 @@ import math
 from contextlib import contextmanager
 from fractions import Fraction
 
-import pytest
-
 import oracles
 from minmod import (
     CyclotomicNumber,
     MinimalModel,
     ModuleLabel,
-    RQuery,
     RingCheck,
     braid_matrix,
     brackets,
@@ -42,7 +39,6 @@ from minmod import (
     named_label,
     normalization_residuals,
     qdim,
-    qdim_module,
     qdim_tensor,
     sector_fusion,
     solve_sector_system,

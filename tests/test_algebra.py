@@ -1,5 +1,6 @@
 """Graded algebras: sectors, chains, structure-constant systems, modules."""
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,10 +23,12 @@ from minmod import (
     solve_sector_system,
     zeta,
 )
+from minmod import algebra
 from minmod.algebra import GradedAlgebra, Sector, _qdim_sum, _ratio_check
 from minmod.exact import two_i_sin
 
 ONE = CyclotomicNumber.from_rational(1)
+ZERO = CyclotomicNumber.from_rational(0)
 I = zeta(4)
 SQRT2 = zeta(8) + zeta(8, -1)
 SQRT3 = zeta(12) + zeta(12, -1)
@@ -257,7 +260,6 @@ def test_solve_3c_system():
     assert solution.kind == "unique"
     assert solution.value("lambda^2").is_one()
     assert solution.steps
-    assert system.solutions is solution
     with pytest.raises(KeyError):
         solution.value("mu^2")
 
@@ -278,6 +280,74 @@ def test_solve_5a_existence_contradiction():
     # solving again reproduces the same certificate
     again = solve_sector_system(build_sector_system("5A-existence"))
     assert again.steps == solution.steps
+
+
+def _bump(system, label, column, by=1):
+    # the system with `by` added to one coefficient of one row
+    return system._replace(equations=tuple(
+        eq._replace(coefficients=tuple(
+            c + by if k == column else c for k, c in enumerate(eq.coefficients)
+        )) if eq.label == label else eq
+        for eq in system.equations
+    ))
+
+
+@pytest.mark.parametrize("name, label, message", [
+    ("5A-uniqueness", "(4,3)", "elimination identity failed"),
+    ("5A-existence", "(3,2)", "elimination identity failed"),
+    ("3C", "(2,1)", "drifted"),
+    ("3C", "(2,2)", "claimed solution fails relation (2,2)"),
+], ids=("5A-uniqueness-(4,3)", "5A-existence-(3,2)", "3C-(2,1)", "3C-(2,2)"))
+def test_perturbed_system_is_refused(name, label, message):
+    with pytest.raises(DegenerateSystem, match=re.escape(message)):
+        solve_sector_system(_bump(build_sector_system(name), label, 0))
+
+
+def test_elimination_clears_its_column():
+    # Shift the 1-gamma^2 column of rows (2,3) and (4,3) so that the
+    # B[3,.] combination keeps its value: only the requirement that the
+    # B[4,.] combination clears that column can refuse the system.
+    system = build_sector_system("5A-uniqueness")
+    system = _bump(system, "(2,3)", 1, algebra._b(3, 2))
+    system = _bump(system, "(4,3)", 1, algebra._b(3, 4))
+    with pytest.raises(DegenerateSystem, match="elimination identity failed"):
+        solve_sector_system(system)
+
+
+def _rank_one(rows):
+    return rows, (0,), 1
+
+
+# Facts no perturbed system reaches: patch the value the check reads.
+@pytest.mark.parametrize("name, patches, message", [
+    ("3C", {"lemma_3c_entry": lambda: ZERO}, "the (2,1) braid entry vanishes"),
+    ("5A-uniqueness", {"lemma_5a_combos": lambda: (ONE, ZERO)}, "minor vanishes"),
+    ("5A-existence", {"lemma_5a_combos": lambda: (ZERO, ONE)}, "minor vanishes"),
+    ("5A-uniqueness", {"_bt": lambda i, j: ONE}, "elimination identity failed"),
+    ("5A-existence", {"_bt": lambda i, j: ONE}, "elimination identity failed"),
+    ("5A-uniqueness", {
+        "_eliminates": lambda *args: True,
+        "_bt": lambda i, j: ZERO if (i, j) == (4, 3) else ONE,
+    }, "row (4,3) pivot vanishes"),
+    ("5A-uniqueness", {"echelon": _rank_one}, "coefficient matrix is rank deficient"),
+    ("5A-existence", {"echelon": _rank_one}, "the v = 0 branch is rank deficient"),
+], ids=("3C-pivot", "5A-uniqueness-minor", "5A-existence-minor", "5A-uniqueness-identity",
+        "5A-existence-identity", "5A-uniqueness-pivot", "5A-uniqueness-rank",
+        "5A-existence-v-branch"))
+def test_degenerate_fact_is_refused(monkeypatch, name, patches, message):
+    system = build_sector_system(name)
+    for attr, value in patches.items():
+        monkeypatch.setattr(algebra, attr, value)
+    with pytest.raises(DegenerateSystem, match=re.escape(message)):
+        solve_sector_system(system)
+
+
+def test_mirrored_branch_is_checked(monkeypatch):
+    # the v = 0 columns keep rank 2; the w = 0 columns, checked next, lose it
+    pivots = iter(((0, 1), (0,)))
+    monkeypatch.setattr(algebra, "echelon", lambda rows: (rows, next(pivots), 1))
+    with pytest.raises(DegenerateSystem, match="the w = 0 branch is rank deficient"):
+        solve_sector_system(build_sector_system("5A-existence"))
 
 
 RESIDUALS_5A = {

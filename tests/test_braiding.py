@@ -15,11 +15,9 @@ from minmod import (
     IndexOutOfRange,
     MinimalModel,
     ModelMismatch,
-    ModuleLabel,
     NonIntegerExponent,
     NonUnitaryModel,
     RQuery,
-    braid_entry,
     braid_matrix,
     bracket,
     brackets,
@@ -33,7 +31,7 @@ from minmod import (
     zeta,
 )
 from minmod import braiding
-from minmod.braiding import _lemma_3c_matrix, _lemma_5a_matrix
+from minmod.braiding import named_matrix
 from minmod.exact import two_i_sin
 
 M78 = MinimalModel(7, 8)
@@ -115,8 +113,8 @@ def test_brackets_live_in_their_side_field(p, variant):
 
 
 def test_memoized_values_live_in_their_side_field():
-    _lemma_5a_matrix()
-    _lemma_3c_matrix()
+    named_matrix(7, (3, 3, 4, 4))
+    named_matrix(11, (2, 2, 2, 2))
     queries = memoized_queries()
     assert {M78, M1112} <= {query.model for query in queries}
     for query in queries:
@@ -126,7 +124,8 @@ def test_memoized_values_live_in_their_side_field():
 
 def test_lemma_matrix_entries_live_in_the_primed_field():
     # every external and channel is (1, n), so the unprimed side is trivial
-    for matrix, order in ((_lemma_5a_matrix(), 32), (_lemma_3c_matrix(), 48)):
+    for matrix, order in ((named_matrix(7, (3, 3, 4, 4)), 32),
+                          (named_matrix(11, (2, 2, 2, 2)), 48)):
         assert matrix.entries
         for value in matrix.entries.values():
             assert order % value.order == 0

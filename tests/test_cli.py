@@ -229,6 +229,45 @@ def test_verify_uniqueness_5a_residuals(capsys):
     assert "even-sector coefficient forced nonzero" in passes
 
 
+CERTIFICATE_5A = [
+    ("unique solution: mu^2 = 1 and gamma^2 = 1", "pass"),
+    ("rows (2,3) and (4,3) eliminate to (1-mu^2) * m2 * Bt[3,3] = 0 and "
+     "(1-gamma^2) * m2 * Bt[4,3] = 0, m2 = B[3,2]B[4,4] - B[4,2]B[3,4]", "info"),
+    ("m2 != 0 (exact); if 1-mu^2 were nonzero, Bt[3,3] = 0 would follow", "info"),
+    ("row (3,3) then collapses to 1-mu^2 = 0, a contradiction, so mu^2 = 1", "info"),
+    ("with 1-mu^2 = 0, row (4,3) reads (1-gamma^2) * B[4,4]Bt[4,3] = 0", "info"),
+    ("B[4,4]Bt[4,3] != 0 (exact), so gamma^2 = 1", "info"),
+    ("a diagonal rescale by (1, lambda mu gamma, gamma, mu) matches the structures", "info"),
+    ("even-sector coefficient forced nonzero", "pass"),
+    ("assume v = 0; rows (2,2), (3,2), (4,2) close in u and w alone", "info"),
+    ("rows (3,2) and (4,2) eliminate to u * m1 * Bt[2,2] = 0 and "
+     "w * m1 * Bt[4,2] = 0, m1 = B[4,4]B[2,3] - B[4,3]B[2,4]", "info"),
+    ("m1 != 0 (exact) and u != 0, so Bt[2,2] = 0 and w * Bt[4,2] = 0", "info"),
+    ("row (2,2) then collapses to u = 0, contradicting u != 0", "info"),
+    ("so v != 0; the mirrored elimination rules out w = 0 the same way", "info"),
+] + [
+    (f"closure residual ({i},{j})", "info")
+    for i, j in ((2, 2), (3, 3), (4, 4), (2, 3), (2, 4), (3, 2), (3, 4), (4, 2), (4, 3))
+]
+
+CERTIFICATE_3C = [
+    ("unique solution: lambda^2 = 1", "pass"),
+    ("row (2,1) reads (1 - lambda^2) * B[2,1] = 0", "info"),
+    ("B[2,1] != 0 (exact), so lambda^2 = 1", "info"),
+    ("row (2,2) holds identically at lambda^2 = 1", "info"),
+    ("a diagonal rescale by lambda on the odd sector matches the two structures", "info"),
+]
+
+
+@pytest.mark.parametrize("target", ("uniqueness-5a", "uniqueness-3c"))
+def test_verify_uniqueness_certificate_is_pinned(capsys, target):
+    # every check name and status, in order, of the replayed eliminations
+    certificate = CERTIFICATE_5A if target.endswith("5a") else CERTIFICATE_3C
+    code, report = run_json(capsys, "verify", target)
+    assert code == 0
+    assert [(c["name"], c["status"]) for c in report["checks"]] == certificate
+
+
 def test_verify_rejects_unknown_target(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "lemma-9x"])

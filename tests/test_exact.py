@@ -12,7 +12,6 @@ import oracles
 from minmod import (
     CyclotomicNumber,
     DivisionByZero,
-    embed,
     parse_exact,
     zeta,
 )

@@ -1,4 +1,4 @@
-"""Every name a package module imports is used there.
+"""Every name a package or test module imports is used there.
 
 No linter ships with the test dependencies, so this walks the syntax
 tree instead: a module fails when it binds a name by import and never
@@ -18,6 +18,7 @@ import pytest
 import minmod
 
 SOURCES = sorted(Path(minmod.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
@@ -46,7 +47,7 @@ def test_sources_found():
     assert {"exact.py", "minimal.py", "braiding.py"} <= {p.name for p in SOURCES}
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == set()
 
