@@ -393,6 +393,7 @@ _5A_COLUMNS = {
 }
 
 
+@lru_cache(maxsize=None)
 def build_sector_system(name: str) -> SectorSystem:
     """The linear system satisfied by products of structure constants.
 

@@ -111,7 +111,9 @@ def _render_table(report: Report) -> str:
 # -- numeric rendering ------------------------------------------------------
 
 def _digits(bits: int) -> int:
-    return min(15, max(8, bits * 301 // 1000 - 8))
+    # the numeric columns are doubles, which get 12 decimals right on
+    # every value the commands print (67 bits is the first to reach 12)
+    return min(12, max(8, bits * 301 // 1000 - 8))
 
 
 def _fmt_real(x: float, digits: int = 8) -> str:
@@ -199,13 +201,15 @@ def _render_exact(value: CyclotomicNumber) -> str:
     return f"{text} = {radical}" if radical else text
 
 
+def _row(name: str, status: str, value: CyclotomicNumber, digits: int) -> Check:
+    return Check(name, status, _render_exact(value),
+                 _fmt_complex(value.embed(), digits))
+
+
 def _claim(name: str, ok: bool, value: CyclotomicNumber | None = None,
-           precision: int = 53) -> Check:
-    exact = approx = ""
-    if value is not None:
-        exact = _render_exact(value)
-        approx = _fmt_complex(value.embed(precision), _digits(precision))
-    return Check(name, "pass" if ok else "fail", exact, approx)
+           digits: int = 8) -> Check:
+    status = "pass" if ok else "fail"
+    return Check(name, status) if value is None else _row(name, status, value, digits)
 
 
 # -- argument parsing helpers -----------------------------------------------
@@ -267,21 +271,19 @@ def _module_key(text: str):
 
 def cmd_info(args) -> Report:
     model = MinimalModel(args.p, args.q)
-    digits = _digits(args.precision)
     c = model.central_charge()
-    checks = [Check("central charge", "info", str(c), _fmt_real(float(c), digits))]
+    checks = [Check("central charge", "info", str(c), _fmt_real(float(c), args.digits))]
     for label in model.labels():
         d = qdim(label)
         checks.append(Check(
             f"({label.m},{label.n})", "info", str(label.h),
-            _fmt_real(d.approx, digits),
+            _fmt_real(d.approx, args.digits),
         ))
     return Report(f"info ({model.p},{model.q})", checks)
 
 
 def cmd_fusion(args) -> Report:
     model = MinimalModel(args.p, args.q)
-    digits = _digits(args.precision)
     a = ModuleLabel(model, *_pair(args.a))
     b = ModuleLabel(model, *_pair(args.b))
     checks = []
@@ -290,7 +292,7 @@ def cmd_fusion(args) -> Report:
         if count != 1:
             name += f" x{count}"
         checks.append(Check(name, "info", str(label.h),
-                            _fmt_real(qdim(label).approx, digits)))
+                            _fmt_real(qdim(label).approx, args.digits)))
     command = (
         f"fusion ({a.m},{a.n}) x ({b.m},{b.n}) at ({model.p},{model.q})"
     )
@@ -303,38 +305,28 @@ def cmd_qdim(args) -> Report:
     d = qdim(label)
     check = Check(
         f"qdim ({label.m},{label.n})", "info", _render_exact(d.exact),
-        _fmt_real(d.approx, _digits(args.precision)),
+        _fmt_real(d.approx, args.digits),
     )
     return Report(f"qdim ({label.m},{label.n}) at ({model.p},{model.q})", [check])
 
 
 def cmd_braid(args) -> Report:
     model = MinimalModel(args.p, args.q)
-    digits = _digits(args.precision)
     matrix = braid_matrix(model, _externals(model, args.ext))
     checks = []
     if args.entry:
         mu, gamma = _entry_labels(model, args.entry)
-        value = matrix.entry(mu, gamma)
-        checks.append(Check(
-            f"B[{args.entry}]", "info", _render_exact(value),
-            _fmt_complex(value.embed(args.precision), digits),
-        ))
+        checks.append(_row(f"B[{args.entry}]", "info",
+                           matrix.entry(mu, gamma), args.digits))
     else:
         for mu in matrix.rows:
             for gamma in matrix.cols:
-                value = matrix.entry(mu, gamma)
-                checks.append(Check(
+                checks.append(_row(
                     f"B[({mu.m},{mu.n}),({gamma.m},{gamma.n})]", "info",
-                    _render_exact(value),
-                    _fmt_complex(value.embed(args.precision), digits),
+                    matrix.entry(mu, gamma), args.digits,
                 ))
         if len(matrix.rows) == len(matrix.cols):
-            det = matrix.det()
-            checks.append(Check(
-                "det", "info", _render_exact(det),
-                _fmt_complex(det.embed(args.precision), digits),
-            ))
+            checks.append(_row("det", "info", matrix.det(), args.digits))
     return Report(f"braid {args.ext} at ({model.p},{model.q})", checks)
 
 
@@ -342,18 +334,15 @@ def cmd_verify(args) -> Report:
     targets = tuple(_VERIFY) if args.target == "all" else (args.target,)
     checks = []
     for target in targets:
-        sub = _VERIFY[target](args.precision)
+        sub = _VERIFY[target](args.digits)
         if len(targets) > 1:
             sub = [c._replace(name=f"{target}: {c.name}") for c in sub]
         checks.extend(sub)
-    if args.inject_failure:
-        checks.append(Check("injected failure", "fail"))
     return Report(f"verify {args.target}", checks)
 
 
 def cmd_decompose(args) -> Report:
     alg = build_algebra(args.algebra)
-    digits = _digits(args.precision)
     modules = irreducible_modules(alg)
     key = _module_key(args.module) if args.module is not None else modules[0].key
     if key == modules[0].key:
@@ -362,7 +351,7 @@ def cmd_decompose(args) -> Report:
         for sector in alg.sectors:
             d = qdim_tensor(sector.components)
             checks.append(Check(str(sector), "info", _render_exact(d.exact),
-                                _fmt_real(d.approx, digits)))
+                                _fmt_real(d.approx, args.digits)))
         return Report(f"decompose {alg.name}", checks)
     spec = next((m for m in modules if m.key == key), None)
     if spec is None:
@@ -373,13 +362,13 @@ def cmd_decompose(args) -> Report:
         weights = ", ".join(str(l.h) for l in component)
         d = qdim_tensor(component)
         checks.append(Check(f"{labels}  [{weights}]", "info",
-                            _render_exact(d.exact), _fmt_real(d.approx, digits)))
+                            _render_exact(d.exact), _fmt_real(d.approx, args.digits)))
     return Report(f"decompose {alg.name} module {args.module}", checks)
 
 
 # -- verify targets ---------------------------------------------------------
 
-def _verify_lemma_5a(precision: int) -> list:
+def _verify_lemma_5a(digits: int) -> list:
     model = MinimalModel(7, 8)
     b = partial(named_entry, 7, (3, 3, 4, 4))
     t = brackets(model, "primed")
@@ -399,27 +388,27 @@ def _verify_lemma_5a(precision: int) -> list:
     form_23 = y_inv * t[6] * t[7] * t.inv(4) * t.inv(5)
     det = named_matrix(7, (3, 3, 4, 4)).det()
     return [
-        _claim("B44*B23 - B43*B24 nonzero", not first.is_zero(), first, precision),
+        _claim("B44*B23 - B43*B24 nonzero", not first.is_zero(), first, digits),
         _claim("B32*B44 - B42*B34 = 1 + i",
-               second == _ONE + zeta(4), second, precision),
+               second == _ONE + zeta(4), second, digits),
         _claim("B32*B44 = (sqrt(2) - 1)/y",
                b(3, 2) * b(4, 4) == (sqrt2 - _ONE) * y_inv,
-               b(3, 2) * b(4, 4), precision),
+               b(3, 2) * b(4, 4), digits),
         _claim("B42*B34 = -1/y",
-               b(4, 2) * b(3, 4) == -y_inv, b(4, 2) * b(3, 4), precision),
+               b(4, 2) * b(3, 4) == -y_inv, b(4, 2) * b(3, 4), digits),
         _claim("B44 matches its bracket form", b(4, 4) == form_44,
-               b(4, 4), precision),
+               b(4, 4), digits),
         _claim("B43 matches its bracket form", b(4, 3) == form_43,
-               b(4, 3), precision),
+               b(4, 3), digits),
         _claim("B24 matches its bracket form", b(2, 4) == form_24,
-               b(2, 4), precision),
+               b(2, 4), digits),
         _claim("B23 = [6]'[7]'/(y [4]' [5]')", b(2, 3) == form_23,
-               b(2, 3), precision),
-        _claim("det B nonzero", not det.is_zero(), det, precision),
+               b(2, 3), digits),
+        _claim("det B nonzero", not det.is_zero(), det, digits),
     ]
 
 
-def _verify_lemma_3c(precision: int) -> list:
+def _verify_lemma_3c(digits: int) -> list:
     model = MinimalModel(11, 12)
     entry = lemma_3c_entry()
     t = brackets(model, "primed")
@@ -431,21 +420,19 @@ def _verify_lemma_3c(precision: int) -> list:
         * t[10] * t[9] * t[8] * t.inv(7) * t.inv(6) * t.inv(5)
         * (t[3] * t[4] + t[1] * t[4] + t[1] * t[2]) * t.inv(3) * t.inv(4)
     )
-    approx = entry.embed(precision)
-    drift = abs(complex(approx.real, approx.imag) - _3C_REFERENCE)
+    drift = abs(complex(entry.embed()) - _3C_REFERENCE)
     det = named_matrix(11, (2, 2, 2, 2)).det()
     return [
-        _claim("B21 nonzero", not entry.is_zero(), entry, precision),
+        _claim("B21 nonzero", not entry.is_zero(), entry, digits),
         _claim("B21 matches its bracket product", entry == product,
-               entry, precision),
+               entry, digits),
         _claim("B21 embedding within 1e-9 of the stored reference",
-               drift <= 1e-9, entry, precision),
-        _claim("det B nonzero", not det.is_zero(), None, precision),
+               drift <= 1e-9, entry, digits),
+        _claim("det B nonzero", not det.is_zero(), None, digits),
     ]
 
 
-def _verify_uniqueness_5a(precision: int) -> list:
-    digits = _digits(precision)
+def _verify_uniqueness_5a(digits: int) -> list:
     checks = []
     try:
         solution = solve_sector_system(build_sector_system("5A-uniqueness"))
@@ -464,27 +451,24 @@ def _verify_uniqueness_5a(precision: int) -> list:
     except DegenerateSystem as exc:
         checks.append(Check("existence replay", "fail", str(exc)))
     for label, residual in normalization_residuals("5A"):
-        checks.append(Check(
-            f"closure residual {label}", "info", _render_exact(residual),
-            _fmt_complex(residual.embed(precision), digits),
-        ))
+        checks.append(_row(f"closure residual {label}", "info", residual, digits))
     return checks
 
 
-def _verify_uniqueness_3c(precision: int) -> list:
+def _verify_uniqueness_3c(digits: int) -> list:
     checks = []
     try:
         solution = solve_sector_system(build_sector_system("3C"))
         ok = solution.kind == "unique" and solution.value("lambda^2").is_one()
         checks.append(_claim("unique solution: lambda^2 = 1", ok,
-                             solution.value("lambda^2"), precision))
+                             solution.value("lambda^2"), digits))
         checks.extend(Check(step, "info") for step in solution.steps)
     except DegenerateSystem as exc:
         checks.append(Check("uniqueness replay", "fail", str(exc)))
     return checks
 
 
-def _verify_chains(name: str, precision: int) -> list:
+def _verify_chains(name: str, digits: int) -> list:
     checks = []
     for c in check_subalgebra_chain(build_algebra(name)):
         label = c.name if c.passed else f"{c.name} ({c.detail})"
@@ -492,7 +476,7 @@ def _verify_chains(name: str, precision: int) -> list:
     return checks
 
 
-def _verify_fusion(name: str, precision: int) -> list:
+def _verify_fusion(name: str, digits: int) -> list:
     alg = build_algebra(name)
     modules = irreducible_modules(alg)
     keys = [m.key for m in modules]
@@ -540,7 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json"), default="table")
     common.add_argument("--precision", type=_bits, default=53, metavar="BITS",
-                        help="working precision for numeric columns, at least 1")
+                        help="decimals shown in the numeric columns, from BITS"
+                             " (at least 1); the columns are doubles, so 67"
+                             " bits and more show the cap of 12 decimals")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", parents=[common],
@@ -574,8 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="run one verification target or all of them")
     p.add_argument("target", choices=tuple(_VERIFY) + ("all",))
-    p.add_argument("--inject-failure", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decompose", parents=[common],
@@ -589,6 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.digits = _digits(args.precision)
     start = time.perf_counter()
     try:
         report = args.func(args)

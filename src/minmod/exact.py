@@ -385,19 +385,15 @@ class CyclotomicNumber:
 
     # -- embedding ----------------------------------------------------------
 
-    def embed(self, precision: int = 53) -> "ComplexApprox":
-        """Numeric value under zeta_N -> exp(2*pi*i/N).
+    def embed(self) -> "ComplexApprox":
+        """Numeric value under zeta_N -> exp(2*pi*i/N), in doubles.
 
         The error bound is the coarse a-priori estimate
         2^-40 * (1 + sum |coefficients|), generous enough to absorb the
-        rounding of the exponentials.  Precisions above 53 bits go
-        through mpmath before the final rounding to floats.
+        rounding of the exponentials.
         """
         scale = sum(abs(c) for c in self._num)
         bound = 2.0 ** -40 * float(1 + Fraction(scale, self._den))
-        if precision > 53:
-            re, im = self._embed_mpmath(precision)
-            return ComplexApprox(float(re), float(im), bound)
         total = 0j
         n = self.order
         for e, c in enumerate(self._num):
@@ -405,18 +401,6 @@ class CyclotomicNumber:
                 total += c * cmath.exp(2j * cmath.pi * e / n)
         total /= self._den
         return ComplexApprox(total.real, total.imag, bound)
-
-    def _embed_mpmath(self, precision: int):
-        import mpmath
-
-        with mpmath.workprec(precision + 10):
-            n = self.order
-            total = mpmath.mpc(0)
-            for e, c in enumerate(self._num):
-                if c:
-                    total += c * mpmath.expjpi(mpmath.mpf(2 * e) / n)
-            total /= self._den
-            return +total.real, +total.imag
 
     # -- rendering ------------------------------------------------------------
 
@@ -548,11 +532,6 @@ def solve(aug):
         known = sum(row[j] * sol[j] for j in range(c + 1, width))
         sol[c] = (row[width] - known) / row[c]
     return tuple(sol)
-
-
-def embed(value: CyclotomicNumber, precision: int = 53) -> "ComplexApprox":
-    """Module-level alias for CyclotomicNumber.embed."""
-    return value.embed(precision)
 
 
 class ComplexApprox(NamedTuple):

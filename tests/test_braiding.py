@@ -48,8 +48,8 @@ S2 = math.sqrt(2)
 LEMMA_EXTS = tuple(named_label(M78, i) for i in (3, 3, 4, 4))
 
 
-def _embed(value, prec=53):
-    return complex(value.embed(prec))
+def _embed(value):
+    return complex(value.embed())
 
 
 def lemma_matrix() -> BraidMatrix:

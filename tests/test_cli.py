@@ -2,6 +2,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import minmod
-from minmod import DegenerateSystem, DivisionByZero, cli, minimal, parse_exact, zeta
+from minmod import (
+    CyclotomicNumber, DegenerateSystem, DivisionByZero, cli, minimal, parse_exact, zeta,
+)
 from minmod.cli import main
 
 
@@ -198,11 +201,13 @@ def test_report_does_not_rest_on_assert(argv):
     assert report("-O") == report()
 
 
-def test_verify_inject_failure(capsys):
-    code, report = run_json(capsys, "verify", "lemma-5a", "--inject-failure")
+def test_verify_failing_check_exits_1(capsys, monkeypatch):
+    zero = CyclotomicNumber.from_rational(0)
+    monkeypatch.setattr(cli, "lemma_5a_combos", lambda: (zero, zero))
+    code, report = run_json(capsys, "verify", "lemma-5a")
     assert code == 1
-    assert report["checks"][-1]["status"] == "fail"
-    assert report["checks"][-1]["name"] == "injected failure"
+    first = report["checks"][0]
+    assert (first["name"], first["status"]) == ("B44*B23 - B43*B24 nonzero", "fail")
 
 
 def test_verify_uniqueness_3c_claim(capsys):
@@ -329,7 +334,59 @@ def test_precision_flag_widens_output(capsys):
         "--precision", "200",
     )
     assert code == 0
-    assert "3.732050807568878" in out
+    # 2 + sqrt(3) = 3.7320508075688772..., capped at the 12 decimals
+    # a double gets right
+    assert out.splitlines()[0].endswith("~ 3.732050807569")
+
+
+def _subprocess_env():
+    return dict(os.environ, PYTHONPATH=str(Path(minmod.__file__).resolve().parents[1]))
+
+
+def test_wide_precision_needs_no_mpmath():
+    script = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from minmod.cli import main\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['verify', 'all', '--precision', '200']),\n"
+        "             main(['braid', '--p', '7', '--q', '8', '--ext', '3,3,4,4',\n"
+        "                   '--precision', '200'])]\n"
+        "print(codes, 'mpmath' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_subprocess_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0] False\n"
+
+
+def test_huge_precision_is_cheap_and_capped():
+    done = subprocess.run(
+        [sys.executable, "-m", "minmod.cli", "braid", "--p", "7", "--q", "8",
+         "--ext", "3,3,4,4", "--entry", "2,3", "--precision", "1000000",
+         "--format", "json"],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    (check,) = json.loads(done.stdout)["checks"]
+    decimals = re.findall(r"\.(\d+)", check["approx"])
+    assert decimals and all(len(d) == 12 for d in decimals)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "all"),
+    ("braid", "--p", "7", "--q", "8", "--ext", "3,3,4,4"),
+    ("qdim", "--p", "11", "--q", "12", "--label", "1,7"),
+    ("decompose", "3c", "--module", "4"),
+], ids=("verify-all", "braid", "qdim", "decompose"))
+def test_precision_above_67_bits_changes_nothing(capsys, argv):
+    reports = []
+    for bits in ("67", "200"):
+        code, report = run_json(capsys, *argv, "--precision", bits)
+        assert code == 0
+        del report["elapsed_ms"]
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_braid_half_integral_sign_exponent_is_a_usage_error(capsys):
@@ -452,8 +509,6 @@ def _argv(draw):
         argv.append(draw(st.sampled_from(
             ["lemma-5a", "lemma-3c", "uniqueness-5a", "uniqueness-3c",
              "chains-5a", "chains-3c", "fusion-5a", "fusion-3c", "all", "lemma-9x"])))
-        if draw(st.booleans()):
-            argv.append("--inject-failure")
     argv += ["--format", draw(st.sampled_from(["json", "json", "table"]))]
     if not _valid(draw):
         argv += ["--precision", draw(st.sampled_from(["1", "80", "200", "0", "x"]))]

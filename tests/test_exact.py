@@ -71,14 +71,6 @@ def test_embed_pinned_eighth_root():
     assert abs(complex(approx.real, approx.imag) - expect) < 1e-12
 
 
-def test_embed_higher_precision_is_consistent():
-    value = zeta(528, 101) + zeta(528, 7) * Fraction(3, 7)
-    base = value.embed()
-    fine = value.embed(precision=200)
-    assert abs(base.real - fine.real) < 1e-12
-    assert abs(base.imag - fine.imag) < 1e-12
-
-
 def test_division_by_zero_raises():
     with pytest.raises(DivisionByZero):
         ZERO.inv()

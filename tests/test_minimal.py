@@ -1,6 +1,7 @@
 """Minimal models: weights, labels, fusion, quantum dimensions."""
 import random
 from fractions import Fraction
+from math import gcd
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
@@ -298,6 +299,34 @@ def test_qdim_lives_in_q_zeta_2pq(p, q):
         value = qdim(label).exact
         assert (2 * p * q) % value.order == 0
         assert value == old or value == -old
+
+
+GALOIS_MODELS = [(3, 4), (5, 6), (7, 8), (11, 12), (2, 5), (3, 5), (4, 7),
+                 (5, 7), (2, 7), (3, 7), (2, 9), (4, 9), (5, 8)]
+
+
+@pytest.mark.parametrize("p,q", GALOIS_MODELS)
+def test_qdim_galois_conjugates_are_s_matrix_columns(p, q):
+    # Coste-Gannon: sigma_l(S[a,b]/S[vac,b]) = +-S[a,c]/S[vac,c] for the
+    # column c = pi_l(b); at b = vac the ratio is the quantum dimension.
+    model = MinimalModel(p, q)
+    labs, S = oracles.s_matrix(p, q)
+    columns = np.abs(S / S[labs.index((1, 1))])
+    dims = [(labs.index(label.kac), qdim(label).exact) for label in list_labels(model)]
+    for l in range(1, 2 * p * q):
+        if gcd(l, 2 * p * q) != 1:
+            continue
+        image = np.zeros(len(labs))
+        for row, d in dims:
+            conj = d.conjugate(l)
+            assert conj.is_real()
+            if model.is_unitary:
+                # the quantum dimension is the largest of its conjugates
+                here, there = d.embed(), conj.embed()
+                assert here.real - abs(there.real) >= -(here.error_bound + there.error_bound)
+            image[row] = abs(conj.embed().real)
+        gaps = np.max(np.abs(columns - image[:, None]), axis=0)
+        assert gaps.min() <= 1e-9, (l, gaps.min())
 
 
 @pytest.mark.parametrize("tilt", [zeta(8), 1 + Fraction(1, 2**60) * zeta(4)])
