@@ -27,33 +27,19 @@ class DegenerateSystem(ArithmeticError):
     """A pivot that the solver relies on turned out to be zero."""
 
 
-def _one() -> CyclotomicNumber:
-    return CyclotomicNumber.from_rational(1)
+_ONE = CyclotomicNumber.from_rational(1)
+_ZERO = CyclotomicNumber.from_rational(0)
 
 
-def _zero() -> CyclotomicNumber:
-    return CyclotomicNumber.from_rational(0)
+class Sector(NamedTuple):
+    """One homogeneous piece of a graded algebra."""
 
-
-class _SectorFields(NamedTuple):
     name: str
     components: tuple[ModuleLabel, ...]
-    weights: tuple[Fraction, ...]
 
-
-class Sector(_SectorFields):
-    """One homogeneous piece of a graded algebra.
-
-    `weights` repeats the conformal weights of `components` for display;
-    the constructor checks the redundancy.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, name, components, weights):
-        if weights != tuple(label.h for label in components):
-            raise ValueError(f"weights of {name} disagree with components")
-        return super().__new__(cls, name, components, weights)
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        return tuple(label.h for label in self.components)
 
     def __str__(self) -> str:
         return f"{self.name} = [{', '.join(str(w) for w in self.weights)}]"
@@ -74,21 +60,6 @@ class GradedAlgebra(_AlgebraFields):
         if any(label.h != 0 for label in sectors[0].components):
             raise ValueError("first sector is not the vacuum")
         return super().__new__(cls, name, factors, sectors)
-
-    @property
-    def vacuum(self) -> Sector:
-        return self.sectors[0]
-
-    def sector(self, name: str | int) -> Sector:
-        key = f"U{name}" if isinstance(name, int) else name.upper()
-        for sector in self.sectors:
-            if sector.name == key:
-                return sector
-        raise KeyError(f"no sector {key!r} in the {self.name} algebra")
-
-    def __str__(self) -> str:
-        shape = " x ".join(f"({m.p},{m.q})" for m in self.factors)
-        return f"{self.name} algebra over {shape}, {len(self.sectors)} sectors"
 
 
 class _Spec(NamedTuple):
@@ -187,14 +158,13 @@ _SPECS = {
 def _build(name: str) -> GradedAlgebra:
     spec = _SPECS[name]
     factors = tuple(MinimalModel(p, q) for p, q in spec.factors)
-    sectors = []
-    for sector_name, kacs in spec.sectors:
-        components = tuple(
+    sectors = tuple(
+        Sector(sector_name, tuple(
             ModuleLabel(model, m, n) for model, (m, n) in zip(factors, kacs)
-        )
-        weights = tuple(label.h for label in components)
-        sectors.append(Sector(sector_name, components, weights))
-    return GradedAlgebra(name, factors, tuple(sectors))
+        ))
+        for sector_name, kacs in spec.sectors
+    )
+    return GradedAlgebra(name, factors, sectors)
 
 
 def build_algebra(name: str) -> GradedAlgebra:
@@ -205,42 +175,18 @@ def build_algebra(name: str) -> GradedAlgebra:
     return _build(key)
 
 
-class SectorProduct:
+class SectorProduct(NamedTuple):
     """Graded fusion product: matched sectors plus stray components.
 
     `terms` pairs each matched sector with its multiplicity.  `extras`
     pairs each componentwise product that does not assemble into any
     sector of the algebra with its multiplicity.  They are expected: only
     designated subalgebra chains close, and the closure checks look at
-    `terms`.  Products compare by value.
+    `terms`.
     """
 
-    __slots__ = ("terms", "extras")
-
-    def __init__(self, terms: tuple, extras: tuple) -> None:
-        self.terms = terms
-        self.extras = extras
-
-    def __eq__(self, other):
-        if not isinstance(other, SectorProduct):
-            return NotImplemented
-        return (self.terms, self.extras) == (other.terms, other.extras)
-
-    def sector_names(self) -> tuple[str, ...]:
-        return tuple(sector.name for sector, _ in self.terms)
-
-    def multiplicity(self, sector: Sector | str) -> int:
-        key = sector.name if isinstance(sector, Sector) else sector.upper()
-        for candidate, count in self.terms:
-            if candidate.name == key:
-                return count
-        return 0
-
-    def __contains__(self, sector: Sector | str) -> bool:
-        return self.multiplicity(sector) > 0
-
-    def __iter__(self):
-        return iter(self.terms)
+    terms: tuple[tuple[Sector, int], ...]
+    extras: tuple[tuple[tuple[ModuleLabel, ...], int], ...]
 
 
 def sector_fusion(alg: GradedAlgebra, a: Sector, b: Sector) -> SectorProduct:
@@ -281,7 +227,7 @@ class ChainCheck(NamedTuple):
 
 
 def _qdim_sum(sectors) -> CyclotomicNumber:
-    total = _zero()
+    total = _ZERO
     for sector in sectors:
         total = total + qdim_tensor(sector.components).exact
     return total
@@ -417,7 +363,7 @@ def build_sector_system(name: str) -> SectorSystem:
     equations = tuple(
         SectorEquation(f"({i},{j})", tuple(
             _b(k, i) * _bt(k, j) - 1 if k == i == j else _b(k, i) * _bt(k, j) for k in ks
-        ), _zero())
+        ), _ZERO)
         for i, j in _ROWS_9
     )
     return SectorSystem(canonical, unknowns, equations)
@@ -432,7 +378,7 @@ def _equation(system: SectorSystem, label: str) -> SectorEquation:
 
 def _check_solution(system: SectorSystem, values: tuple[CyclotomicNumber, ...]) -> None:
     for equation in system.equations:
-        total = _zero()
+        total = _ZERO
         for coefficient, value in zip(equation.coefficients, values):
             total = total + coefficient * value
         if total != equation.rhs:
@@ -470,15 +416,14 @@ def _solve_3c(system: SectorSystem) -> SolutionSet:
         raise DegenerateSystem("3C: the (2,1) braid entry vanishes")
     if _equation(system, "(2,1)").coefficients[0] != pivot:
         raise DegenerateSystem("3C: system coefficients drifted from the braid matrix")
-    one = _one()
-    _check_solution(system, (one,))
+    _check_solution(system, (_ONE,))
     steps = (
         "row (2,1) reads (1 - lambda^2) * B[2,1] = 0",
         "B[2,1] != 0 (exact), so lambda^2 = 1",
         "row (2,2) holds identically at lambda^2 = 1",
         "a diagonal rescale by lambda on the odd sector matches the two structures",
     )
-    return SolutionSet("unique", (("lambda^2", one),), steps)
+    return SolutionSet("unique", (("lambda^2", _ONE),), steps)
 
 
 def _solve_5a_uniqueness(system: SectorSystem) -> SolutionSet:
@@ -493,8 +438,7 @@ def _solve_5a_uniqueness(system: SectorSystem) -> SolutionSet:
     pivot = _b(4, 4) * _bt(4, 3)
     if pivot.is_zero():
         raise DegenerateSystem("5A-uniqueness: row (4,3) pivot vanishes")
-    zero = _zero()
-    _check_solution(system, (zero, zero))
+    _check_solution(system, (_ZERO, _ZERO))
     if len(echelon([eq.coefficients for eq in system.equations])[1]) != 2:
         raise DegenerateSystem("5A-uniqueness: coefficient matrix is rank deficient")
     steps = (
@@ -506,7 +450,7 @@ def _solve_5a_uniqueness(system: SectorSystem) -> SolutionSet:
         "B[4,4]Bt[4,3] != 0 (exact), so gamma^2 = 1",
         "a diagonal rescale by (1, lambda mu gamma, gamma, mu) matches the structures",
     )
-    assignments = (("1 - mu^2", zero), ("1 - gamma^2", zero))
+    assignments = (("1 - mu^2", _ZERO), ("1 - gamma^2", _ZERO))
     return SolutionSet("unique", assignments, steps)
 
 
@@ -519,11 +463,14 @@ def _solve_5a_existence(system: SectorSystem) -> SolutionSet:
     if not (_eliminates(system, 3, 4, 2, 4, 2, minor * _bt(2, 2))
             and _eliminates(system, 3, 4, 2, 2, 4, -(minor * _bt(4, 2)))):
         raise DegenerateSystem("5A-existence: elimination identity failed")
-    # Either branch, v = 0 or w = 0, leaves two columns of rank 2: their
-    # only solution is zero, so u = 0 there.
-    for gone, columns in (("v", (0, 2)), ("w", (0, 1))):
-        kept = [[eq.coefficients[c] for c in columns] for eq in system.equations]
-        if len(echelon(kept)[1]) != 2:
+    # Either branch, v = 0 or w = 0, leaves the u column and one other of
+    # rank 2: their only solution is zero, so u = 0 there.  Eliminate u
+    # once, against one pivot row and without an inverse: a branch has
+    # rank 2 when its other column keeps a nonzero entry after that.
+    rows = [eq.coefficients for eq in system.equations]
+    top = next((row for row in rows if row[0]), None)
+    for gone, k in (("v", 2), ("w", 1)):
+        if top is None or not any(top[0] * row[k] - row[0] * top[k] for row in rows):
             raise DegenerateSystem(f"5A-existence: the {gone} = 0 branch is rank deficient")
     steps = (
         "assume v = 0; rows (2,2), (3,2), (4,2) close in u and w alone",
@@ -557,7 +504,7 @@ def normalization_residuals(name: str) -> tuple[tuple[str, CyclotomicNumber], ..
         # each 5A-existence row is this identity with its coefficients
         # split out, so the residual is their sum
         for equation in build_sector_system("5A-existence").equations:
-            out.append((equation.label, sum(equation.coefficients, _zero())))
+            out.append((equation.label, sum(equation.coefficients, _ZERO)))
     elif key == "3C":
         for j in (1, 2):
             out.append((f"(.,{j})", _e3c(1, j) + _e3c(2, j) - 1))
@@ -573,12 +520,6 @@ class IrreducibleModuleSpec(NamedTuple):
     algebra: GradedAlgebra
     key: tuple[int, int] | int
     components: tuple[tuple[ModuleLabel, ...], ...]
-
-    def weights(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(label.h for label in comp) for comp in self.components)
-
-    def __str__(self) -> str:
-        return f"{self.algebra.name} module {self.key}, {len(self.components)} components"
 
 
 def _norm_key(alg: GradedAlgebra, key):

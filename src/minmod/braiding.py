@@ -109,11 +109,6 @@ def brackets(model: MinimalModel, variant: str) -> BracketTable:
     return BracketTable(model, variant)
 
 
-def bracket(model: MinimalModel, variant: str, l: int) -> CyclotomicNumber:
-    """The bracket [l] (unprimed) or [l]' (primed) of a unitary model."""
-    return brackets(model, variant)[l]
-
-
 class RQuery(NamedTuple):
     """One chiral r-matrix evaluation r(a, m, n, c)_{b, d}."""
 

@@ -6,7 +6,7 @@ about a minimal model; ``verify`` runs the exact verification battery;
 algebras.  Every run produces a report of named checks, rendered as an
 aligned table or as JSON.  Exit status is 0 when nothing failed, 1 when
 a verification check failed or the exact arithmetic broke down, 2 on
-unusable arguments.
+unusable arguments or an input too large to evaluate.
 """
 
 from __future__ import annotations
@@ -581,6 +581,10 @@ def main(argv=None) -> int:
         reason = exc.args[0] if exc.args else exc
         print(f"error: {reason}", file=sys.stderr)
         return 2 if isinstance(exc, (ValueError, KeyError, NonIntegerExponent)) else 1
+    except RecursionError:
+        # the r-matrix recursion nests deeper than the stack for large p
+        print("error: input too large: recursion depth exceeded", file=sys.stderr)
+        return 2
     report.elapsed_ms = int((time.perf_counter() - start) * 1000)
     render = _render_json if args.format == "json" else _render_table
     try:

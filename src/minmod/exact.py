@@ -357,11 +357,6 @@ class CyclotomicNumber:
     def is_rational(self) -> bool:
         return not any(self._num[1:])
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self._num[0], self._den)
-
     def is_real(self) -> bool:
         return self == self.conj()
 

@@ -92,6 +92,7 @@ class MinimalModel:
         return ModuleLabel(self, 1, 1)
 
     def labels(self) -> tuple["ModuleLabel", ...]:
+        """All canonical labels, sorted by (weight, m, n)."""
         return tuple(ModuleLabel(self, m, n) for m, n in _canonical_pairs(self.p, self.q))
 
 
@@ -198,22 +199,6 @@ class QDim(NamedTuple):
 
     exact: CyclotomicNumber
     approx: float
-
-    def __float__(self) -> float:
-        return self.approx
-
-
-def central_charge(model: MinimalModel) -> Fraction:
-    return model.central_charge()
-
-
-def conformal_weight(label: ModuleLabel) -> Fraction:
-    return label.h
-
-
-def list_labels(model: MinimalModel) -> tuple[ModuleLabel, ...]:
-    """All canonical labels, sorted by (weight, m, n)."""
-    return model.labels()
 
 
 def ffk_pair(label: ModuleLabel) -> tuple[int, int]:

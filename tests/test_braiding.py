@@ -19,10 +19,8 @@ from minmod import (
     NonUnitaryModel,
     RQuery,
     braid_matrix,
-    bracket,
     brackets,
     is_admissible,
-    list_labels,
     lemma_3c_entry,
     lemma_5a_combos,
     memoized_queries,
@@ -89,7 +87,7 @@ def test_primed_deformation_parameter():
 def test_bracket_against_sine_oracle():
     for variant, side in zip(("unprimed", "primed"), oracles.sides(7)):
         for l in range(1, side.bound):
-            got = _embed(bracket(M78, variant, l))
+            got = _embed(brackets(M78, variant)[l])
             assert abs(got - side.br(l)) < 1e-12
 
 
@@ -389,7 +387,7 @@ def test_braid_channels_match_admissibility_scan(pq, data):
         patch.setattr(braiding, "braid_entry", lambda *args: None)
         matrix = braid_matrix(model, exts)
     adm = lambda x, y, z: is_admissible(x, y, z, model)
-    labs = list_labels(model)
+    labs = model.labels()
     assert matrix.rows == tuple(x for x in labs if adm(a3, x, a4) and adm(a2, a1, x))
     assert matrix.cols == tuple(x for x in labs if adm(a2, x, a4) and adm(a3, a1, x))
 

@@ -430,6 +430,17 @@ def test_arithmetic_error_is_one_error_line(capsys, monkeypatch, patch, argv):
     assert "Traceback" not in err
 
 
+def test_recursion_limit_is_one_error_line(capsys, monkeypatch):
+    # A braid at p >= 170 nests the r-matrix recursion deeper than the
+    # stack; that input is too large, so the exit code is 2.
+    monkeypatch.setattr(cli, "braid_matrix",
+                        _raise(RecursionError("maximum recursion depth exceeded")))
+    code, out, err = run(capsys, "braid", "--p", "7", "--q", "8", "--ext", "3,3,4,4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: input too large: recursion depth exceeded\n"
+
+
 @pytest.mark.parametrize("bits", ["0", "-5", "x"])
 def test_precision_below_one_is_rejected(capsys, bits):
     with pytest.raises(SystemExit) as exc:

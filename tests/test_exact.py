@@ -79,9 +79,8 @@ def test_division_by_zero_raises():
 def test_rational_interface():
     value = CyclotomicNumber.from_rational(Fraction(25, 28))
     assert value.is_rational()
-    assert value.as_rational() == Fraction(25, 28)
-    with pytest.raises(ValueError):
-        zeta(8).as_rational()
+    assert value == Fraction(25, 28)
+    assert not zeta(8).is_rational()
 
 
 def test_promotion_preserves_value():

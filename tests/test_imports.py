@@ -1,16 +1,20 @@
-"""Every name a package or test module imports is used there.
+"""The package's names are all used, and all that the bench reads exist.
 
 No linter ships with the test dependencies, so this walks the syntax
-tree instead: a module fails when it binds a name by import and never
-reads it.  Names the package re-exports through ``__init__.__all__`` and
-``from __future__`` switches are exempt.
+tree instead.  A module fails when it binds a name by import and never
+reads it; names the package re-exports through ``__init__.__all__`` and
+``from __future__`` switches are exempt.  The package fails when one of
+its public functions, classes, methods or properties has no caller
+outside the tests.
 """
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,7 +23,8 @@ import minmod
 
 SOURCES = sorted(Path(minmod.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def unused_imports(source: str) -> set:
@@ -65,11 +70,17 @@ def test_scan_flags_an_unused_import():
     assert unused_imports(source) == {"Iterable"}
 
 
-def test_bench_traced_names_resolve():
-    # bench/tracing.install raises KeyError on a traced name that no
-    # longer exists; exec'ing the source writes no bytecode into bench/
+def load_tracing():
+    # exec'ing the source writes no bytecode into bench/
     tracing = types.ModuleType("tracing")
     exec(compile(TRACING.read_text(), str(TRACING), "exec"), tracing.__dict__)
+    return tracing
+
+
+def test_bench_traced_names_resolve():
+    # bench/tracing.install raises KeyError on a traced name that no
+    # longer exists
+    tracing = load_tracing()
     for module_name, attr in tracing.TRACED.values():
         importlib.import_module(module_name)
         owner, name = tracing._resolve(module_name, attr)
@@ -85,3 +96,99 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_bench_package_names_resolve():
+    # What bench/session.py and bench/launch.py read from the package; a
+    # trim that drops one breaks a bench run and no other test.
+    import minmod.braiding
+    import minmod.cli
+
+    model = minmod.MinimalModel(3, 4)
+    sigma = model.label(1, 2)
+    assert minmod.fuse(model.vacuum, sigma) == {sigma}
+    assert minmod.qdim(sigma).approx > 1
+    alg = minmod.build_algebra("3C")
+    product = minmod.sector_fusion(alg, alg.sectors[1], alg.sectors[1])
+    assert [(s.name, len(s.components)) for s, _ in product.terms] == [("U1", 2), ("U2", 2)]
+    assert product.extras
+    assert minmod.module_fusion(alg, 2, 2)
+    assert isinstance(minmod.braiding.memoized_queries(), tuple)
+    assert callable(minmod.cli.main)
+
+
+def reads(tree) -> Counter:
+    """Names and attribute names the tree reads, keyed ("name", x) or ("attr", x)."""
+    return Counter(
+        ("name", node.id) if isinstance(node, ast.Name) else ("attr", node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def public_definitions(tree):
+    """(node, top level) for each public function and class of a module,
+    and each public method and property of its classes.  Dunders and
+    underscored names are private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node, True
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield item, False
+
+
+def unread_names(sources, bench, traced, readme) -> list:
+    """Public definitions in sources that nothing outside their own body reads.
+
+    Inside the package a top-level definition counts as read only by
+    name, since the modules import each other's names; a method or
+    property also counts when read as an attribute.  Any read in a bench
+    script, a part of a traced name, or a name inside a code span of the
+    README counts for both.
+    """
+    trees = {path: ast.parse(path.read_text()) for path in sources}
+    inside = sum((reads(tree) for tree in trees.values()), Counter())
+    outside = {x for path in bench for _, x in reads(ast.parse(path.read_text()))}
+    outside.update(part for _, attr in traced for part in attr.split("."))
+    outside.update(re.findall(r"\w+", " ".join(re.findall(r"`([^`\n]+)`", readme))))
+    unread = []
+    for path, tree in trees.items():
+        for node, top in public_definitions(tree):
+            if node.name.startswith("_") or node.name in outside:
+                continue
+            kinds = ("name",) if top else ("name", "attr")
+            own = reads(node)
+            if not any(inside[(k, node.name)] > own[(k, node.name)] for k in kinds):
+                unread.append(f"{path.name}:{node.lineno} {node.name}")
+    return unread
+
+
+def test_public_names_have_a_caller():
+    # Tests are no callers: code that only they use belongs in the tests.
+    bench = sorted((ROOT / "bench").glob("*.py"))
+    traced = load_tracing().TRACED.values()
+    readme = (ROOT / "README.md").read_text()
+    assert unread_names(SOURCES, bench, traced, readme) == []
+
+
+def test_caller_scan_flags_an_unread_name(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "class A:\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "    def recursive(self):\n"
+        "        return self.recursive()\n"
+        "def size(a):\n"
+        "    return a.size()\n"
+        "def traced():\n"
+        "    return A()\n"
+        "def named():\n"
+        "    return 0\n"
+        "def _private():\n"
+        "    return 0\n"
+    )
+    got = unread_names([module], [], [("m", "traced")], "see `named()`")
+    assert got == ["m.py:4 recursive", "m.py:6 size"]

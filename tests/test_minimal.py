@@ -18,13 +18,10 @@ from minmod import (
     ModuleLabel,
     NonUnitaryModel,
     RingCheck,
-    central_charge,
     check_fusion_ring,
-    conformal_weight,
     ffk_pair,
     fuse,
     is_admissible,
-    list_labels,
     qdim,
     qdim_tensor,
     zeta,
@@ -42,11 +39,11 @@ ONE = CyclotomicNumber.from_rational(1)
 
 
 def test_central_charges():
-    assert central_charge(MinimalModel(2, 3)) == 0
-    assert central_charge(M34) == Fraction(1, 2)
-    assert central_charge(M78) == Fraction(25, 28)
-    assert central_charge(M1112) == Fraction(21, 22)
-    assert central_charge(MinimalModel(2, 5)) == Fraction(-22, 5)
+    assert MinimalModel(2, 3).central_charge() == 0
+    assert M34.central_charge() == Fraction(1, 2)
+    assert M78.central_charge() == Fraction(25, 28)
+    assert M1112.central_charge() == Fraction(21, 22)
+    assert MinimalModel(2, 5).central_charge() == Fraction(-22, 5)
 
 
 def test_model_validation():
@@ -56,10 +53,10 @@ def test_model_validation():
 
 
 def test_label_counts():
-    assert len(list_labels(MinimalModel(2, 3))) == 1
-    assert len(list_labels(M34)) == 3
-    assert len(list_labels(M78)) == 21
-    assert len(list_labels(M1112)) == 55
+    assert len(MinimalModel(2, 3).labels()) == 1
+    assert len(M34.labels()) == 3
+    assert len(M78.labels()) == 21
+    assert len(M1112.labels()) == 55
 
 
 def test_label_canonicalization():
@@ -92,16 +89,16 @@ def test_label_validation():
 
 
 def test_ising_weights():
-    weights = [label.h for label in list_labels(M34)]
+    weights = [label.h for label in M34.labels()]
     assert weights == [0, Fraction(1, 16), Fraction(1, 2)]
 
 
 def test_weights_at_7_8():
-    assert conformal_weight(ModuleLabel(M78, 1, 1)) == 0
-    assert conformal_weight(ModuleLabel(M78, 1, 3)) == Fraction(3, 4)
-    assert conformal_weight(ModuleLabel(M78, 1, 5)) == Fraction(13, 4)
-    assert conformal_weight(ModuleLabel(M78, 1, 7)) == Fraction(15, 2)
-    assert conformal_weight(ModuleLabel(M1112, 1, 7)) == 8
+    assert ModuleLabel(M78, 1, 1).h == 0
+    assert ModuleLabel(M78, 1, 3).h == Fraction(3, 4)
+    assert ModuleLabel(M78, 1, 5).h == Fraction(13, 4)
+    assert ModuleLabel(M78, 1, 7).h == Fraction(15, 2)
+    assert ModuleLabel(M1112, 1, 7).h == 8
 
 
 def test_ffk_pair_convention():
@@ -156,7 +153,7 @@ def test_fusion_enumeration_matches_admissibility_scan(p, q):
     # output, so the enumeration's own order is checked on _fuse_pairs;
     # fuse itself meets the oracle in the next test.
     model = MinimalModel(p, q)
-    labs = list_labels(model)
+    labs = model.labels()
     assert [lab.kac for lab in labs] == oracles.labels(p, q)
     hits = []
     for triple in combinations_with_replacement(range(len(labs)), 3):
@@ -180,7 +177,7 @@ def test_fusion_enumeration_matches_admissibility_scan(p, q):
 def test_fusion_enumeration_matches_oracle_fuse(p, q):
     # (13,14) is covered triple by triple above; the oracle rebuilds its
     # label list on every call, about 1 ms at 78 labels.
-    labs = list_labels(MinimalModel(p, q))
+    labs = MinimalModel(p, q).labels()
     for a in labs:
         for b in labs:
             got = [c.kac for c in fuse(a, b)]
@@ -206,7 +203,7 @@ def test_ring_checker_flags_non_associative_table():
 
 
 def test_ring_checker_flags_wrong_unit():
-    labs = list_labels(M34)
+    labs = M34.labels()
     sigma = ModuleLabel(M34, 2, 2)
     assert check_fusion_ring(labs, fuse, M34.vacuum) == RingCheck()
     assert check_fusion_ring(labs, fuse, sigma) == RingCheck(unit=(M34.vacuum,))
@@ -262,7 +259,7 @@ def test_ring_checker_matches_plain_sums(bundle):
 def test_fusion_matches_verlinde(p, q):
     model = MinimalModel(p, q)
     labs, tensor = oracles.verlinde_tensor(p, q)
-    package = list_labels(model)
+    package = model.labels()
     assert [lab.kac for lab in package] == labs
     for i, a in enumerate(package):
         for j, b in enumerate(package):
@@ -282,7 +279,7 @@ def test_qdim_closed_forms():
 @pytest.mark.parametrize("p,q", [(7, 8), (11, 12)])
 def test_qdim_against_perron_frobenius(p, q):
     model = MinimalModel(p, q)
-    for label in list_labels(model):
+    for label in model.labels():
         bracket = float(oracles.pf_qdim(p, q, label.kac))
         assert abs(qdim(label).approx - bracket) < 1e-9
         assert qdim(label).approx > 0
@@ -293,7 +290,7 @@ def test_qdim_lives_in_q_zeta_2pq(p, q):
     # the full-field route: both sine ratios taken in Q(zeta_{4pq})
     full = 4 * p * q
     den_inv = (two_i_sin(q, p, full) * two_i_sin(p, q, full)).inv()
-    for label in list_labels(MinimalModel(p, q)):
+    for label in MinimalModel(p, q).labels():
         m, n = label.kac
         old = two_i_sin(q * m, p, full) * two_i_sin(p * n, q, full) * den_inv
         value = qdim(label).exact
@@ -312,7 +309,7 @@ def test_qdim_galois_conjugates_are_s_matrix_columns(p, q):
     model = MinimalModel(p, q)
     labs, S = oracles.s_matrix(p, q)
     columns = np.abs(S / S[labs.index((1, 1))])
-    dims = [(labs.index(label.kac), qdim(label).exact) for label in list_labels(model)]
+    dims = [(labs.index(label.kac), qdim(label).exact) for label in model.labels()]
     for l in range(1, 2 * p * q):
         if gcd(l, 2 * p * q) != 1:
             continue
@@ -341,7 +338,7 @@ def test_non_real_qdim_raises(monkeypatch, tilt):
 
 def test_qdim_embeds_once_per_label(monkeypatch):
     # a sign flip negates the first approximation instead of embedding again
-    labs = list_labels(MinimalModel(23, 24))
+    labs = MinimalModel(23, 24).labels()
     calls = []
     embed = CyclotomicNumber.embed
     monkeypatch.setattr(
@@ -358,13 +355,13 @@ def test_qdim_tensor_multiplies_across_models():
     b = ModuleLabel(M78, 1, 3)
     mixed = qdim_tensor((a, b))
     assert mixed.exact == qdim(a).exact * qdim(b).exact
-    assert float(mixed) == pytest.approx(qdim(a).approx * qdim(b).approx)
+    assert mixed.approx == pytest.approx(qdim(a).approx * qdim(b).approx)
 
 
 def test_admissibility_matches_oracle_spot():
     for p, q in ((7, 8), (11, 12)):
         model = MinimalModel(p, q)
-        labs = list_labels(model)
+        labs = model.labels()
         for a in labs[:6]:
             for b in labs[:6]:
                 for c in labs:
@@ -377,7 +374,7 @@ def test_admissibility_matches_oracle_spot():
 def _model_and_labels(draw, count):
     p, q = draw(st.sampled_from(((3, 4), (7, 8), (11, 12))))
     model = MinimalModel(p, q)
-    labs = list_labels(model)
+    labs = model.labels()
     picks = tuple(draw(st.sampled_from(labs)) for _ in range(count))
     return (model,) + picks
 
