@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 from .braiding import lemma_3c_entry, lemma_5a_combos, named_entry
 from .exact import CyclotomicNumber, echelon, two_i_sin, zeta
-from .minimal import MinimalModel, ModuleLabel, QDim, _sine_ratio, fuse, qdim_tensor
+from .minimal import MinimalModel, ModuleLabel, QDim, _qdim_from, fuse, qdim_tensor
 
 
 class DegenerateSystem(ArithmeticError):
@@ -586,12 +586,8 @@ def module_fusion(alg: GradedAlgebra, key_a, key_b) -> dict:
 def qdim_module(alg: GradedAlgebra, key) -> QDim:
     """Quantum dimension of an irreducible module, as a sine ratio.
 
-    It is the product of the m-side ratios sin(pi*q*m/p)/sin(pi*q/p) of
-    the module's index labels, each in Q(zeta_2p).
+    Its factors are the m-side ratios sin(pi*q*m/p)/sin(pi*q/p) of the
+    module's index labels, each in Q(zeta_2p).
     """
     ms = _SPECS[alg.name].modules[_norm_key(alg, key)]
-    value = prod(_sine_ratio(model.q, m, model.p) for model, m in zip(alg.factors[1:], ms))
-    if not value.is_real():
-        raise ArithmeticError(f"quantum dimension of {key} is not real")
-    approx = value.embed()
-    return QDim(value, approx.real)
+    return _qdim_from((model.q, m, model.p) for model, m in zip(alg.factors[1:], ms))

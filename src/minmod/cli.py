@@ -111,8 +111,9 @@ def _render_table(report: Report) -> str:
 # -- numeric rendering ------------------------------------------------------
 
 def _digits(bits: int) -> int:
-    # the numeric columns are doubles, which get 12 decimals right on
-    # every value the commands print (67 bits is the first to reach 12)
+    # the numeric columns are doubles, which print every value the
+    # commands show within one unit of the 12th decimal (67 bits is the
+    # first to reach 12)
     return min(12, max(8, bits * 301 // 1000 - 8))
 
 
@@ -526,7 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--precision", type=_bits, default=53, metavar="BITS",
                         help="decimals shown in the numeric columns, from BITS"
                              " (at least 1); the columns are doubles, so 67"
-                             " bits and more show the cap of 12 decimals")
+                             " bits and more show the cap of 12 decimals,"
+                             " within one unit of the last")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", parents=[common],

@@ -4,8 +4,8 @@ A value is a polynomial in zeta_N = exp(2*pi*i/N) reduced modulo the
 N-th cyclotomic polynomial, stored as integer coefficients over a
 common positive denominator.  The reduced form is canonical, so
 equality and in particular nonvanishing are decided exactly.  A
-floating-point embedding with a tracked error bound is available as a
-numeric cross-check, never as the source of truth.
+floating-point embedding in plain doubles, with no error bound, is
+available as a numeric cross-check, never as the source of truth.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from typing import NamedTuple, Union
+from typing import Union
 
 Rational = Union[int, Fraction]
 
@@ -380,22 +380,14 @@ class CyclotomicNumber:
 
     # -- embedding ----------------------------------------------------------
 
-    def embed(self) -> "ComplexApprox":
-        """Numeric value under zeta_N -> exp(2*pi*i/N), in doubles.
-
-        The error bound is the coarse a-priori estimate
-        2^-40 * (1 + sum |coefficients|), generous enough to absorb the
-        rounding of the exponentials.
-        """
-        scale = sum(abs(c) for c in self._num)
-        bound = 2.0 ** -40 * float(1 + Fraction(scale, self._den))
+    def embed(self) -> complex:
+        """Numeric value under zeta_N -> exp(2*pi*i/N), in doubles."""
         total = 0j
         n = self.order
         for e, c in enumerate(self._num):
             if c:
                 total += c * cmath.exp(2j * cmath.pi * e / n)
-        total /= self._den
-        return ComplexApprox(total.real, total.imag, bound)
+        return total / self._den
 
     # -- rendering ------------------------------------------------------------
 
@@ -528,16 +520,3 @@ def solve(aug):
         sol[c] = (row[width] - known) / row[c]
     return tuple(sol)
 
-
-class ComplexApprox(NamedTuple):
-    """A complex float approximation with an absolute error bound."""
-
-    real: float
-    imag: float
-    error_bound: float
-
-    def __complex__(self) -> complex:
-        return complex(self.real, self.imag)
-
-    def __str__(self) -> str:
-        return f"{self.real:+.12g}{self.imag:+.12g}i (err<={self.error_bound:.2g})"

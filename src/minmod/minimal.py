@@ -4,8 +4,8 @@ The model L(c_{p,q}, 0) for coprime 2 <= p < q has (p-1)(q-1)/2
 irreducible modules, labelled by Kac pairs (m, n) with 0 < m < p,
 0 < n < q modulo the identification (m, n) ~ (p-m, q-n).  Everything
 here is exact: weights and central charges are Fractions, and a
-quantum dimension is a product of two sine ratios, one in Q(zeta_{2p})
-and one in Q(zeta_{2q}), so it lives in Q(zeta_{2pq}).
+quantum dimension is kept as its two sine ratios, one in Q(zeta_{2p})
+and one in Q(zeta_{2q}), whose product lives in Q(zeta_{2pq}).
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple, Sequence
 
-from .exact import ComplexApprox, CyclotomicNumber, two_i_sin
+from .exact import CyclotomicNumber, two_i_sin
 
 
 class InvalidModel(ValueError):
@@ -195,10 +195,16 @@ class FusionMultiset:
 
 
 class QDim(NamedTuple):
-    """A quantum dimension: exact real cyclotomic value plus its float."""
+    """A quantum dimension: its positive real sine ratios, each in its
+    own cyclotomic field, and the float of their product."""
 
-    exact: CyclotomicNumber
+    factors: tuple[CyclotomicNumber, ...]
     approx: float
+
+    @property
+    def exact(self) -> CyclotomicNumber:
+        """The product of the factors, in the field of their least common order."""
+        return prod(self.factors, start=CyclotomicNumber.from_rational(1))
 
 
 def ffk_pair(label: ModuleLabel) -> tuple[int, int]:
@@ -358,31 +364,40 @@ def check_fusion_ring(keys, multiply, unit) -> RingCheck:
 def qdim(label: ModuleLabel) -> QDim:
     """Quantum dimension of a module, exact and positive.
 
-    Closed form |sin(pi*q*m/p) * sin(pi*p*n/q)| / (sin(pi*q/p) * sin(pi*p/q))
-    with each sine realized as a difference of roots of unity.  The factors
-    of 2i cancel within each ratio, which is computed in its own field,
-    Q(zeta_{2p}) or Q(zeta_{2q}); the product lands in Q(zeta_{2pq}).  The
-    overall sign is normalized by the positivity of the embedding.
+    Closed form |sin(pi*q*m/p) * sin(pi*p*n/q)| / (sin(pi*q/p) * sin(pi*p/q)),
+    kept as its two sine ratios, one in Q(zeta_{2p}) and one in
+    Q(zeta_{2q}); their product lands in Q(zeta_{2pq}).
     """
     return _qdim_cached(label.model.p, label.model.q, label.m, label.n)
 
 
 @lru_cache(maxsize=None)
 def _qdim_cached(p: int, q: int, m: int, n: int) -> QDim:
-    value = _sine_ratio(q, m, p) * _sine_ratio(p, n, q)
-    approx = value.embed()
-    if approx.real < 0:
-        # negation is exact in floats too, so no second embedding
+    return _qdim_from(((q, m, p), (p, n, q)))
+
+
+def _qdim_from(ratios) -> QDim:
+    """The quantum dimension whose factors are the sine ratios (k, m, b)."""
+    pairs = [_sine_ratio(*ratio) for ratio in ratios]
+    return QDim(tuple(value for value, _ in pairs), prod(x for _, x in pairs))
+
+
+@lru_cache(maxsize=None)
+def _sine_ratio(k: int, m: int, b: int) -> tuple[CyclotomicNumber, float]:
+    """|sin(pi*k*m/b) / sin(pi*k/b)| in Q(zeta_{2b}), and its float.
+
+    sin(pi*x) has the sign (-1)^floor(x), so the sign of the ratio comes
+    from integers; its realness is decided exactly.
+    """
+    value = two_i_sin(k * m, b, 2 * b) * _sine_inv(k, b)
+    if (k * m // b + k // b) % 2:
         value = -value
-        approx = ComplexApprox(-approx.real, -approx.imag, approx.error_bound)
-    if abs(approx.imag) > approx.error_bound or not value.is_real():
-        raise ArithmeticError(f"quantum dimension of ({m},{n}) at ({p},{q}) is not real")
-    return QDim(exact=value, approx=approx.real)
-
-
-def _sine_ratio(k: int, m: int, b: int) -> CyclotomicNumber:
-    """sin(pi*k*m/b) / sin(pi*k/b) in Q(zeta_{2b})."""
-    return two_i_sin(k * m, b, 2 * b) * _sine_inv(k, b)
+    approx = value.embed().real
+    if not (value.is_real() and approx > 0):
+        raise ArithmeticError(
+            f"sine ratio sin(pi*{k * m}/{b})/sin(pi*{k}/{b}) is not real and positive"
+        )
+    return value, approx
 
 
 @lru_cache(maxsize=None)
@@ -396,7 +411,6 @@ def qdim_tensor(labels: Sequence[ModuleLabel]) -> QDim:
     different models."""
     if not labels:
         raise ValueError("qdim_tensor needs at least one label")
-    value = CyclotomicNumber.from_rational(1)
-    for label in labels:
-        value = value * qdim(label).exact
-    return QDim(exact=value, approx=value.embed().real)
+    dims = [qdim(label) for label in labels]
+    factors = tuple(chain.from_iterable(d.factors for d in dims))
+    return QDim(factors, prod(d.approx for d in dims))

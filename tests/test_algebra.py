@@ -9,6 +9,7 @@ import oracles
 from minmod import (
     CyclotomicNumber,
     DegenerateSystem,
+    ModuleLabel,
     RingCheck,
     build_algebra,
     build_sector_system,
@@ -526,6 +527,20 @@ def test_qdim_module_sine_formulas():
         want = two_i_sin(k + 1, 11, 22) * two_i_sin(1, 11, 22).inv()
         got = qdim_module(A3, k).exact
         assert got == want and got.to_string() == want.to_string()
+
+
+@pytest.mark.parametrize("alg", [A5, A3], ids=["5A", "3C"])
+def test_qdim_module_matches_qdim_tensor_of_index_labels(alg):
+    # the m-side ratios alone against the full quantum dimensions of the
+    # (m,1) index labels, whose n-side ratios are all 1
+    modules = irreducible_modules(alg)
+    assert len(modules) == {"5A": 9, "3C": 5}[alg.name]
+    for module in modules:
+        ms = module.key if alg.name == "5A" else (module.key + 1,)
+        labels = [ModuleLabel(model, m, 1) for model, m in zip(alg.factors[1:], ms)]
+        got, want = qdim_module(alg, module.key), qdim_tensor(labels)
+        assert got.exact == want.exact
+        assert got.approx == pytest.approx(want.approx, rel=1e-12)
 
 
 def test_qdim_module_is_ring_hom():

@@ -6,12 +6,14 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import minmod
+import oracles
 from minmod import (
     CyclotomicNumber, DegenerateSystem, DivisionByZero, cli, minimal, parse_exact, zeta,
 )
@@ -334,13 +336,54 @@ def test_precision_flag_widens_output(capsys):
         "--precision", "200",
     )
     assert code == 0
-    # 2 + sqrt(3) = 3.7320508075688772..., capped at the 12 decimals
-    # a double gets right
+    # 2 + sqrt(3) = 3.7320508075688772..., capped at 12 decimals, which
+    # a double gets right to within one unit of the last
     assert out.splitlines()[0].endswith("~ 3.732050807569")
+
+
+@pytest.mark.parametrize("p", [15, 21, 23])
+def test_wide_info_rows_within_one_unit_of_the_12th_decimal(capsys, p):
+    # the promise of --precision: 12 decimals, within one unit of the last
+    code, report = run_json(
+        capsys, "info", "--p", str(p), "--q", str(p + 1), "--precision", "80"
+    )
+    assert code == 0
+    rows = report["checks"][1:]
+    assert len(rows) == p * (p - 1) // 2
+    for check in rows:
+        m, n = map(int, re.fullmatch(r"\((\d+),(\d+)\)", check["name"]).groups())
+        want = oracles.sine_qdim(p, p + 1, m, n)
+        assert len(check["approx"].split(".")[1]) == 12
+        assert abs(float(check["approx"]) - want) <= 1e-12 * max(1.0, want), check
 
 
 def _subprocess_env():
     return dict(os.environ, PYTHONPATH=str(Path(minmod.__file__).resolve().parents[1]))
+
+
+def _recording_orders(method, orders):
+    def wrapper(self, *args):
+        result = method(self, *args)
+        if isinstance(result, CyclotomicNumber):
+            orders.append(result.order)
+        return result
+    return wrapper
+
+
+def test_info_stays_in_the_sine_ratio_fields(capsys, monkeypatch):
+    # info prints only the floats of the quantum dimensions, so every
+    # field operation stays in Q(zeta_2p) or Q(zeta_2q), never Q(zeta_2pq)
+    orders = []
+    for name in ("__mul__", "__rmul__", "conjugate", "inv"):
+        method = getattr(CyclotomicNumber, name)
+        monkeypatch.setattr(CyclotomicNumber, name, _recording_orders(method, orders))
+    for name in ("_qdim_cached", "_sine_ratio", "_sine_inv"):
+        fresh = lru_cache(maxsize=None)(getattr(minimal, name).__wrapped__)
+        monkeypatch.setattr(minimal, name, fresh)
+    code, out, err = run(capsys, "info", "--p", "41", "--q", "42")
+    assert code == 0
+    assert len(out.splitlines()) == 820 + 2
+    assert orders and max(orders) <= 2 * 42
 
 
 def test_wide_precision_needs_no_mpmath():
@@ -409,6 +452,7 @@ def _non_real_qdims(monkeypatch):
     # tilt one sine ratio off the real line, as in test_non_real_qdim_raises
     sine_inv = minimal._sine_inv
     monkeypatch.setattr(minimal, "_sine_inv", lambda k, b: sine_inv(k, b) * zeta(8))
+    monkeypatch.setattr(minimal, "_sine_ratio", minimal._sine_ratio.__wrapped__)
     monkeypatch.setattr(minimal, "_qdim_cached", minimal._qdim_cached.__wrapped__)
 
 

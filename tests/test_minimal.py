@@ -1,7 +1,8 @@
 """Minimal models: weights, labels, fusion, quantum dimensions."""
 import random
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, prod
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
@@ -293,9 +294,11 @@ def test_qdim_lives_in_q_zeta_2pq(p, q):
     for label in MinimalModel(p, q).labels():
         m, n = label.kac
         old = two_i_sin(q * m, p, full) * two_i_sin(p * n, q, full) * den_inv
+        # sin(pi*x) has the sign (-1)^floor(x)
+        sign = (-1) ** (q * m // p + q // p + p * n // q + p // q)
         value = qdim(label).exact
-        assert (2 * p * q) % value.order == 0
-        assert value == old or value == -old
+        assert value.order == 2 * p * q
+        assert value == sign * old
 
 
 GALOIS_MODELS = [(3, 4), (5, 6), (7, 8), (11, 12), (2, 5), (3, 5), (4, 7),
@@ -320,34 +323,71 @@ def test_qdim_galois_conjugates_are_s_matrix_columns(p, q):
             if model.is_unitary:
                 # the quantum dimension is the largest of its conjugates
                 here, there = d.embed(), conj.embed()
-                assert here.real - abs(there.real) >= -(here.error_bound + there.error_bound)
+                assert here.real - abs(there.real) >= -(_embed_bound(d) + _embed_bound(conj))
             image[row] = abs(conj.embed().real)
         gaps = np.max(np.abs(columns - image[:, None]), axis=0)
         assert gaps.min() <= 1e-9, (l, gaps.min())
 
 
+def _embed_bound(value):
+    # a coarse a-priori bound on the rounding of embed():
+    # 2^-40 * (1 + sum of |coefficients|)
+    return 2.0 ** -40 * (1 + sum(map(abs, value._num)) / value._den)
+
+
 @pytest.mark.parametrize("tilt", [zeta(8), 1 + Fraction(1, 2**60) * zeta(4)])
 def test_non_real_qdim_raises(monkeypatch, tilt):
-    # zeta_8 is caught by the embedding; 1 + 2^-60 i only by the exact
-    # realness test, since its imaginary part is below the error bound.
+    # both tilts are caught by the exact realness test in Q(zeta_14); the
+    # imaginary part of 1 + 2^-60 i is far below any float tolerance.
     sine_inv = minimal._sine_inv
     monkeypatch.setattr(minimal, "_sine_inv", lambda k, b: sine_inv(k, b) * tilt)
     with pytest.raises(ArithmeticError, match="not real"):
-        minimal._qdim_cached.__wrapped__(7, 8, 2, 3)
+        minimal._sine_ratio.__wrapped__(8, 2, 7)
 
 
-def test_qdim_embeds_once_per_label(monkeypatch):
-    # a sign flip negates the first approximation instead of embedding again
-    labs = MinimalModel(23, 24).labels()
-    calls = []
+def test_qdim_embeds_once_per_ratio(monkeypatch):
+    # each distinct sine ratio is embedded once, in its own field; the
+    # product at order 2pq is never embedded
+    p, q = 23, 24
+    labs = MinimalModel(p, q).labels()
+    orders = []
     embed = CyclotomicNumber.embed
     monkeypatch.setattr(
-        CyclotomicNumber, "embed", lambda self, *a: calls.append(1) or embed(self, *a)
+        CyclotomicNumber, "embed", lambda self: orders.append(self.order) or embed(self)
     )
-    dims = [minimal._qdim_cached.__wrapped__(23, 24, *lab.kac) for lab in labs]
-    assert len(calls) == len(dims) == 253
+    monkeypatch.setattr(
+        minimal, "_sine_ratio", lru_cache(maxsize=None)(minimal._sine_ratio.__wrapped__)
+    )
+    dims = [minimal._qdim_cached.__wrapped__(p, q, *lab.kac) for lab in labs]
+    ratios = {(q, m, p) for m, _ in (l.kac for l in labs)}
+    ratios |= {(p, n, q) for _, n in (l.kac for l in labs)}
+    assert len(dims) == 253
+    assert len(orders) == len(ratios)
+    assert set(orders) == {2 * p, 2 * q}
     monkeypatch.undo()
-    assert all(d.approx == d.exact.embed().real > 0 for d in dims)
+    for d in dims:
+        assert d.approx == prod(f.embed().real for f in d.factors) > 0
+        assert abs(d.approx - d.exact.embed().real) <= _embed_bound(d.exact)
+
+
+def test_sine_ratio_sign_is_parity():
+    # the sign of sin(pi*k*m/b) / sin(pi*k/b) is (-1)^(floor(k*m/b) +
+    # floor(k/b)), against the embedding for every residue k mod 2b prime
+    # to b and every 0 < m < b; _sine_ratio applies it up to b = 12
+    for b in range(2, 31):
+        sines = [two_i_sin(j, b, 2 * b).embed().imag for j in range(2 * b)]
+        for k in range(1, 2 * b):
+            if gcd(k, b) != 1:
+                continue
+            for m in range(1, b):
+                raw = sines[k * m % (2 * b)] / sines[k]
+                sign = (-1) ** (k * m // b + k // b)
+                assert raw * sign > 0, (k, m, b)
+                if b <= 12:
+                    exact = two_i_sin(k * m, b, 2 * b) / two_i_sin(k, b, 2 * b)
+                    value, approx = minimal._sine_ratio(k, m, b)
+                    assert value == sign * exact
+                    assert approx == pytest.approx(abs(raw), rel=1e-12)
 
 
 def test_qdim_tensor_multiplies_across_models():
