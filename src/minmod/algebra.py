@@ -19,7 +19,7 @@ from math import prod
 from typing import Callable, NamedTuple
 
 from .braiding import lemma_3c_entry, lemma_5a_combos, named_entry
-from .exact import CyclotomicNumber, echelon, two_i_sin, zeta
+from .exact import CyclotomicNumber, echelon, sine_inv, two_i_sin, zeta
 from .minimal import MinimalModel, ModuleLabel, QDim, _qdim_from, fuse, qdim_tensor
 
 
@@ -105,9 +105,9 @@ _SPECS = {
         chain=(8, 4),
         claims=(
             ("qdim(U3) = (sin(3pi/8)/sin(pi/8))^2", 2,
-             lambda: (two_i_sin(3, 8, 16) * two_i_sin(1, 8, 16).inv()) ** 2),
+             lambda: (two_i_sin(3, 8) * sine_inv(1, 8)) ** 2),
             ("qdim(U9) = 1/sin(pi/8)^2", 8,
-             lambda: CyclotomicNumber.from_rational(-4) * (two_i_sin(1, 8, 16) ** 2).inv()),
+             lambda: -4 * sine_inv(1, 8) ** 2),
         ),
         modules={(i, j): (i, j) for i in (1, 3, 5) for j in (1, 3, 5)},
         pattern=(
@@ -138,8 +138,7 @@ _SPECS = {
         chain=(4, 2),
         claims=(
             ("qdim(U5) = sqrt(2)sin(pi/3)/sin(pi/12)", 4,
-             lambda: (zeta(8) + zeta(8, -1)) * two_i_sin(1, 3, 6)
-             * two_i_sin(1, 12, 24).inv()),
+             lambda: (zeta(8) + zeta(8, -1)) * two_i_sin(1, 3) * sine_inv(1, 12)),
         ),
         modules={k: (k + 1,) for k in (0, 2, 4, 6, 8)},
         pattern=(

@@ -3,12 +3,13 @@
 The matrix (B_{a4,a1}^{a3,a2})_{mu,gamma} factorizes, up to an explicit
 prefactor, into two chiral pieces r'(...) and r(...), each defined by
 base cases on indices 1 and 2 together with a two-index recursion.  The
-chiral pieces live on the q = p + 1 and p sides respectively, and each
-is computed in the smallest field its side needs: r' in Q(zeta_{4q}),
-r in Q(zeta_{4p}).  Only a braiding-matrix entry multiplies the two
-back up to Q(zeta_{4pq}), and stays in the smaller field when one side
-is trivial.  Every nonvanishing claim is a decidable coefficient
-comparison.
+chiral pieces live on the q = p + 1 and p sides respectively.  Their
+quantum brackets and bracket inverses are sines in Q(zeta_{2q}) and
+Q(zeta_{2p}), and the quarter powers of the deformation parameter put
+r' in Q(zeta_{4q}) and r in Q(zeta_{4p}).  Only a braiding-matrix
+entry multiplies the two up to Q(zeta_{4pq}), and stays in the smaller
+field when one side is trivial.  Every nonvanishing claim is a
+decidable coefficient comparison.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache, partial
 from math import prod
 from typing import NamedTuple
 
-from .exact import CyclotomicNumber, DivisionByZero, echelon, two_i_sin, zeta
+from .exact import CyclotomicNumber, echelon, sine_inv, two_i_sin, zeta
 from .minimal import (
     MinimalModel,
     ModelMismatch,
@@ -55,53 +56,39 @@ def named_label(model: MinimalModel, index: int) -> ModuleLabel:
 
 
 class BracketTable:
-    """Quantum brackets of one chirality, cached.
+    """Quantum brackets of one chirality.
 
     primed:   [l]' = y^{l/2} - y^{-l/2}, y for exp(2*pi*i*p/q), bound q
     unprimed: [l]  = x^{l/2} - x^{-l/2}, x for exp(2*pi*i*q/p), bound p
 
-    With b the bound and o the other index, (x or y)^{1/4} is the root
-    zeta_{4b}^o, so power(k), the quarter power (x or y)^{k/4}, and every
-    bracket and inverse live in Q(zeta_{4b}): Q(zeta_{4q}) on the primed
-    side, Q(zeta_{4p}) on the unprimed side.  Bracket values satisfy
-    [0] = 0 and [-l] = -[l]; inverses are cached alongside.
+    With b the bound and o the other index, [l] is 2i*sin(pi*l*o/b), so
+    every bracket and inverse comes from the cached exact.two_i_sin and
+    exact.sine_inv in Q(zeta_{2b}).  (x or y)^{1/4} is the root
+    zeta_{4b}^o, so power(k), the quarter power (x or y)^{k/4}, lives in
+    Q(zeta_{4b}): Q(zeta_{4q}) on the primed side, Q(zeta_{4p}) on the
+    unprimed side.  Brackets satisfy [0] = 0 and [-l] = -[l].
     """
 
-    __slots__ = ("model", "variant", "bound", "values", "_other", "_inverses")
+    __slots__ = ("bound", "_other")
 
     def __init__(self, model: MinimalModel, variant: str) -> None:
         if not model.is_unitary:
             raise NonUnitaryModel(f"{model!r} has no chiral bracket data")
         if variant not in ("primed", "unprimed"):
             raise ValueError(f"unknown variant {variant!r}")
-        self.model = model
-        self.variant = variant
         if variant == "primed":
             self.bound, self._other = model.q, model.p
         else:
             self.bound, self._other = model.p, model.q
-        self.values: dict[int, CyclotomicNumber] = {}
-        self._inverses: dict[int, CyclotomicNumber] = {}
 
     def power(self, k: int) -> CyclotomicNumber:
         return zeta(4 * self.bound, k * self._other)
 
     def __getitem__(self, l: int) -> CyclotomicNumber:
-        val = self.values.get(l)
-        if val is None:
-            val = two_i_sin(l * self._other, self.bound, 4 * self.bound)
-            self.values[l] = val
-        return val
+        return two_i_sin(l * self._other, self.bound)
 
     def inv(self, l: int) -> CyclotomicNumber:
-        val = self._inverses.get(l)
-        if val is None:
-            b = self[l]
-            if b.is_zero():
-                raise DivisionByZero(f"bracket [{l}] vanishes on the {self.variant} side")
-            val = b.inv()
-            self._inverses[l] = val
-        return val
+        return sine_inv(l * self._other, self.bound)
 
 
 @lru_cache(maxsize=None)

@@ -374,17 +374,17 @@ def _verify_lemma_5a(digits: int) -> list:
     b = partial(named_entry, 7, (3, 3, 4, 4))
     t = brackets(model, "primed")
     y = t.power(4)
-    y_inv = y.inv()
+    y_inv = t.power(-4)
     sqrt2 = zeta(8) + zeta(8, -1)
     first, second = lemma_5a_combos()
     form_44 = (
         t[6] * t[3] * t.inv(5) * t.inv(4)
-        - t[1] ** 2 * (t[4] + t[6]) * (t[5] ** 2 * t[6]).inv()
+        - t[1] ** 2 * (t[4] + t[6]) * t.inv(5) ** 2 * t.inv(6)
     )
     form_43 = y ** 2 * t[1] * t[6] * t.inv(4) * t.inv(5)
-    form_24 = -(y ** -3) * (
-        t[1] * t[7] * (t[4] + t[6]) * (t[5] ** 2 * t[4]).inv()
-        + t[1] * t[7] * (t[5] + t[7]) * (t[6] ** 2 * t[5]).inv()
+    form_24 = -t.power(-12) * (
+        t[1] * t[7] * (t[4] + t[6]) * t.inv(5) ** 2 * t.inv(4)
+        + t[1] * t[7] * (t[5] + t[7]) * t.inv(6) ** 2 * t.inv(5)
     )
     form_23 = y_inv * t[6] * t[7] * t.inv(4) * t.inv(5)
     det = named_matrix(7, (3, 3, 4, 4)).det()

@@ -65,11 +65,16 @@ def _degree(n: int) -> int:
 
 
 def _reduce(vec: list[int], n: int) -> list[int]:
-    # vec holds coefficients for exponents 0..len(vec)-1, already < n.
-    # For even n, zeta_n^(n/2) = -1 folds the upper half first; then long
-    # division by Phi_n, top exponent down, visits only its nonzero terms.
+    # vec holds coefficients for exponents 0..len(vec)-1, below 2n.
+    # zeta_n^n = 1 folds the exponents from n up; for even n,
+    # zeta_n^(n/2) = -1 then folds the upper half; then long division by
+    # Phi_n, top exponent down, visits only its nonzero terms.
     phi = _degree(n)
     out = list(vec) + [0] * (phi - len(vec))
+    if len(out) > n:
+        for j in range(n, len(out)):
+            out[j - n] += out[j]
+        del out[n:]
     half = n // 2
     if n % 2 == 0 and len(out) > half:
         for j in range(half, len(out)):
@@ -165,9 +170,11 @@ class CyclotomicNumber:
     """An element of Q(zeta_N) in canonical reduced form.
 
     Supports field arithmetic through the usual operators, exact
-    comparison with rationals and with elements of compatible orders
-    (values are promoted to the least common order first), Galois
-    conjugation, and embedding into the complex numbers.
+    comparison with rationals, Galois conjugation, and embedding into
+    the complex numbers.  Values of different orders meet in the field
+    of their least common order: a product scatters both coefficient
+    vectors straight into it, while sums and comparisons promote both
+    operands first.
 
     Instances are immutable.  Hashing is disabled on purpose: equal
     values of different orders would need a normalized key, and nothing
@@ -212,10 +219,9 @@ class CyclotomicNumber:
         return self
 
     @classmethod
-    def from_rational(cls, value: Rational, order: int = 1) -> "CyclotomicNumber":
+    def from_rational(cls, value: Rational) -> "CyclotomicNumber":
         value = Fraction(value)
-        vec = [value.numerator] + [0] * (_degree(order) - 1)
-        return cls._raw(order, vec, value.denominator)
+        return cls._raw(1, [value.numerator], value.denominator)
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -224,23 +230,16 @@ class CyclotomicNumber:
 
     # -- order handling -------------------------------------------------
 
-    def _promoted_vec(self, order: int) -> list[int]:
-        t = order // self.order
-        if t == 1:
-            return list(self._num)
-        vec = [0] * ((len(self._num) - 1) * t + 1 if self._num else 1)
-        for e, c in enumerate(self._num):
-            if c:
-                vec[e * t] = c
-        return _reduce(vec, order)
-
     def promote(self, order: int) -> "CyclotomicNumber":
         """Re-express the value in Q(zeta_order); order must be a multiple."""
         if order % self.order:
             raise ValueError(f"{order} is not a multiple of order {self.order}")
         if order == self.order:
             return self
-        return CyclotomicNumber._raw(order, self._promoted_vec(order), self._den)
+        t = order // self.order
+        vec = [0] * ((len(self._num) - 1) * t + 1)
+        vec[::t] = self._num
+        return CyclotomicNumber._raw(order, _reduce(vec, order), self._den)
 
     @staticmethod
     def _coerce(value) -> "CyclotomicNumber":
@@ -285,22 +284,21 @@ class CyclotomicNumber:
         return -(self - other)
 
     def __mul__(self, other):
-        pair = self._pair(other)
-        if pair is None:
+        # Both factors go straight into Q(zeta_n), n the least common
+        # order: x_i * y_j lands at exponent i*(n/n1) + j*(n/n2).
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        a, b = pair
-        n = a.order
-        conv = [0] * (len(a._num) + len(b._num) - 1)
-        for i, x in enumerate(a._num):
+        n = lcm(self.order, other.order)
+        s, t = n // self.order, n // other.order
+        ys = [(j * t, y) for j, y in enumerate(other._num) if y]
+        conv = [0] * ((len(self._num) - 1) * s + (len(other._num) - 1) * t + 1)
+        for i, x in enumerate(self._num):
             if x:
-                for j, y in enumerate(b._num):
-                    if y:
-                        conv[i + j] += x * y
-        if len(conv) > n:
-            for k in range(n, len(conv)):
-                conv[k - n] += conv[k]
-            conv = conv[:n]
-        return CyclotomicNumber._raw(n, _reduce(conv, n), a._den * b._den)
+                base = i * s
+                for e, y in ys:
+                    conv[base + e] += x * y
+        return CyclotomicNumber._raw(n, _reduce(conv, n), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -328,7 +326,7 @@ class CyclotomicNumber:
         if exponent < 0:
             base = self.inv()
             exponent = -exponent
-        result = CyclotomicNumber.from_rational(1, base.order)
+        result = CyclotomicNumber.from_rational(1)
         while exponent:
             if exponent & 1:
                 result = result * base
@@ -464,13 +462,16 @@ def zeta(order: int, exponent: int = 1) -> CyclotomicNumber:
     return CyclotomicNumber._raw(order, _reduce(vec, order), 1)
 
 
-def two_i_sin(k: int, b: int, order: int) -> CyclotomicNumber:
-    """2i*sin(pi*k/b) as zeta_{2b}^k - zeta_{2b}^{-k}, in Q(zeta_order).
+@lru_cache(maxsize=None)
+def two_i_sin(k: int, b: int) -> CyclotomicNumber:
+    """2i*sin(pi*k/b) as zeta_{2b}^k - zeta_{2b}^{-k}, in Q(zeta_{2b})."""
+    return zeta(2 * b, k) - zeta(2 * b, -k)
 
-    order must be a multiple of 2b.
-    """
-    step = order // (2 * b)
-    return zeta(order, k * step) - zeta(order, -k * step)
+
+@lru_cache(maxsize=None)
+def sine_inv(k: int, b: int) -> CyclotomicNumber:
+    """1 / (2i*sin(pi*k/b)) in Q(zeta_{2b}); DivisionByZero when b divides k."""
+    return two_i_sin(k, b).inv()
 
 
 def echelon(rows):

@@ -16,7 +16,7 @@ from itertools import chain, product
 from math import gcd, prod
 from typing import NamedTuple, Sequence
 
-from .exact import CyclotomicNumber, two_i_sin
+from .exact import CyclotomicNumber, sine_inv, two_i_sin
 
 
 class InvalidModel(ValueError):
@@ -389,7 +389,7 @@ def _sine_ratio(k: int, m: int, b: int) -> tuple[CyclotomicNumber, float]:
     sin(pi*x) has the sign (-1)^floor(x), so the sign of the ratio comes
     from integers; its realness is decided exactly.
     """
-    value = two_i_sin(k * m, b, 2 * b) * _sine_inv(k, b)
+    value = two_i_sin(k * m, b) * sine_inv(k, b)
     if (k * m // b + k // b) % 2:
         value = -value
     approx = value.embed().real
@@ -398,12 +398,6 @@ def _sine_ratio(k: int, m: int, b: int) -> tuple[CyclotomicNumber, float]:
             f"sine ratio sin(pi*{k * m}/{b})/sin(pi*{k}/{b}) is not real and positive"
         )
     return value, approx
-
-
-@lru_cache(maxsize=None)
-def _sine_inv(k: int, b: int) -> CyclotomicNumber:
-    """1 / (2i*sin(pi*k/b)) in Q(zeta_{2b})."""
-    return two_i_sin(k, b, 2 * b).inv()
 
 
 def qdim_tensor(labels: Sequence[ModuleLabel]) -> QDim:

@@ -81,6 +81,7 @@ def verlinde_tensor(p, q):
 
 # -- Perron-Frobenius route ---------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def pf_qdim(p, q, a, tol=Fraction(1, 10**11), max_iter=5000):
     """Spectral radius of the fusion matrix of a, minus nothing.
 

@@ -517,14 +517,14 @@ def test_qdim_module_sine_formulas():
     for i in (1, 3, 5):
         for j in (1, 3, 5):
             want = (
-                two_i_sin(8 * i, 7, 14)
-                * two_i_sin(8 * j, 7, 14)
-                * (two_i_sin(8, 7, 14) ** 2).inv()
+                two_i_sin(8 * i, 7)
+                * two_i_sin(8 * j, 7)
+                * (two_i_sin(8, 7) ** 2).inv()
             )
             got = qdim_module(A5, (i, j)).exact
             assert got == want and got.to_string() == want.to_string()
     for k in (0, 2, 4, 6, 8):
-        want = two_i_sin(k + 1, 11, 22) * two_i_sin(1, 11, 22).inv()
+        want = two_i_sin(k + 1, 11) * two_i_sin(1, 11).inv()
         got = qdim_module(A3, k).exact
         assert got == want and got.to_string() == want.to_string()
 

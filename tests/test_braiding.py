@@ -18,6 +18,7 @@ from minmod import (
     NonIntegerExponent,
     NonUnitaryModel,
     RQuery,
+    braid_entry,
     braid_matrix,
     brackets,
     is_admissible,
@@ -25,12 +26,13 @@ from minmod import (
     lemma_5a_combos,
     memoized_queries,
     named_label,
+    qdim,
     r_matrix,
     zeta,
 )
 from minmod import braiding
 from minmod.braiding import named_matrix
-from minmod.exact import two_i_sin
+from minmod.exact import sine_inv, two_i_sin
 
 M78 = MinimalModel(7, 8)
 M1112 = MinimalModel(11, 12)
@@ -98,15 +100,18 @@ def test_brackets_live_in_their_side_field(p, variant):
     model = MinimalModel(p, p + 1)
     table = brackets(model, variant)
     bound, other = (p + 1, p) if variant == "primed" else (p, p + 1)
-    full, side = 4 * p * (p + 1), 4 * bound
+    full, step = 4 * p * (p + 1), 2 * p * (p + 1) // bound
     for l in range(1, bound):
-        old = two_i_sin(l * other, bound, full)
-        assert side % table[l].order == 0
+        old = zeta(full, l * other * step) - zeta(full, -l * other * step)
+        assert (2 * bound) % table[l].order == 0
         assert table[l].promote(full) == old
-        assert side % table.inv(l).order == 0
+        assert (2 * bound) % table.inv(l).order == 0
         assert (table.inv(l).promote(full) * old).is_one()
+        # one cache for the bracket and the sine-ratio routes
+        assert table[l] is two_i_sin(l * other, bound)
+        assert table.inv(l) is sine_inv(l * other, bound)
     for k in range(-2 * bound - 1, 2 * bound + 2):
-        assert side % table.power(k).order == 0
+        assert (4 * bound) % table.power(k).order == 0
         assert table.power(k).promote(full) == zeta(full, k * other**2)
 
 
@@ -127,6 +132,32 @@ def test_lemma_matrix_entries_live_in_the_primed_field():
         assert matrix.entries
         for value in matrix.entries.values():
             assert order % value.order == 0
+
+
+def test_products_across_fields_never_promote(monkeypatch):
+    # r'*r multiplies Q(zeta_56) by Q(zeta_52) at (13,14), and a qdim's
+    # exact value Q(zeta_46) by Q(zeta_48) at (23,24); both go straight
+    # to the common field without re-expressing either factor
+    model = MinimalModel(13, 14)
+    externals = tuple(model.label(m, n) for m, n in ((3, 7), (3, 7), (4, 11), (2, 11)))
+    matrix = braid_matrix(model, externals)
+    labels = MinimalModel(23, 24).labels()
+    dims = [qdim(label) for label in labels]
+    promoted = []
+    promote = CyclotomicNumber.promote
+    monkeypatch.setattr(
+        CyclotomicNumber, "promote",
+        lambda self, order: promoted.append(order) or promote(self, order),
+    )
+    entries = [braid_entry(model, externals, mu, ga)
+               for mu in matrix.rows for ga in matrix.cols]
+    products = [d.exact for d in dims]
+    assert promoted == []
+    monkeypatch.undo()
+    assert entries == [matrix.entries[mu, ga] for mu in matrix.rows for ga in matrix.cols]
+    assert 4 * 13 * 14 in {e.order for e in entries}
+    assert {x.order for x in products} == {2 * 23 * 24}
+    assert len(products) == len(labels) == 253
 
 
 def test_nonunitary_has_no_brackets():

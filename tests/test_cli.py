@@ -377,7 +377,7 @@ def test_info_stays_in_the_sine_ratio_fields(capsys, monkeypatch):
     for name in ("__mul__", "__rmul__", "conjugate", "inv"):
         method = getattr(CyclotomicNumber, name)
         monkeypatch.setattr(CyclotomicNumber, name, _recording_orders(method, orders))
-    for name in ("_qdim_cached", "_sine_ratio", "_sine_inv"):
+    for name in ("_qdim_cached", "_sine_ratio", "sine_inv"):
         fresh = lru_cache(maxsize=None)(getattr(minimal, name).__wrapped__)
         monkeypatch.setattr(minimal, name, fresh)
     code, out, err = run(capsys, "info", "--p", "41", "--q", "42")
@@ -450,8 +450,8 @@ def _raise(exc):
 
 def _non_real_qdims(monkeypatch):
     # tilt one sine ratio off the real line, as in test_non_real_qdim_raises
-    sine_inv = minimal._sine_inv
-    monkeypatch.setattr(minimal, "_sine_inv", lambda k, b: sine_inv(k, b) * zeta(8))
+    sine_inv = minimal.sine_inv
+    monkeypatch.setattr(minimal, "sine_inv", lambda k, b: sine_inv(k, b) * zeta(8))
     monkeypatch.setattr(minimal, "_sine_ratio", minimal._sine_ratio.__wrapped__)
     monkeypatch.setattr(minimal, "_qdim_cached", minimal._qdim_cached.__wrapped__)
 

@@ -15,7 +15,7 @@ from minmod import (
     parse_exact,
     zeta,
 )
-from minmod.exact import _cyclotomic, echelon, solve, two_i_sin
+from minmod.exact import _cyclotomic, echelon, sine_inv, solve, two_i_sin
 
 ONE = CyclotomicNumber.from_rational(1)
 ZERO = CyclotomicNumber.from_rational(0)
@@ -187,9 +187,64 @@ def test_mixed_order_coercion(a):
 
 def test_two_i_sin_embeds_at_any_multiple_order():
     for k, b, order in ((1, 8, 16), (3, 8, 224), (5, 7, 56), (-2, 3, 12)):
-        got = complex(two_i_sin(k, b, order).embed())
+        value = two_i_sin(k, b)
+        assert value.order == 2 * b and value is two_i_sin(k, b)
+        got = complex(value.promote(order).embed())
         assert abs(got - 2j * math.sin(math.pi * k / b)) < 1e-12
-    assert two_i_sin(3, 8, 16) == two_i_sin(3, 8, 224)
+        assert (sine_inv(k, b) * value).is_one()
+    assert two_i_sin(3, 8) == two_i_sin(3, 8).promote(224)
+    with pytest.raises(DivisionByZero):
+        sine_inv(16, 8)
+
+
+# -- products across orders, against shift, convolve and reduce ---------------
+
+# The same order, order 1 against the largest field, divisor pairs both
+# ways round, coprime pairs, and the qdim pair of (23,24), whose fields
+# Q(zeta_46) and Q(zeta_48) meet in Q(zeta_1104).
+_ORDER_PAIRS = (
+    (1, 1), (1, 1104), (8, 8), (16, 224), (224, 16), (7, 8), (23, 48), (46, 48),
+)
+
+
+def _operand(order):
+    phi = len(oracles.cyclotomic_poly(order)) - 1
+    coeff = st.integers(-9, 9)
+    sparse = st.dictionaries(st.integers(0, order - 1), coeff, max_size=4).map(
+        lambda terms: [terms.get(e, 0) for e in range(order)]
+    )
+    dense = st.lists(coeff, min_size=phi, max_size=phi)
+    return st.tuples(st.one_of(sparse, dense), st.integers(1, 6)).map(
+        lambda pair: CyclotomicNumber(order, [Fraction(c, pair[1]) for c in pair[0]])
+    )
+
+
+def _integral(value):
+    den = math.lcm(*(c.denominator for c in value.coefficients))
+    return [int(c * den) for c in value.coefficients], den
+
+
+def _product_reference(a, b):
+    n = math.lcm(a.order, b.order)
+    s, t = n // a.order, n // b.order
+    (xs, da), (ys, db) = _integral(a), _integral(b)
+    conv = [0] * (2 * n)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            conv[i * s + j * t] += x * y
+    reduced = oracles.reduce_mod_cyclotomic(n, conv)
+    return n, tuple(Fraction(c, da * db) for c in reduced)
+
+
+@given(st.sampled_from(_ORDER_PAIRS).flatmap(
+    lambda pair: st.tuples(_operand(pair[0]), _operand(pair[1]))))
+@settings(max_examples=60, deadline=None)
+def test_product_across_orders_matches_reference(operands):
+    a, b = operands
+    n, want = _product_reference(a, b)
+    got = a * b
+    assert got.order == n
+    assert got.coefficients == want
 
 
 # -- reduction into the power basis, against dense long division ---------------

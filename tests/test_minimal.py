@@ -290,10 +290,11 @@ def test_qdim_against_perron_frobenius(p, q):
 def test_qdim_lives_in_q_zeta_2pq(p, q):
     # the full-field route: both sine ratios taken in Q(zeta_{4pq})
     full = 4 * p * q
-    den_inv = (two_i_sin(q, p, full) * two_i_sin(p, q, full)).inv()
+    den_inv = (two_i_sin(q, p).promote(full) * two_i_sin(p, q).promote(full)).inv()
     for label in MinimalModel(p, q).labels():
         m, n = label.kac
-        old = two_i_sin(q * m, p, full) * two_i_sin(p * n, q, full) * den_inv
+        old = (two_i_sin(q * m, p).promote(full) * two_i_sin(p * n, q).promote(full)
+               * den_inv)
         # sin(pi*x) has the sign (-1)^floor(x)
         sign = (-1) ** (q * m // p + q // p + p * n // q + p // q)
         value = qdim(label).exact
@@ -337,10 +338,11 @@ def _embed_bound(value):
 
 @pytest.mark.parametrize("tilt", [zeta(8), 1 + Fraction(1, 2**60) * zeta(4)])
 def test_non_real_qdim_raises(monkeypatch, tilt):
-    # both tilts are caught by the exact realness test in Q(zeta_14); the
-    # imaginary part of 1 + 2^-60 i is far below any float tolerance.
-    sine_inv = minimal._sine_inv
-    monkeypatch.setattr(minimal, "_sine_inv", lambda k, b: sine_inv(k, b) * tilt)
+    # both tilts are caught by the exact realness test, in Q(zeta_56) and
+    # Q(zeta_28); the imaginary part of 1 + 2^-60 i is far below any float
+    # tolerance.
+    sine_inv = minimal.sine_inv
+    monkeypatch.setattr(minimal, "sine_inv", lambda k, b: sine_inv(k, b) * tilt)
     with pytest.raises(ArithmeticError, match="not real"):
         minimal._sine_ratio.__wrapped__(8, 2, 7)
 
@@ -375,7 +377,7 @@ def test_sine_ratio_sign_is_parity():
     # floor(k/b)), against the embedding for every residue k mod 2b prime
     # to b and every 0 < m < b; _sine_ratio applies it up to b = 12
     for b in range(2, 31):
-        sines = [two_i_sin(j, b, 2 * b).embed().imag for j in range(2 * b)]
+        sines = [two_i_sin(j, b).embed().imag for j in range(2 * b)]
         for k in range(1, 2 * b):
             if gcd(k, b) != 1:
                 continue
@@ -384,7 +386,7 @@ def test_sine_ratio_sign_is_parity():
                 sign = (-1) ** (k * m // b + k // b)
                 assert raw * sign > 0, (k, m, b)
                 if b <= 12:
-                    exact = two_i_sin(k * m, b, 2 * b) / two_i_sin(k, b, 2 * b)
+                    exact = two_i_sin(k * m, b) / two_i_sin(k, b)
                     value, approx = minimal._sine_ratio(k, m, b)
                     assert value == sign * exact
                     assert approx == pytest.approx(abs(raw), rel=1e-12)
