@@ -466,6 +466,11 @@ def _solve_5a_existence(system: SectorSystem) -> SolutionSet:
     # rank 2: their only solution is zero, so u = 0 there.  Eliminate u
     # once, against one pivot row and without an inverse: a branch has
     # rank 2 when its other column keeps a nonzero entry after that.
+    # The v = 0 check cannot fail once the printed eliminations hold:
+    # they leave m1*Bt[2,2] on u alone and -m1*Bt[4,2] on w alone, both
+    # nonzero here, so the (u, w) columns already have rank 2.  It stays
+    # as a cheap second route to that fact; the w = 0 check is the only
+    # test of the mirrored branch.
     rows = [eq.coefficients for eq in system.equations]
     top = next((row for row in rows if row[0]), None)
     for gone, k in (("v", 2), ("w", 1)):
@@ -487,29 +492,6 @@ _SOLVERS = {
     "5A-uniqueness": _solve_5a_uniqueness,
     "3C": _solve_3c,
 }
-
-
-def normalization_residuals(name: str) -> tuple[tuple[str, CyclotomicNumber], ...]:
-    """Residuals of the raw-basis closure identities, for reporting only.
-
-    With every structure constant set to 1 the crossing relations would
-    need sum_k B[k,i]*Bt[k,j] = delta(i,j).  The raw braid normalization
-    does not promise this; whatever is left over is returned per row and
-    never gated on.
-    """
-    key = name.strip().upper()
-    out = []
-    if key == "5A":
-        # each 5A-existence row is this identity with its coefficients
-        # split out, so the residual is their sum
-        for equation in build_sector_system("5A-existence").equations:
-            out.append((equation.label, sum(equation.coefficients, _ZERO)))
-    elif key == "3C":
-        for j in (1, 2):
-            out.append((f"(.,{j})", _e3c(1, j) + _e3c(2, j) - 1))
-    else:
-        raise ValueError(f"unknown algebra {name!r}, expected '5A' or '3C'")
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

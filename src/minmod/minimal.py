@@ -211,22 +211,14 @@ def ffk_pair(label: ModuleLabel) -> tuple[int, int]:
     """The two-index name (i', i) of a module of a unitary model.
 
     The first index runs on the q = p + 1 side, so the canonical label
-    (m, n) maps to (n, m).  Both weight conventions,
-    h_{m,n} and ((p*i' - (p+1)*i)^2 - 1) / (4p(p+1)),
-    are evaluated and compared; a mismatch would mean the naming is
-    ambiguous for this label, and raises rather than picking silently.
+    (m, n) maps to (n, m).  The weight of the name,
+    ((p*i' - (p+1)*i)^2 - 1) / (4p(p+1)), is h_{m,n} itself, since
+    (p - q)^2 = 1 there.
     """
     model = label.model
     if not model.is_unitary:
         raise NonUnitaryModel(f"{model!r} is not in the unitary series")
-    p = model.p
-    i_prime, i = label.n, label.m
-    h_pair = Fraction((p * i_prime - (p + 1) * i) ** 2 - 1, 4 * p * (p + 1))
-    if h_pair != label.h:
-        raise ArithmeticError(
-            f"weight conventions disagree for {label!r}: {label.h} vs {h_pair}"
-        )
-    return (i_prime, i)
+    return (label.n, label.m)
 
 
 def _kac(t, model: MinimalModel) -> tuple[int, int]:

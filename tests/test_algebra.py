@@ -1,4 +1,5 @@
 """Graded algebras: sectors, chains, structure-constant systems, modules."""
+import json
 import math
 import re
 from fractions import Fraction
@@ -17,7 +18,7 @@ from minmod import (
     check_subalgebra_chain,
     irreducible_modules,
     module_fusion,
-    normalization_residuals,
+    parse_exact,
     qdim_module,
     qdim_tensor,
     sector_fusion,
@@ -26,6 +27,8 @@ from minmod import (
 )
 from minmod import algebra
 from minmod.algebra import GradedAlgebra, Sector, _qdim_sum, _ratio_check
+from minmod.braiding import named_entry
+from minmod.cli import main
 from minmod.exact import two_i_sin
 
 ONE = CyclotomicNumber.from_rational(1)
@@ -375,24 +378,34 @@ RESIDUALS_5A = {
 }
 
 
-def test_normalization_residuals_5a():
-    rows = normalization_residuals("5A")
-    assert [label for label, _ in rows] == list(RESIDUALS_5A)
-    for label, value in rows:
-        assert value == RESIDUALS_5A[label], label
+def closure_residuals(capsys) -> list:
+    """The report-only closure residual rows of `mm verify uniqueness-5a`."""
+    assert main(["verify", "uniqueness-5a", "--format", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    return [c for c in checks if c["name"].startswith("closure residual")]
+
+
+def test_normalization_residuals_5a(capsys):
+    rows = closure_residuals(capsys)
+    assert [c["name"] for c in rows] == [
+        f"closure residual {label}" for label in RESIDUALS_5A
+    ]
+    for row, want in zip(rows, RESIDUALS_5A.values()):
+        value = parse_exact(row["exact"])
+        assert value == want, row["name"]
         assert not value.is_zero()
 
 
 def test_normalization_residuals_3c():
-    rows = normalization_residuals("3c")
-    assert [label for label, _ in rows] == ["(.,1)", "(.,2)"]
-    values = dict(rows)
-    assert values["(.,1)"] == (7 - 5 * SQRT3) * Fraction(1, 2)
-    assert values["(.,2)"] == (-1 - 3 * SQRT3) * Fraction(1, 2)
-    got = complex(values["(.,1)"].embed())
+    # sum_k B[k,j] - 1 over the two rows of the (11,12) matrix
+    values = [
+        named_entry(11, (2, 2, 2, 2), 1, j) + named_entry(11, (2, 2, 2, 2), 2, j) - 1
+        for j in (1, 2)
+    ]
+    assert values[0] == (7 - 5 * SQRT3) * Fraction(1, 2)
+    assert values[1] == (-1 - 3 * SQRT3) * Fraction(1, 2)
+    got = complex(values[0].embed())
     assert abs(got - (7 - 5 * math.sqrt(3)) / 2) < 1e-12
-    with pytest.raises(ValueError):
-        normalization_residuals("7B")
 
 
 def _h78(m, n):

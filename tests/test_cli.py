@@ -275,6 +275,58 @@ def test_verify_uniqueness_certificate_is_pinned(capsys, target):
     assert [(c["name"], c["status"]) for c in report["checks"]] == certificate
 
 
+REPLAYS = [
+    ("5A-uniqueness", "uniqueness-5a",
+     "unique solution: mu^2 = 1 and gamma^2 = 1", "uniqueness replay"),
+    ("5A-existence", "uniqueness-5a",
+     "even-sector coefficient forced nonzero", "existence replay"),
+    ("3C", "uniqueness-3c", "unique solution: lambda^2 = 1", "uniqueness replay"),
+]
+
+
+@pytest.mark.parametrize("system,target,claim,fail_name", REPLAYS,
+                         ids=[r[0] for r in REPLAYS])
+def test_degenerate_replay_is_one_fail_row(capsys, monkeypatch, system, target,
+                                           claim, fail_name):
+    # The claim row and the printed steps of the broken system give way to
+    # one fail row carrying the reason; every other row stays as it was.
+    _, healthy = run_json(capsys, "verify", "all")
+    steps = minmod.solve_sector_system(minmod.build_sector_system(system)).steps
+    solve = cli.solve_sector_system
+
+    def degenerate(sector_system):
+        if sector_system.name == system:
+            raise DegenerateSystem(f"{system}: pivot vanished")
+        return solve(sector_system)
+
+    monkeypatch.setattr(cli, "solve_sector_system", degenerate)
+    code, report = run_json(capsys, "verify", "all")
+    assert code == 1
+    rows = healthy["checks"]
+    start = [c["name"] for c in rows].index(f"{target}: {claim}")
+    end = start + 1 + len(steps)
+    assert [c["name"] for c in rows[start + 1:end]] == [f"{target}: {s}" for s in steps]
+    fail = {"name": f"{target}: {fail_name}", "status": "fail",
+            "exact": f"{system}: pivot vanished", "approx": ""}
+    assert report["checks"] == rows[:start] + [fail] + rows[end:]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--ext", "1,2,3"), ("--ext", "1,2,3,4,5"), ("--ext", "1,2,3,4,5,6"),
+    ("--entry", "1"), ("--entry", "1,2,3"), ("--entry", "1,2,3,4,5"),
+])
+def test_label_count_is_refused_with_one_line(capsys, flag, value):
+    argv = ["braid", "--p", "7", "--q", "8", "--ext", "3,3,4,4"]
+    if flag == "--ext":
+        argv[-1] = value
+    else:
+        argv += ["--entry", value]
+    code, out, err = run(capsys, *argv)
+    word = "four" if flag == "--ext" else "two"
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} wants {word} named indices or {word} m,n pairs\n"
+
+
 def test_verify_rejects_unknown_target(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "lemma-9x"])

@@ -4,8 +4,9 @@ No linter ships with the test dependencies, so this walks the syntax
 tree instead.  A module fails when it binds a name by import and never
 reads it; names the package re-exports through ``__init__.__all__`` and
 ``from __future__`` switches are exempt.  The package fails when one of
-its public functions, classes, methods or properties has no caller
-outside the tests.
+its public functions, classes, constants, methods or properties has no
+caller outside the tests, or when a private top-level function, class or
+constant has no reader in the package.
 """
 import ast
 import importlib
@@ -126,27 +127,34 @@ def reads(tree) -> Counter:
     )
 
 
-def public_definitions(tree):
-    """(node, top level) for each public function and class of a module,
-    and each public method and property of its classes.  Dunders and
-    underscored names are private."""
+def definitions(tree):
+    """(name, node, top level) for each function and class of a module,
+    each constant it assigns at top level, and each public method and
+    property of its classes.  Dunders are left out."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node, True
+            yield node.name, node, True
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef):
-                        yield item, False
+                        if not item.name.startswith("_"):
+                            yield item.name, item, False
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node, True
 
 
 def unread_names(sources, bench, traced, readme) -> list:
-    """Public definitions in sources that nothing outside their own body reads.
+    """Definitions in sources that nothing outside their own body reads.
 
     Inside the package a top-level definition counts as read only by
     name, since the modules import each other's names; a method or
     property also counts when read as an attribute.  Any read in a bench
     script, a part of a traced name, or a name inside a code span of the
-    README counts for both.
+    README counts for both, but only for a public name: a private one
+    needs a reader in the package.
     """
     trees = {path: ast.parse(path.read_text()) for path in sources}
     inside = sum((reads(tree) for tree in trees.values()), Counter())
@@ -155,13 +163,13 @@ def unread_names(sources, bench, traced, readme) -> list:
     outside.update(re.findall(r"\w+", " ".join(re.findall(r"`([^`\n]+)`", readme))))
     unread = []
     for path, tree in trees.items():
-        for node, top in public_definitions(tree):
-            if node.name.startswith("_") or node.name in outside:
+        for name, node, top in definitions(tree):
+            if name.startswith("__") or (not name.startswith("_") and name in outside):
                 continue
             kinds = ("name",) if top else ("name", "attr")
             own = reads(node)
-            if not any(inside[(k, node.name)] > own[(k, node.name)] for k in kinds):
-                unread.append(f"{path.name}:{node.lineno} {node.name}")
+            if not any(inside[(k, name)] > own[(k, name)] for k in kinds):
+                unread.append(f"{path.name}:{node.lineno} {name}")
     return unread
 
 
@@ -186,9 +194,17 @@ def test_caller_scan_flags_an_unread_name(tmp_path):
         "def traced():\n"
         "    return A()\n"
         "def named():\n"
-        "    return 0\n"
+        "    return _private()\n"
         "def _private():\n"
-        "    return 0\n"
+        "    return _LIMIT\n"
+        "_LIMIT = 3\n"
+        "def _unread():\n"
+        "    return _unread()\n"
+        "_STALE = 4\n"
     )
-    got = unread_names([module], [], [("m", "traced")], "see `named()`")
-    assert got == ["m.py:4 recursive", "m.py:6 size"]
+    # a README span names _unread, but a private name needs a reader in
+    # the package
+    got = unread_names([module], [], [("m", "traced")], "see `named()` and `_unread`")
+    assert got == [
+        "m.py:4 recursive", "m.py:6 size", "m.py:15 _unread", "m.py:17 _STALE",
+    ]
