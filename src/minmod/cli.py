@@ -17,7 +17,6 @@ import os
 import sys
 import time
 from functools import lru_cache, partial
-from math import lcm
 from typing import NamedTuple
 
 from .algebra import (
@@ -133,9 +132,10 @@ def _fmt_complex(approx, digits: int = 8) -> str:
 # -- radical recognition ----------------------------------------------------
 #
 # Values that happen to lie in Q(sqrt2, sqrt3, i) get a readable second
-# rendering.  The eight products below are Q-linearly independent, so an
-# exact row reduction over the common cyclotomic basis either finds the
-# coordinates or proves there are none.
+# rendering.  The eight products below are Q-linearly independent, and
+# each is stored in the field of its conductor, so those inside Q(zeta_n)
+# span its meet with Q(zeta_24): an exact row reduction in the value's own
+# field either finds the coordinates or proves there are none.
 
 _RADICAL_NAMES = ("", "sqrt(2)", "sqrt(3)", "sqrt(6)",
                   "i", "sqrt(2)*i", "sqrt(3)*i", "sqrt(6)*i")
@@ -143,31 +143,36 @@ _RADICAL_NAMES = ("", "sqrt(2)", "sqrt(3)", "sqrt(6)",
 
 @lru_cache(maxsize=1)
 def _radical_basis() -> tuple:
+    # conductors 1, 8, 12, 24, 4, 8, 3, 24; sqrt(3)*i is 1 + 2*zeta_3
     s2 = zeta(8) + zeta(8, -1)
     s3 = zeta(12) + zeta(12, -1)
-    reals = (_ONE, s2, s3, s2 * s3)
-    return reals + tuple(zeta(4) * b for b in reals)
+    i = zeta(4)
+    return (_ONE, s2, s3, s2 * s3, i, i * s2, _ONE + 2 * zeta(3), i * s2 * s3)
 
 
 @lru_cache(maxsize=None)
 def _radical_columns(order: int) -> tuple:
-    return tuple(b.promote(order).coefficients for b in _radical_basis())
+    # the indices of the basis elements inside Q(zeta_order), and their
+    # coordinates there
+    kept = tuple(k for k, b in enumerate(_radical_basis()) if order % b.order == 0)
+    return kept, tuple(_radical_basis()[k].promote(order).coefficients for k in kept)
 
 
 def _radical_coordinates(value: CyclotomicNumber):
-    order = lcm(value.order, 24)
-    cols = _radical_columns(order)
-    target = value.promote(order).coefficients
-    sol = solve([list(row) for row in zip(*cols, target)])
+    kept, cols = _radical_columns(value.order)
+    sol = solve([list(row) for row in zip(*cols, value.coefficients)])
     if sol is None:
         return None
+    coords = [0] * len(_RADICAL_NAMES)
+    for k, coeff in zip(kept, sol):
+        coords[k] = coeff
     rebuilt = CyclotomicNumber.from_rational(0)
-    for coeff, base in zip(sol, _radical_basis()):
+    for coeff, base in zip(coords, _radical_basis()):
         if coeff:
             rebuilt = rebuilt + base * coeff
     if rebuilt != value:
         return None
-    return sol
+    return coords
 
 
 def as_radical(value: CyclotomicNumber) -> str | None:

@@ -174,7 +174,9 @@ class CyclotomicNumber:
     the complex numbers.  Values of different orders meet in the field
     of their least common order: a product scatters both coefficient
     vectors straight into it, while sums and comparisons promote both
-    operands first.
+    operands first.  A zero operand costs no arithmetic: the product is
+    the zero of that field, and the sum the other operand when its field
+    holds the zero's.
 
     Instances are immutable.  Hashing is disabled on purpose: equal
     values of different orders would need a normalized key, and nothing
@@ -259,10 +261,15 @@ class CyclotomicNumber:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        pair = self._pair(other)
-        if pair is None:
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        a, b = pair
+        # a zero summand whose field lies inside the other's changes nothing
+        if other.order % self.order == 0 and not any(self._num):
+            return other
+        if self.order % other.order == 0 and not any(other._num):
+            return self
+        a, b = self._pair(other)
         den = lcm(a._den, b._den)
         fa, fb = den // a._den, den // b._den
         vec = [fa * x + fb * y for x, y in zip(a._num, b._num)]
@@ -290,6 +297,8 @@ class CyclotomicNumber:
         if other is NotImplemented:
             return NotImplemented
         n = lcm(self.order, other.order)
+        if not any(self._num) or not any(other._num):
+            return CyclotomicNumber._raw(n, [0] * _degree(n), 1)
         s, t = n // self.order, n // other.order
         ys = [(j * t, y) for j, y in enumerate(other._num) if y]
         conv = [0] * ((len(self._num) - 1) * s + (len(other._num) - 1) * t + 1)
@@ -470,8 +479,20 @@ def two_i_sin(k: int, b: int) -> CyclotomicNumber:
 
 @lru_cache(maxsize=None)
 def sine_inv(k: int, b: int) -> CyclotomicNumber:
-    """1 / (2i*sin(pi*k/b)) in Q(zeta_{2b}); DivisionByZero when b divides k."""
-    return two_i_sin(k, b).inv()
+    """1 / (2i*sin(pi*k/b)) in Q(zeta_{2b}); DivisionByZero when b divides k.
+
+    With zeta = zeta_{2b} and w = zeta^(2k) of order m = b/gcd(k, b),
+    sum_{s<m} s*w^s = m/(w - 1), so 1/(zeta^k - zeta^-k) = zeta^k/(w - 1)
+    is zeta^k * sum_{s<m} s*w^s / m: no Euclid.
+    """
+    m = b // gcd(k, b)
+    if m == 1:
+        raise DivisionByZero("inverse of zero")
+    n = 2 * b
+    vec = [0] * n
+    for s in range(1, m):
+        vec[(k + 2 * k * s) % n] += s
+    return CyclotomicNumber._raw(n, _reduce(vec, n), m)
 
 
 def echelon(rows):

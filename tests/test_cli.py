@@ -1,11 +1,14 @@
 """End-to-end CLI checks, run in process through main()."""
 import io
 import json
+import math
 import os
+import random
 import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -18,6 +21,7 @@ from minmod import (
     CyclotomicNumber, DegenerateSystem, DivisionByZero, cli, minimal, parse_exact, zeta,
 )
 from minmod.cli import main
+from minmod.exact import solve
 
 
 def run(capsys, *argv):
@@ -96,6 +100,57 @@ def test_qdim_example(capsys):
     assert code == 0
     assert "= 2 + sqrt(3)" in out
     assert "3.73205081" in out
+
+
+# -- radical rendering, against the elimination over lcm(n, 24) -----------------
+
+def _radical_reference(value):
+    # every basis element and the value promoted to lcm(n, 24), one
+    # eight-column elimination there
+    s2, s3 = zeta(8) + zeta(8, -1), zeta(12) + zeta(12, -1)
+    reals = (CyclotomicNumber.from_rational(1), s2, s3, s2 * s3)
+    basis = reals + tuple(zeta(4) * b for b in reals)
+    order = math.lcm(value.order, 24)
+    cols = [b.promote(order).coefficients for b in basis]
+    sol = solve([list(row) for row in zip(*cols, value.promote(order).coefficients)])
+    return None if sol is None else tuple(sol)
+
+
+def _own_field_coordinates(value):
+    coords = cli._radical_coordinates(value)
+    return None if coords is None else tuple(coords)
+
+
+def test_radical_coordinates_of_verify_all_match_the_lcm_route(capsys):
+    _, report = run_json(capsys, "verify", "all")
+    values = [parse_exact(c["exact"]) for c in report["checks"] if c["exact"]]
+    values = [v for v in values if not v.is_rational()]
+    assert values
+    for value in values:
+        assert _own_field_coordinates(value) == _radical_reference(value), value
+
+
+# Odd orders and orders 2 mod 4 that 3 divides, where sqrt(3)*i lies in
+# the field but i does not; multiples of 24; and orders meeting Q(zeta_24)
+# in Q(zeta_8) only.
+_RADICAL_ORDERS = (3, 5, 6, 9, 15, 30, 48, 96, 120, 224, 728)
+
+
+def test_radical_coordinates_of_seeded_values_match_the_lcm_route():
+    rng = random.Random(24)
+    outside = 0
+    for order in _RADICAL_ORDERS:
+        meet = math.gcd(order, 24)
+        for draw in range(8):
+            value = sum((Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                         * zeta(meet, rng.randrange(meet)) for _ in range(3)),
+                        CyclotomicNumber.from_rational(0)).promote(order)
+            if draw % 2:
+                value = value + rng.randint(1, 5) * zeta(order, rng.randrange(order))
+            want = _radical_reference(value)
+            assert _own_field_coordinates(value) == want, (order, value)
+            outside += want is None
+    assert outside
 
 
 def test_braid_entry_example(capsys):

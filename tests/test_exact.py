@@ -197,6 +197,21 @@ def test_two_i_sin_embeds_at_any_multiple_order():
         sine_inv(16, 8)
 
 
+def test_sine_inv_closed_form_is_the_euclid_inverse():
+    # zeta_2b^k * sum_{s<m} s*w^s / m, w = zeta_2b^(2k) of order m, against
+    # the extended Euclid of CyclotomicNumber.inv, run once per k mod 2b
+    for b in range(2, 25):
+        euclid = {k: two_i_sin(k, b).inv() for k in range(1, 2 * b) if k != b}
+        for k in range(-b + 1, 2 * b):
+            if k % b == 0:
+                continue
+            got, want = sine_inv(k, b), euclid[k % (2 * b)]
+            assert (got.order, got.coefficients) == (want.order, want.coefficients), (k, b)
+        for k in (0, b, -2 * b):
+            with pytest.raises(DivisionByZero):
+                sine_inv(k, b)
+
+
 # -- products across orders, against shift, convolve and reduce ---------------
 
 # The same order, order 1 against the largest field, divisor pairs both
@@ -245,6 +260,31 @@ def test_product_across_orders_matches_reference(operands):
     got = a * b
     assert got.order == n
     assert got.coefficients == want
+
+
+# -- zero operands, against promote-both-then-operate --------------------------
+
+_ZERO_ORDERS = (1, 4, 8, 24, 32, 48, 224)
+
+
+def _maybe_zero(order):
+    return st.one_of(st.just(CyclotomicNumber(order, [])), _operand(order))
+
+
+@given(st.tuples(st.sampled_from(_ZERO_ORDERS), st.sampled_from(_ZERO_ORDERS)).flatmap(
+    lambda pair: st.tuples(_maybe_zero(pair[0]), _maybe_zero(pair[1]))))
+@settings(max_examples=80, deadline=None)
+def test_zero_operands_keep_the_field_order(operands):
+    a, b = operands
+    n = math.lcm(a.order, b.order)
+    pa, pb = a.promote(n), b.promote(n)
+    want_sum = tuple(x + y for x, y in zip(pa.coefficients, pb.coefficients))
+    for got in (a + b, b + a):
+        assert got.order == n
+        assert got.coefficients == want_sum
+    for got in (a * b, b * a):
+        assert got.order == n
+        assert got.coefficients == _product_reference(a, b)[1]
 
 
 # -- reduction into the power basis, against dense long division ---------------
