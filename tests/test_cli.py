@@ -136,9 +136,10 @@ def test_radical_coordinates_of_verify_all_match_the_lcm_route(capsys):
 _RADICAL_ORDERS = (3, 5, 6, 9, 15, 30, 48, 96, 120, 224, 728)
 
 
-def test_radical_coordinates_of_seeded_values_match_the_lcm_route():
+def _seeded_radical_values():
+    # elements of Q(zeta_gcd(n,24)) in Q(zeta_n), every second one moved
+    # off that meet by a zeta_n^e term
     rng = random.Random(24)
-    outside = 0
     for order in _RADICAL_ORDERS:
         meet = math.gcd(order, 24)
         for draw in range(8):
@@ -147,10 +148,49 @@ def test_radical_coordinates_of_seeded_values_match_the_lcm_route():
                         CyclotomicNumber.from_rational(0)).promote(order)
             if draw % 2:
                 value = value + rng.randint(1, 5) * zeta(order, rng.randrange(order))
-            want = _radical_reference(value)
-            assert _own_field_coordinates(value) == want, (order, value)
-            outside += want is None
+            yield value
+
+
+def test_radical_coordinates_of_seeded_values_match_the_lcm_route():
+    outside = 0
+    for value in _seeded_radical_values():
+        want = _radical_reference(value)
+        assert _own_field_coordinates(value) == want, value
+        outside += want is None
     assert outside
+
+
+def _rebuild_radical(text):
+    # the value a radical rendering spells, from the test's own sqrt(2),
+    # sqrt(3) and i
+    s2, s3, i = zeta(8) + zeta(8, -1), zeta(12) + zeta(12, -1), zeta(4)
+    names = {"": 1, "sqrt(2)": s2, "sqrt(3)": s3, "sqrt(6)": s2 * s3, "i": i,
+             "sqrt(2)*i": s2 * i, "sqrt(3)*i": s3 * i, "sqrt(6)*i": s2 * s3 * i}
+    total = CyclotomicNumber.from_rational(0)
+    for term in text.replace("- ", "-").replace("+ ", "").split(" "):
+        sign = -1 if term.startswith("-") else 1
+        mag, _, name = term.lstrip("-").partition("*")
+        if not mag[0].isdigit():
+            mag, name = "1", term.lstrip("-")
+        total = total + sign * Fraction(mag) * names[name]
+    return total
+
+
+def test_radical_renderings_rebuild_their_values(capsys):
+    # Every radical form verify all prints, and every one of the seeded
+    # draws, spells its value exactly.
+    _, report = run_json(capsys, "verify", "all")
+    shown = [c["exact"].split(" = ") for c in report["checks"] if " = " in c["exact"]]
+    assert shown
+    for poly, radical in shown:
+        assert _rebuild_radical(radical) == parse_exact(poly), (poly, radical)
+    rendered = 0
+    for value in _seeded_radical_values():
+        radical = cli.as_radical(value)
+        if radical is not None:
+            assert _rebuild_radical(radical) == value, (value, radical)
+            rendered += 1
+    assert rendered
 
 
 def test_braid_entry_example(capsys):
