@@ -3,6 +3,8 @@ braiding matrices, and the sector structure of the 5A and 3C extension
 algebras.  Everything downstream of the cyclotomic layer is computed in
 closed form; floats only appear as final renderings."""
 
+from importlib import import_module
+
 from .exact import (
     CyclotomicNumber,
     DivisionByZero,
@@ -26,40 +28,38 @@ from .minimal import (
     qdim,
     qdim_tensor,
 )
-from .braiding import (
-    BraidMatrix,
-    BracketTable,
-    IndexOutOfRange,
-    NonIntegerExponent,
-    RQuery,
-    brackets,
-    braid_entry,
-    braid_matrix,
-    lemma_3c_entry,
-    lemma_5a_combos,
-    memoized_queries,
-    named_label,
-    r_matrix,
-)
-from .algebra import (
-    ChainCheck,
-    DegenerateSystem,
-    GradedAlgebra,
-    IrreducibleModuleSpec,
-    Sector,
-    SectorEquation,
-    SectorProduct,
-    SectorSystem,
-    SolutionSet,
-    build_algebra,
-    build_sector_system,
-    check_subalgebra_chain,
-    irreducible_modules,
-    module_fusion,
-    qdim_module,
-    sector_fusion,
-    solve_sector_system,
-)
+
+# The public names of the upper layers and the layer of each.  A layer
+# is imported the first time one of its names is read, so `mm info`,
+# `fusion` and `qdim` never compile braiding or algebra.
+_LAYER_OF = {
+    name: layer
+    for layer, names in (
+        ("braiding", "BraidMatrix BracketTable IndexOutOfRange NonIntegerExponent"
+                     " RQuery brackets braid_entry braid_matrix lemma_3c_entry"
+                     " lemma_5a_combos memoized_queries named_label r_matrix"),
+        ("algebra", "ChainCheck DegenerateSystem GradedAlgebra"
+                    " IrreducibleModuleSpec Sector SectorEquation SectorProduct"
+                    " SectorSystem SolutionSet build_algebra build_sector_system"
+                    " check_subalgebra_chain irreducible_modules module_fusion"
+                    " qdim_module sector_fusion solve_sector_system"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{layer}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

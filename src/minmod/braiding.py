@@ -34,8 +34,11 @@ class IndexOutOfRange(ValueError):
     """A chiral r-matrix index left the open range of its side."""
 
 
-class NonIntegerExponent(ArithmeticError):
-    """The half-integer sign exponent of the prefactor failed to be integral."""
+class NonIntegerExponent(ArithmeticError, ValueError):
+    """The half-integer sign exponent of the prefactor failed to be integral.
+
+    Also a ValueError: the externals are outside the inputs the prefactor
+    is defined for, so ``mm`` treats it as an unusable argument."""
 
 
 # The modules the write-up enumerates: P1..P4 for (7,8) and U1, U2 for

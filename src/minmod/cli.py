@@ -17,26 +17,42 @@ import os
 import sys
 import time
 from functools import lru_cache, partial
+from importlib import import_module
 from typing import NamedTuple
 
-from .algebra import (
-    DegenerateSystem,
-    build_algebra,
-    build_sector_system,
-    check_subalgebra_chain,
-    irreducible_modules,
-    module_fusion,
-    qdim_module,
-    solve_sector_system,
-)
-from .braiding import (
-    NonIntegerExponent, braid_matrix, brackets, lemma_3c_entry, lemma_5a_combos,
-    named_entry, named_label, named_matrix,
-)
 from .exact import CyclotomicNumber, solve, zeta
 from .minimal import (
     MinimalModel, ModuleLabel, check_fusion_ring, fuse, qdim, qdim_tensor,
 )
+
+# The names read from the upper layers, bound on first use so that
+# `info`, `fusion` and `qdim` never compile them: `braid` loads braiding,
+# `decompose` and `verify` load algebra (which imports braiding itself).
+_LAZY = {
+    "braiding": ("braid_matrix", "brackets", "lemma_3c_entry", "lemma_5a_combos",
+                 "named_entry", "named_label", "named_matrix"),
+    "algebra": ("DegenerateSystem", "build_algebra", "build_sector_system",
+                "check_subalgebra_chain", "irreducible_modules", "module_fusion",
+                "qdim_module", "solve_sector_system"),
+}
+
+
+def _load(*layers: str) -> None:
+    # a name already bound, by an earlier load or a patch, is kept
+    for layer in layers:
+        module = import_module(f".{layer}", __package__)
+        for name in _LAZY[layer]:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    # so that cli.braid_matrix and the like resolve before a command runs
+    for layer, names in _LAZY.items():
+        if name in names:
+            _load(layer)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _ONE = CyclotomicNumber.from_rational(1)
 
@@ -524,48 +540,49 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", parents=[common, model],
                        help="central charge and module list")
-    p.set_defaults(func=cmd_info)
+    p.set_defaults(func=cmd_info, layers=())
 
     p = sub.add_parser("fusion", parents=[common, model], help="fusion product")
     p.add_argument("--a", required=True, metavar="M,N")
     p.add_argument("--b", required=True, metavar="M,N")
-    p.set_defaults(func=cmd_fusion)
+    p.set_defaults(func=cmd_fusion, layers=())
 
     p = sub.add_parser("qdim", parents=[common, model], help="quantum dimension")
     p.add_argument("--label", required=True, metavar="M,N")
-    p.set_defaults(func=cmd_qdim)
+    p.set_defaults(func=cmd_qdim, layers=())
 
     p = sub.add_parser("braid", parents=[common, model],
                        help="braiding matrix or one entry of it")
     p.add_argument("--ext", required=True, metavar="A,B,C,D",
                    help="externals: four named indices or four m,n pairs")
     p.add_argument("--entry", metavar="I,J")
-    p.set_defaults(func=cmd_braid)
+    p.set_defaults(func=cmd_braid, layers=("braiding",))
 
     p = sub.add_parser("verify", parents=[common],
                        help="run one verification target or all of them")
     p.add_argument("target", choices=tuple(_VERIFY) + ("all",))
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, layers=("braiding", "algebra"))
 
     p = sub.add_parser("decompose", parents=[common],
                        help="sector or module decomposition of 5A/3C")
     p.add_argument("algebra", help="5a or 3c")
     p.add_argument("--module", metavar="KEY",
                    help="module key: i,j for 5A, an even integer for 3C")
-    p.set_defaults(func=cmd_decompose)
+    p.set_defaults(func=cmd_decompose, layers=("algebra",))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.digits = _digits(args.precision)
+    _load(*args.layers)
     start = time.perf_counter()
     try:
         report = args.func(args)
     except (ValueError, KeyError, ArithmeticError) as exc:
         reason = exc.args[0] if exc.args else exc
         print(f"error: {reason}", file=sys.stderr)
-        return 2 if isinstance(exc, (ValueError, KeyError, NonIntegerExponent)) else 1
+        return 2 if isinstance(exc, (ValueError, KeyError)) else 1
     except RecursionError:
         # the r-matrix recursion nests deeper than the stack for large p
         print("error: input too large: recursion depth exceeded", file=sys.stderr)

@@ -38,7 +38,7 @@ class NonUnitaryModel(ValueError):
 class MinimalModel:
     """The minimal model L(c_{p,q}, 0); hashable, compared by (p, q)."""
 
-    __slots__ = ("p", "q")
+    __slots__ = ("p", "q", "_hash")
 
     def __init__(self, p: int, q: int) -> None:
         if not isinstance(p, int) or not isinstance(q, int):
@@ -47,6 +47,8 @@ class MinimalModel:
             raise InvalidModel(f"need coprime 2 <= p < q, got ({p}, {q})")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
+        # models and labels key the r-matrix memo, so the hash is kept
+        object.__setattr__(self, "_hash", hash((MinimalModel, p, q)))
 
     def __setattr__(self, name, value):
         raise AttributeError("MinimalModel is immutable")
@@ -57,7 +59,7 @@ class MinimalModel:
         return (self.p, self.q) == (other.p, other.q)
 
     def __hash__(self):
-        return hash((MinimalModel, self.p, self.q))
+        return self._hash
 
     def __repr__(self):
         return f"MinimalModel({self.p}, {self.q})"
@@ -96,6 +98,11 @@ class MinimalModel:
         return tuple(ModuleLabel(self, m, n) for m, n in _canonical_pairs(self.p, self.q))
 
 
+# Equal labels share one hash object: a warm session keeps some 10^5
+# labels alive, and an int object of its own would add 36 bytes to each.
+_LABEL_HASHES: dict[int, int] = {}
+
+
 class ModuleLabel:
     """A canonical Kac label of a minimal model.
 
@@ -104,13 +111,15 @@ class ModuleLabel:
     Labels are immutable and compare equal only to labels.
     """
 
-    __slots__ = ("model", "m", "n")
+    __slots__ = ("model", "m", "n", "_hash")
 
     def __init__(self, model: MinimalModel, m: int, n: int) -> None:
         m, n = model.canonical(m, n)
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
+        h = hash((model, m, n))
+        object.__setattr__(self, "_hash", _LABEL_HASHES.setdefault(h, h))
 
     def __setattr__(self, name, value):
         raise AttributeError("ModuleLabel is immutable")
@@ -121,7 +130,7 @@ class ModuleLabel:
         return (self.model, self.m, self.n) == (other.model, other.m, other.n)
 
     def __hash__(self):
-        return hash((self.model, self.m, self.n))
+        return self._hash
 
     @property
     def kac(self) -> tuple[int, int]:

@@ -27,12 +27,13 @@ def canonical(p, q, m, n):
     return min((m, n), (p - m, q - n))
 
 
+@functools.lru_cache(maxsize=None)
 def labels(p, q):
     out = set()
     for m in range(1, p):
         for n in range(1, q):
             out.add(canonical(p, q, m, n))
-    return sorted(out, key=lambda t: (weight(p, q, *t), t))
+    return tuple(sorted(out, key=lambda t: (weight(p, q, *t), t)))
 
 
 def _raw_adm(p, q, t1, t2, t3):

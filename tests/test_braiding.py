@@ -412,7 +412,7 @@ def test_braid_channels_match_admissibility_scan(pq, data):
     model = MinimalModel(p, q)
     a1, a2, a3 = (data.draw(st.sampled_from(oracles.labels(p, q))) for _ in range(3))
     mu = data.draw(st.sampled_from(oracles.fuse(p, q, a2, a1)))
-    a4 = data.draw(st.sampled_from(oracles.fuse(p, q, a3, mu) + oracles.labels(p, q)))
+    a4 = data.draw(st.sampled_from([*oracles.fuse(p, q, a3, mu), *oracles.labels(p, q)]))
     a4, a1, a3, a2 = exts = tuple(model.label(m, n) for m, n in (a4, a1, a3, a2))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(braiding, "braid_entry", lambda *args: None)

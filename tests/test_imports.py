@@ -88,15 +88,72 @@ def test_bench_traced_names_resolve():
         assert name in vars(owner), (module_name, attr)
 
 
+def run_python(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(minmod.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # Every mm process pays for what minmod.cli imports; dataclasses and
     # the inspect/ast/dis chain behind it are loaded by nothing else.
-    env = dict(os.environ, PYTHONPATH=str(Path(minmod.__file__).resolve().parents[1]))
     code = "import sys, minmod.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = run_python("-S", "-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv,layers", [
+    ([], ["exact", "minimal"]),
+    (["qdim", "--p", "7", "--q", "8", "--label", "2,3"], ["exact", "minimal"]),
+    (["fusion", "--p", "7", "--q", "8", "--a", "1,3", "--b", "1,3"], ["exact", "minimal"]),
+    (["info", "--p", "23", "--q", "24"], ["exact", "minimal"]),
+    (["braid", "--p", "7", "--q", "8", "--ext", "3,3,4,4"], ["braiding", "exact", "minimal"]),
+    (["decompose", "3c"], ["algebra", "braiding", "exact", "minimal"]),
+    (["verify", "lemma-5a"], ["algebra", "braiding", "exact", "minimal"]),
+], ids=["import", "qdim", "fusion", "info", "braid", "decompose", "verify"])
+def test_each_command_loads_only_its_layers(argv, layers):
+    # A cold mm process compiles every module it imports; qdim, fusion
+    # and info need neither braiding nor algebra, and braid no algebra.
+    code = ("import sys, minmod.cli\n"
+            "rc = minmod.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "print(sorted(m[7:] for m in sys.modules if m.startswith('minmod.')))\n"
+            "sys.exit(rc)")
+    done = run_python("-c", code, *argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == repr(sorted(["cli", *layers]))
+
+
+def test_package_names_resolve_lazily():
+    # `import minmod` loads exact and minimal only; each public name
+    # resolves to the object its layer defines, and dir() and `import *`
+    # list them all.
+    code = ("import sys, minmod\n"
+            "print(sorted(m for m in sys.modules if m.startswith('minmod.')))\n"
+            "namespace = {}\n"
+            "exec('from minmod import *', namespace)\n"
+            "print(sorted(set(namespace) - {'__builtins__'}) == sorted(minmod.__all__))")
+    done = run_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["['minmod.exact', 'minmod.minimal']", "True"]
+    listed = dir(minmod)
+    for name in minmod.__all__:
+        value = getattr(minmod, name)
+        assert vars(sys.modules[value.__module__])[name] is value, name
+        assert name in listed, name
+    with pytest.raises(AttributeError):
+        minmod.no_such_name
+
+
+def test_half_integral_exponent_exits_2_in_a_cold_process():
+    # main maps NonIntegerExponent to exit 2 without importing braiding
+    # itself; the draw below raises it inside braid_matrix.
+    done = run_python("-m", "minmod.cli", "braid", "--p", "7", "--q", "8",
+                      "--ext", "2,3,2,7,3,3,3,5")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: sign exponent ")
+    assert len(done.stderr.splitlines()) == 1
 
 
 def test_bench_package_names_resolve():
