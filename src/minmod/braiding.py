@@ -1,15 +1,15 @@
 """Braiding matrices for unitary minimal models, built exactly.
 
 The matrix (B_{a4,a1}^{a3,a2})_{mu,gamma} factorizes, up to an explicit
-prefactor, into two chiral pieces r'(...) and r(...), each defined by
-base cases on indices 1 and 2 together with a two-index recursion.  The
-chiral pieces live on the q = p + 1 and p sides respectively.  Their
-quantum brackets and bracket inverses are sines in Q(zeta_{2q}) and
-Q(zeta_{2p}), and the quarter powers of the deformation parameter put
-r' in Q(zeta_{4q}) and r in Q(zeta_{4p}).  Only a braiding-matrix
-entry multiplies the two up to Q(zeta_{4pq}), and stays in the smaller
-field when one side is trivial.  Every nonvanishing claim is a
-decidable coefficient comparison.
+prefactor, into two chiral pieces r'(...) and r(...), each given by base
+cases at m = 1 and n = 1, a closed-form row at m = 2 and a recursion
+that peels m down to that row.  The chiral pieces live on the q = p + 1
+and p sides respectively.  Their quantum brackets and bracket inverses
+are sines in Q(zeta_{2q}) and Q(zeta_{2p}), and the quarter powers of
+the deformation parameter put r' in Q(zeta_{4q}) and r in Q(zeta_{4p}).
+Only a braiding-matrix entry multiplies the two up to Q(zeta_{4pq}), and
+stays in the smaller field when one side is trivial.  Every nonvanishing
+claim is a decidable coefficient comparison.
 """
 
 from __future__ import annotations
@@ -150,9 +150,20 @@ def r_matrix(query: RQuery) -> CyclotomicNumber:
 
     Entries whose indices are compatible in range but not linked by the
     fusion constraints are exactly zero.  Indices outside the open
-    range of the side raise IndexOutOfRange.  The recursion picks the
-    smallest admissible splitting index; the tests recompute entries
-    under every other choice to check that it does not matter.
+    range of the side raise IndexOutOfRange.
+
+    A supported m = 2 entry is closed form.  With e = b - a and
+    f = d - c, each +-1, and q the side's deformation parameter x or y,
+
+        r(a, 2, n, c)_{b,d} = -f q^{(-e*a - f*c - 1)/4} [(e*a - f*c + n)/2] / [c].
+
+    At n = 2 it is the table of Felder-Froehlich-Keller (CMP 124, 1989),
+    and it keeps their step that peels n: both terms of the sum carry
+    the same quarter power, and the brackets collapse by
+    [x][y] - [x-1][y+1] = [1][y-x+1].  The tests check it exactly against
+    that recursion, and the step up to p = 59.  For m > 2 the recursion
+    peels m through the smallest admissible splitting index; the tests
+    check that every other choice gives the same value.
     """
     cached = _R_MEMO.get(query)
     if cached is not None:
@@ -179,39 +190,19 @@ def _r_value(query: RQuery, table: BracketTable, split: int | None = None) -> Cy
         return _ONE if (b, d) == (a, c) else _ZERO
     if n == 1:
         return _ONE if (b, d) == (c, a) else _ZERO
-    if m == 2 and n == 2:
-        if c in (a - 2, a + 2):
-            l = (a + c) // 2
-            return table.power(1) if (b, d) == (l, l) else _ZERO
-        if c == a:
-            l = a
-            if (b, d) == (l + 1, l + 1):
-                return -table.power(-1 - 2 * l) * table[1] * table.inv(l)
-            if (b, d) == (l - 1, l - 1):
-                return table.power(-1 + 2 * l) * table[1] * table.inv(l)
-            if (b, d) == (l + 1, l - 1):
-                return table.power(-1) * table[l + 1] * table.inv(l)
-            if (b, d) == (l - 1, l + 1):
-                return table.power(-1) * table[l - 1] * table.inv(l)
-        return _ZERO
-    if m > 2:
-        # peel one unit off m; the splitting index a1 is a matter of choice
-        a1 = split if split is not None else _splittings(bound, a, m, b)[0]
-        total = _ZERO
-        for d1 in (d - 1, d + 1):
-            if 0 < d1 < bound:
-                total = total + _sub(query, a, 2, n, d1, a1, d) * _sub(
-                    query, a1, m - 1, n, c, b, d1
-                )
-        return total
-    # m <= 2 < n: peel one unit off n through the splitting index c1
-    c1 = split if split is not None else _splittings(bound, b, n, c)[0]
+    if m == 2:
+        # the closed-form row (see r_matrix); the sign -f costs no product
+        e, f = b - a, d - c
+        value = table.power(-e * a - f * c - 1) * table[(e * a - f * c + n) // 2] * table.inv(c)
+        return -value if f > 0 else value
+    # peel one unit off m; the splitting index a1 is a matter of choice
+    a1 = split if split is not None else _splittings(bound, a, m, b)[0]
     total = _ZERO
-    for d1 in (a - 1, a + 1):
+    for d1 in (d - 1, d + 1):
         if 0 < d1 < bound:
-            total = total + _sub(query, a, m, 2, c1, b, d1) * _sub(
-                query, d1, m, n - 1, c, c1, d
-            )
+            tail = _sub(query, a1, m - 1, n, c, b, d1)
+            if tail:
+                total = total + _sub(query, a, 2, n, d1, a1, d) * tail
     return total
 
 

@@ -584,7 +584,7 @@ def main(argv=None) -> int:
         print(f"error: {reason}", file=sys.stderr)
         return 2 if isinstance(exc, (ValueError, KeyError)) else 1
     except RecursionError:
-        # the r-matrix recursion nests deeper than the stack for large p
+        # the r-matrix recursion nests about m deep, past the stack for large p
         print("error: input too large: recursion depth exceeded", file=sys.stderr)
         return 2
     report.elapsed_ms = int((time.perf_counter() - start) * 1000)

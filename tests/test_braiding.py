@@ -1,7 +1,9 @@
 """Chiral r-matrices and assembled braiding matrices."""
 import cmath
 import math
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -30,9 +32,9 @@ from minmod import (
     r_matrix,
     zeta,
 )
-from minmod import braiding
+from minmod import braiding, minimal
 from minmod.braiding import named_matrix
-from minmod.exact import sine_inv, two_i_sin
+from minmod.exact import _reduce, sine_inv, two_i_sin
 
 M78 = MinimalModel(7, 8)
 M1112 = MinimalModel(11, 12)
@@ -218,30 +220,192 @@ def r_matrix_variants(query):
     """An r-matrix entry recomputed once per admissible top-level splitting.
 
     r_matrix takes the smallest splitting index; every other choice must
-    give the same value.
+    give the same value.  Only m > 2 peels, so only those entries split.
     """
     table = brackets(query.model, query.variant)
     bound = table.bound
     a, m, n, c, b, d = query.indices()
     splits = [None]
-    if braiding._supported(query, bound):
-        if m > 2:
-            splits = braiding._splittings(bound, a, m, b)
-        elif n > 2:
-            splits = braiding._splittings(bound, b, n, c)
+    if braiding._supported(query, bound) and m > 2:
+        splits = braiding._splittings(bound, a, m, b)
     return tuple(braiding._r_value(query, table, split=s) for s in splits)
 
 
-def test_recursion_choice_independence():
-    lemma_matrix()
-    lemma_3c_entry()
+def split_queries_of_the_lemma_matrices(monkeypatch):
+    """The r-matrix queries of the two lemma matrices, from an empty memo.
+
+    69 of them, all with m > 2, have two splittings.  Peeling n, before
+    the closed-form m = 2 row, split 213 more, all with m = 2.
+    """
+    monkeypatch.setattr(braiding, "_R_MEMO", {})
+    braid_matrix(M78, LEMMA_EXTS)
+    braid_matrix(M1112, (named_label(M1112, 2),) * 4)
+    return memoized_queries()
+
+
+def test_recursion_choice_independence(monkeypatch):
     seen = 0
-    for q in memoized_queries():
+    for q in split_queries_of_the_lemma_matrices(monkeypatch):
         values = r_matrix_variants(q)
         assert all(v == values[0] for v in values)
         if len(values) > 1:
+            assert q.m > 2
             seen += 1
-    assert seen > 0
+    assert seen == 69
+
+
+# -- the closed-form m = 2 row ----------------------------------------------
+
+ZERO = CyclotomicNumber.from_rational(0)
+
+
+def n_peeled_row(model, variant):
+    """r(a, 2, n, c)_{b,d} by peeling n, the exact route the closed form
+    replaced: the m = n = 2 table, then one unit off n through the
+    smallest splitting index c1."""
+    table = brackets(model, variant)
+    bound = table.bound
+    memo = {}
+
+    def r(a, n, c, b, d):
+        key = (a, n, c, b, d)
+        if key in memo:
+            return memo[key]
+        value = ZERO
+        if not braiding._supported(RQuery(model, variant, a, 2, n, c, b, d), bound):
+            pass
+        elif n == 1:
+            value = ONE if (b, d) == (c, a) else ZERO
+        elif n == 2:
+            if c in (a - 2, a + 2):
+                l = (a + c) // 2
+                value = table.power(1) if (b, d) == (l, l) else ZERO
+            elif c == a:
+                l = a
+                value = {
+                    (l + 1, l + 1): -table.power(-1 - 2 * l) * table[1] * table.inv(l),
+                    (l - 1, l - 1): table.power(-1 + 2 * l) * table[1] * table.inv(l),
+                    (l + 1, l - 1): table.power(-1) * table[l + 1] * table.inv(l),
+                    (l - 1, l + 1): table.power(-1) * table[l - 1] * table.inv(l),
+                }.get((b, d), ZERO)
+        else:
+            c1 = braiding._splittings(bound, b, n, c)[0]
+            for d1 in (a - 1, a + 1):
+                if 0 < d1 < bound:
+                    value = value + r(a, 2, c1, b, d1) * r(d1, n - 1, c, c1, d)
+        memo[key] = value
+        return value
+
+    return r
+
+
+def supported_m2_rows(bound):
+    """Every (a, n, c, b, d) of an m = 2 row that passes the support gate.
+
+    The rest are the zero of that one shared gate on either route."""
+    adm = minimal._side_admissible
+    for a in range(1, bound):
+        for b in (a - 1, a + 1):
+            for n in range(1, bound):
+                for c in range(abs(n - b) + 1, min(n + b, 2 * bound - n - b), 2):
+                    for d in (c - 1, c + 1):
+                        if adm(2, b, a, bound) and adm(n, d, a, bound) and adm(2, c, d, bound):
+                            yield a, n, c, b, d
+
+
+@lru_cache(maxsize=None)
+def closed_form_rows(p, variant):
+    """{(a, n, c, b, d): r(a, 2, n, c)_{b,d}} by braiding, past the memo."""
+    model = MinimalModel(p, p + 1)
+    table = brackets(model, variant)
+    return {
+        i: braiding._r_value(RQuery(model, variant, i[0], 2, *i[1:]), table)
+        for i in supported_m2_rows(table.bound)
+    }
+
+
+@pytest.mark.parametrize("variant", ["primed", "unprimed"])
+def test_closed_form_row_matches_n_peeling(variant):
+    for p in range(3, 15):
+        reference = n_peeled_row(MinimalModel(p, p + 1), variant)
+        for i, value in closed_form_rows(p, variant).items():
+            assert value == reference(*i), (p, i)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_closed_form_row_against_float_oracle(p):
+    for variant, side in zip(("unprimed", "primed"), oracles.sides(p)):
+        for (a, n, c, b, d), value in closed_form_rows(p, variant).items():
+            assert abs(_embed(value) - side.r(a, 2, n, c, b, d)) < 1e-9, (p, a, n, c, b, d)
+
+
+def test_bracket_exchange_identity():
+    # [x][y] - [x-1][y+1] = [1][y-x+1], the step the n-peel of the
+    # closed form reduces to
+    for variant in ("primed", "unprimed"):
+        t = brackets(M78, variant)
+        for x in range(-9, 10):
+            for y in range(-9, 10):
+                assert t[x] * t[y] - t[x - 1] * t[y + 1] == t[1] * t[y - x + 1]
+
+
+@pytest.mark.parametrize("p", [23, 29, 41, 59])
+def test_closed_form_row_satisfies_the_n_peel(p):
+    """[c1][c] r(a,2,n,c)_{b,d} against the n-peel sum over d1 of
+    [c1] r(a,2,2,c1)_{b,d1} times [c] r(d1,2,n-1,c)_{c1,d}, on 5000
+    drawn supported rows with n > 2 on each side.
+
+    Each cleared row is -f*zeta^(k+l) + f*zeta^(k-l) in Q(zeta_{4b}), so
+    both sides are integer sums of powers of zeta_{4b}: equal as such
+    sums, or else after reduction mod Phi_{4b}.  Every 50th row also
+    checks that braiding's value times [c] is the cleared row.
+    """
+    model = MinimalModel(p, p + 1)
+    rng = random.Random(p)
+    adm = minimal._side_admissible
+    for variant in ("primed", "unprimed"):
+        table = brackets(model, variant)
+        bound, other = table.bound, p if variant == "primed" else p + 1
+        order = 4 * bound
+
+        def cleared(a, n, c, b, d):
+            e, f = b - a, d - c
+            k, l = (-e * a - f * c - 1) * other, (e * a - f * c + n) * other
+            return ((-f, k + l), (f, k - l))
+
+        def supported(a, n, c, b, d):
+            return (adm(2, b, a, bound) and adm(n, c, b, bound)
+                    and adm(n, d, a, bound) and adm(2, c, d, bound))
+
+        drawn = 0
+        while drawn < 5000:
+            # a, b, n at random, then c where (n, c, b) is admissible
+            a, n = rng.randrange(1, bound), rng.randrange(3, bound)
+            b = a + rng.choice((-1, 1))
+            top = min(n + b, 2 * bound - n - b)
+            if top <= abs(n - b) + 1:
+                continue
+            c = rng.randrange(abs(n - b) + 1, top, 2)
+            d = c + rng.choice((-1, 1))
+            row = (a, n, c, b, d)
+            if not supported(*row):
+                continue
+            c1 = braiding._splittings(bound, b, n, c)[0]
+            vec = [0] * order
+            for u, i in cleared(*row):
+                vec[(i + 2 * c1 * other) % order] += u
+                vec[(i - 2 * c1 * other) % order] -= u
+            for d1 in (a - 1, a + 1):
+                if supported(a, 2, c1, b, d1) and supported(d1, n - 1, c, c1, d):
+                    for u, i in cleared(a, 2, c1, b, d1):
+                        for v, j in cleared(d1, n - 1, c, c1, d):
+                            vec[(i + j) % order] -= u * v
+            assert not any(vec) or not any(_reduce(vec, order)), (variant, row)
+            if drawn % 50 == 0:
+                value = braiding._r_value(RQuery(model, variant, a, 2, n, c, b, d), table)
+                want = sum((u * zeta(order, i) for u, i in cleared(*row)), ZERO)
+                assert value * table[c] == want, (variant, row)
+            drawn += 1
 
 
 def test_rquery_is_hashable():

@@ -622,8 +622,8 @@ def test_arithmetic_error_is_one_error_line(capsys, monkeypatch, patch, argv):
 
 
 def test_recursion_limit_is_one_error_line(capsys, monkeypatch):
-    # A braid at p >= 170 nests the r-matrix recursion deeper than the
-    # stack; that input is too large, so the exit code is 2.
+    # A braid with an index m near 330 nests the r-matrix recursion on m
+    # deeper than the stack; that input is too large, so the exit code is 2.
     monkeypatch.setattr(cli, "braid_matrix",
                         _raise(RecursionError("maximum recursion depth exceeded")))
     code, out, err = run(capsys, "braid", "--p", "7", "--q", "8", "--ext", "3,3,4,4")
