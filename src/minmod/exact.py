@@ -176,8 +176,7 @@ class CyclotomicNumber:
     vectors straight into it, while sums and comparisons promote both
     operands first.  A zero operand costs no arithmetic: the product is
     the zero of that field, and the sum the other operand when its field
-    holds the zero's.  A rational factor whose field lies inside the
-    other's only scales the other's coefficients.
+    holds the zero's.
 
     Instances are immutable.  Hashing is disabled on purpose: equal
     values of different orders would need a normalized key, and nothing
@@ -300,9 +299,6 @@ class CyclotomicNumber:
         n = lcm(self.order, other.order)
         if not any(self._num) or not any(other._num):
             return CyclotomicNumber._raw(n, [0] * _degree(n), 1)
-        for x, y in ((self, other), (other, self)):
-            if n == x.order and not any(y._num[1:]):
-                return CyclotomicNumber._raw(n, [y._num[0] * c for c in x._num], x._den * y._den)
         s, t = n // self.order, n // other.order
         ys = [(j * t, y) for j, y in enumerate(other._num) if y]
         conv = [0] * ((len(self._num) - 1) * s + (len(other._num) - 1) * t + 1)

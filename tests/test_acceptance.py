@@ -30,6 +30,7 @@ from minmod import (
     is_admissible,
     lemma_3c_entry,
     lemma_5a_combos,
+    memoized_queries,
     module_fusion,
     named_label,
     parse_exact,
@@ -40,7 +41,7 @@ from minmod import (
     zeta,
 )
 from test_algebra import RESIDUALS_5A, closure_residuals, sector_names
-from test_braiding import r_matrix_variants, split_queries_of_the_lemma_matrices
+from test_braiding import count_split_queries, split_queries_of_the_lemma_matrices
 
 ONE = CyclotomicNumber.from_rational(1)
 I = zeta(4)
@@ -313,12 +314,10 @@ def test_criterion_08_property_suites(monkeypatch):
             ring = check_fusion_ring(model.labels(), fuse, model.vacuum)
             assert ring == RingCheck(), (p, q)
 
-        multi = 0
-        for query in split_queries_of_the_lemma_matrices(monkeypatch):
-            values = r_matrix_variants(query)
-            assert all(v == values[0] for v in values), query
-            multi += len(values) > 1
-        assert multi == 69
+        braid_matrix(M78, tuple(named_label(M78, i) for i in (3, 3, 4, 4)))
+        braid_matrix(M1112, (named_label(M1112, 2),) * 4)
+        assert count_split_queries(memoized_queries()) > 0
+        assert count_split_queries(split_queries_of_the_lemma_matrices(monkeypatch)) == 69
 
         for p, q, exts in (
             (7, 8, ((1, 3), (1, 3), (1, 5), (1, 5))),

@@ -243,15 +243,25 @@ def split_queries_of_the_lemma_matrices(monkeypatch):
     return memoized_queries()
 
 
-def test_recursion_choice_independence(monkeypatch):
+def count_split_queries(queries):
+    """Check that every splitting of each query gives the same value, and
+    count the queries with more than one splitting."""
     seen = 0
-    for q in split_queries_of_the_lemma_matrices(monkeypatch):
+    for q in queries:
         values = r_matrix_variants(q)
-        assert all(v == values[0] for v in values)
+        assert all(v == values[0] for v in values), q
         if len(values) > 1:
             assert q.m > 2
             seen += 1
-    assert seen == 69
+    return seen
+
+
+def test_recursion_choice_independence(monkeypatch):
+    lemma_matrix()
+    lemma_3c_entry()
+    # the session memo: whatever this run has cached, any model or externals
+    assert count_split_queries(memoized_queries()) > 0
+    assert count_split_queries(split_queries_of_the_lemma_matrices(monkeypatch)) == 69
 
 
 # -- the closed-form m = 2 row ----------------------------------------------
