@@ -29,32 +29,19 @@ from .minimal import (
     qdim_tensor,
 )
 
-# The public names of the upper layers and the layer of each.  A layer
-# is imported the first time one of its names is read, so `mm info`,
-# `fusion` and `qdim` never compile braiding or algebra.
-_LAYER_OF = {
-    name: layer
-    for layer, names in (
-        ("braiding", "BraidMatrix BracketTable IndexOutOfRange NonIntegerExponent"
-                     " RQuery brackets braid_entry braid_matrix lemma_3c_entry"
-                     " lemma_5a_combos memoized_queries named_label r_matrix"),
-        ("algebra", "ChainCheck DegenerateSystem GradedAlgebra"
-                    " IrreducibleModuleSpec Sector SectorEquation SectorProduct"
-                    " SectorSystem SolutionSet build_algebra build_sector_system"
-                    " check_subalgebra_chain irreducible_modules module_fusion"
-                    " qdim_module sector_fusion solve_sector_system"),
-    )
-    for name in names.split()
-}
-
 
 def __getattr__(name: str):
-    layer = _LAYER_OF.get(name)
-    if layer is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{layer}", __name__), name)
-    globals()[name] = value
-    return value
+    # A public name of braiding or algebra is imported the first time it
+    # is read, so `mm info`, `fusion` and `qdim` never compile either.
+    # braiding comes first: algebra imports it, and a braiding name loads
+    # no more.
+    if name in __all__:
+        for layer in ("braiding", "algebra"):
+            namespace = vars(import_module(f".{layer}", __name__))
+            if name in namespace:
+                globals()[name] = namespace[name]
+                return namespace[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():

@@ -181,7 +181,7 @@ def _sub(query: RQuery, a, m, n, c, b, d) -> CyclotomicNumber:
     return r_matrix(RQuery(query.model, query.variant, a, m, n, c, b, d))
 
 
-def _r_value(query: RQuery, table: BracketTable, split: int | None = None) -> CyclotomicNumber:
+def _r_value(query: RQuery, table: BracketTable) -> CyclotomicNumber:
     bound = table.bound
     if not _supported(query, bound):
         return _ZERO
@@ -196,7 +196,7 @@ def _r_value(query: RQuery, table: BracketTable, split: int | None = None) -> Cy
         value = table.power(-e * a - f * c - 1) * table[(e * a - f * c + n) // 2] * table.inv(c)
         return -value if f > 0 else value
     # peel one unit off m; the splitting index a1 is a matter of choice
-    a1 = split if split is not None else _splittings(bound, a, m, b)[0]
+    a1 = _splittings(bound, a, m, b)[0]
     total = _ZERO
     for d1 in (d - 1, d + 1):
         if 0 < d1 < bound:

@@ -17,42 +17,14 @@ import os
 import sys
 import time
 from functools import lru_cache, partial
-from importlib import import_module
 from typing import NamedTuple
 
+# braiding and algebra are imported inside the functions that read them,
+# so `info`, `fusion` and `qdim` never compile either
 from .exact import CyclotomicNumber, solve, zeta
 from .minimal import (
     MinimalModel, ModuleLabel, check_fusion_ring, fuse, qdim, qdim_tensor,
 )
-
-# The names read from the upper layers, bound on first use so that
-# `info`, `fusion` and `qdim` never compile them: `braid` loads braiding,
-# `decompose` and `verify` load algebra (which imports braiding itself).
-_LAZY = {
-    "braiding": ("braid_matrix", "brackets", "lemma_3c_entry", "lemma_5a_combos",
-                 "named_entry", "named_label", "named_matrix"),
-    "algebra": ("DegenerateSystem", "build_algebra", "build_sector_system",
-                "check_subalgebra_chain", "irreducible_modules", "module_fusion",
-                "qdim_module", "solve_sector_system"),
-}
-
-
-def _load(*layers: str) -> None:
-    # a name already bound, by an earlier load or a patch, is kept
-    for layer in layers:
-        module = import_module(f".{layer}", __package__)
-        for name in _LAZY[layer]:
-            globals().setdefault(name, getattr(module, name))
-
-
-def __getattr__(name: str):
-    # so that cli.braid_matrix and the like resolve before a command runs
-    for layer, names in _LAZY.items():
-        if name in names:
-            _load(layer)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 _ONE = CyclotomicNumber.from_rational(1)
 
@@ -246,6 +218,7 @@ def _pair(text: str) -> tuple:
 
 
 def _labels(model: MinimalModel, text: str, count: int, flag: str) -> tuple:
+    from .braiding import named_label
     # count named indices, or count m,n pairs
     parts = _ints(text)
     if len(parts) == count:
@@ -315,6 +288,7 @@ def cmd_qdim(args) -> Report:
 
 
 def cmd_braid(args) -> Report:
+    from .braiding import braid_matrix
     model = MinimalModel(args.p, args.q)
     matrix = braid_matrix(model, _labels(model, args.ext, 4, "--ext"))
     checks = []
@@ -346,6 +320,7 @@ def cmd_verify(args) -> Report:
 
 
 def cmd_decompose(args) -> Report:
+    from .algebra import build_algebra, irreducible_modules
     alg = build_algebra(args.algebra)
     modules = irreducible_modules(alg)
     key = _module_key(args.module) if args.module is not None else modules[0].key
@@ -373,6 +348,7 @@ def cmd_decompose(args) -> Report:
 # -- verify targets ---------------------------------------------------------
 
 def _verify_lemma_5a(digits: int) -> list:
+    from .braiding import brackets, lemma_5a_combos, named_entry, named_matrix
     model = MinimalModel(7, 8)
     b = partial(named_entry, 7, (3, 3, 4, 4))
     t = brackets(model, "primed")
@@ -413,6 +389,7 @@ def _verify_lemma_5a(digits: int) -> list:
 
 
 def _verify_lemma_3c(digits: int) -> list:
+    from .braiding import brackets, lemma_3c_entry, named_matrix
     model = MinimalModel(11, 12)
     entry = lemma_3c_entry()
     t = brackets(model, "primed")
@@ -439,6 +416,7 @@ def _verify_lemma_3c(digits: int) -> list:
 def _replay(system: str, fail_name: str, claim) -> list:
     """The claim row and the printed steps of one solved sector system, or
     one fail row when a fact the elimination relies on does not hold."""
+    from .algebra import DegenerateSystem, build_sector_system, solve_sector_system
     try:
         solution = solve_sector_system(build_sector_system(system))
     except DegenerateSystem as exc:
@@ -447,6 +425,7 @@ def _replay(system: str, fail_name: str, claim) -> list:
 
 
 def _verify_uniqueness_5a(digits: int) -> list:
+    from .algebra import build_sector_system
     checks = _replay("5A-uniqueness", "uniqueness replay", lambda s: _claim(
         "unique solution: mu^2 = 1 and gamma^2 = 1",
         s.kind == "unique" and all(v.is_zero() for _, v in s.assignments),
@@ -474,6 +453,7 @@ def _verify_uniqueness_3c(digits: int) -> list:
 
 
 def _verify_chains(name: str, digits: int) -> list:
+    from .algebra import build_algebra, check_subalgebra_chain
     checks = []
     for c in check_subalgebra_chain(build_algebra(name)):
         label = c.name if c.passed else f"{c.name} ({c.detail})"
@@ -482,6 +462,7 @@ def _verify_chains(name: str, digits: int) -> list:
 
 
 def _verify_fusion(name: str, digits: int) -> list:
+    from .algebra import build_algebra, irreducible_modules, module_fusion, qdim_module
     alg = build_algebra(name)
     modules = irreducible_modules(alg)
     keys = [m.key for m in modules]
@@ -540,42 +521,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", parents=[common, model],
                        help="central charge and module list")
-    p.set_defaults(func=cmd_info, layers=())
+    p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("fusion", parents=[common, model], help="fusion product")
     p.add_argument("--a", required=True, metavar="M,N")
     p.add_argument("--b", required=True, metavar="M,N")
-    p.set_defaults(func=cmd_fusion, layers=())
+    p.set_defaults(func=cmd_fusion)
 
     p = sub.add_parser("qdim", parents=[common, model], help="quantum dimension")
     p.add_argument("--label", required=True, metavar="M,N")
-    p.set_defaults(func=cmd_qdim, layers=())
+    p.set_defaults(func=cmd_qdim)
 
     p = sub.add_parser("braid", parents=[common, model],
                        help="braiding matrix or one entry of it")
     p.add_argument("--ext", required=True, metavar="A,B,C,D",
                    help="externals: four named indices or four m,n pairs")
     p.add_argument("--entry", metavar="I,J")
-    p.set_defaults(func=cmd_braid, layers=("braiding",))
+    p.set_defaults(func=cmd_braid)
 
     p = sub.add_parser("verify", parents=[common],
                        help="run one verification target or all of them")
     p.add_argument("target", choices=tuple(_VERIFY) + ("all",))
-    p.set_defaults(func=cmd_verify, layers=("braiding", "algebra"))
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decompose", parents=[common],
                        help="sector or module decomposition of 5A/3C")
     p.add_argument("algebra", help="5a or 3c")
     p.add_argument("--module", metavar="KEY",
                    help="module key: i,j for 5A, an even integer for 3C")
-    p.set_defaults(func=cmd_decompose, layers=("algebra",))
+    p.set_defaults(func=cmd_decompose)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.digits = _digits(args.precision)
-    _load(*args.layers)
     start = time.perf_counter()
     try:
         report = args.func(args)

@@ -39,6 +39,7 @@ from minmod.exact import _reduce, sine_inv, two_i_sin
 M78 = MinimalModel(7, 8)
 M1112 = MinimalModel(11, 12)
 
+ZERO = CyclotomicNumber.from_rational(0)
 ONE = CyclotomicNumber.from_rational(1)
 I = zeta(4)
 SQRT2 = zeta(8) + zeta(8, -1)
@@ -219,16 +220,24 @@ def test_r_against_float_oracle():
 def r_matrix_variants(query):
     """An r-matrix entry recomputed once per admissible top-level splitting.
 
-    r_matrix takes the smallest splitting index; every other choice must
-    give the same value.  Only m > 2 peels, so only those entries split.
+    r_matrix peels one unit off m through the smallest splitting index
+    a1; every other choice must give the same value.  Each peel sums
+    r(a, 2, n, d1)_{a1,d} * r(a1, m-1, n, c)_{b,d1} over d1 = d -+ 1.
+    Only m > 2 peels, so only those entries split.
     """
-    table = brackets(query.model, query.variant)
-    bound = table.bound
+    bound = brackets(query.model, query.variant).bound
     a, m, n, c, b, d = query.indices()
-    splits = [None]
-    if braiding._supported(query, bound) and m > 2:
-        splits = braiding._splittings(bound, a, m, b)
-    return tuple(braiding._r_value(query, table, split=s) for s in splits)
+    if not (braiding._supported(query, bound) and m > 2):
+        return (r_matrix(query),)
+
+    def r(*indices):
+        return r_matrix(RQuery(query.model, query.variant, *indices))
+
+    return tuple(
+        sum((r(a, 2, n, d1, a1, d) * r(a1, m - 1, n, c, b, d1)
+             for d1 in (d - 1, d + 1) if 0 < d1 < bound), ZERO)
+        for a1 in braiding._splittings(bound, a, m, b)
+    )
 
 
 def split_queries_of_the_lemma_matrices(monkeypatch):
@@ -244,12 +253,12 @@ def split_queries_of_the_lemma_matrices(monkeypatch):
 
 
 def count_split_queries(queries):
-    """Check that every splitting of each query gives the same value, and
-    count the queries with more than one splitting."""
+    """Check that every splitting of each query gives the value r_matrix
+    gives, and count the queries with more than one splitting."""
     seen = 0
     for q in queries:
         values = r_matrix_variants(q)
-        assert all(v == values[0] for v in values), q
+        assert all(v == r_matrix(q) for v in values), q
         if len(values) > 1:
             assert q.m > 2
             seen += 1
@@ -265,8 +274,6 @@ def test_recursion_choice_independence(monkeypatch):
 
 
 # -- the closed-form m = 2 row ----------------------------------------------
-
-ZERO = CyclotomicNumber.from_rational(0)
 
 
 def n_peeled_row(model, variant):

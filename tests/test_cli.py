@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 import minmod
 import oracles
 from minmod import (
-    CyclotomicNumber, DegenerateSystem, DivisionByZero, cli, minimal, parse_exact, zeta,
+    CyclotomicNumber, DegenerateSystem, DivisionByZero, algebra, braiding, cli, minimal,
+    parse_exact, zeta,
 )
 from minmod.cli import main
 from minmod.exact import solve
@@ -300,7 +301,7 @@ def test_report_does_not_rest_on_assert(argv):
 
 def test_verify_failing_check_exits_1(capsys, monkeypatch):
     zero = CyclotomicNumber.from_rational(0)
-    monkeypatch.setattr(cli, "lemma_5a_combos", lambda: (zero, zero))
+    monkeypatch.setattr(braiding, "lemma_5a_combos", lambda: (zero, zero))
     code, report = run_json(capsys, "verify", "lemma-5a")
     assert code == 1
     first = report["checks"][0]
@@ -387,14 +388,14 @@ def test_degenerate_replay_is_one_fail_row(capsys, monkeypatch, system, target,
     # one fail row carrying the reason; every other row stays as it was.
     _, healthy = run_json(capsys, "verify", "all")
     steps = minmod.solve_sector_system(minmod.build_sector_system(system)).steps
-    solve = cli.solve_sector_system
+    solve = algebra.solve_sector_system
 
     def degenerate(sector_system):
         if sector_system.name == system:
             raise DegenerateSystem(f"{system}: pivot vanished")
         return solve(sector_system)
 
-    monkeypatch.setattr(cli, "solve_sector_system", degenerate)
+    monkeypatch.setattr(algebra, "solve_sector_system", degenerate)
     code, report = run_json(capsys, "verify", "all")
     assert code == 1
     rows = healthy["checks"]
@@ -604,10 +605,10 @@ def _non_real_qdims(monkeypatch):
 
 
 @pytest.mark.parametrize("patch,argv", [
-    (lambda mp: mp.setattr(cli, "check_subalgebra_chain",
+    (lambda mp: mp.setattr(algebra, "check_subalgebra_chain",
                            _raise(DegenerateSystem("pivot 2 vanished"))),
      ["verify", "chains-5a"]),
-    (lambda mp: mp.setattr(cli, "braid_matrix",
+    (lambda mp: mp.setattr(braiding, "braid_matrix",
                            _raise(DivisionByZero("bracket [7] vanishes"))),
      ["braid", "--p", "7", "--q", "8", "--ext", "3,3,4,4"]),
     (_non_real_qdims, ["qdim", "--p", "7", "--q", "8", "--label", "2,3"]),
@@ -624,7 +625,7 @@ def test_arithmetic_error_is_one_error_line(capsys, monkeypatch, patch, argv):
 def test_recursion_limit_is_one_error_line(capsys, monkeypatch):
     # A braid with an index m near 330 nests the r-matrix recursion on m
     # deeper than the stack; that input is too large, so the exit code is 2.
-    monkeypatch.setattr(cli, "braid_matrix",
+    monkeypatch.setattr(braiding, "braid_matrix",
                         _raise(RecursionError("maximum recursion depth exceeded")))
     code, out, err = run(capsys, "braid", "--p", "7", "--q", "8", "--ext", "3,3,4,4")
     assert code == 2

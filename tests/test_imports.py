@@ -2,11 +2,12 @@
 
 No linter ships with the test dependencies, so this walks the syntax
 tree instead.  A module fails when it binds a name by import and never
-reads it; names the package re-exports through ``__init__.__all__`` and
-``from __future__`` switches are exempt.  The package fails when one of
-its public functions, classes, constants, methods or properties has no
-caller outside the tests, or when a private top-level function, class or
-constant has no reader in the package.
+reads it, or when one of its functions imports a name that the function
+itself never reads; names the package re-exports through
+``__init__.__all__`` and ``from __future__`` switches are exempt.  The
+package fails when one of its public functions, classes, constants,
+methods or properties has no caller outside the tests, or when a private
+top-level function, class or constant has no reader in the package.
 """
 import ast
 import importlib
@@ -28,25 +29,38 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
 
 
+def own_imports(scope):
+    """The names scope binds by import, without those of the functions
+    nested in it or the ``from __future__`` switches."""
+    for node in ast.iter_child_nodes(scope):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module != "__future__":
+                yield from (alias.asname or alias.name for alias in node.names)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from own_imports(node)
+
+
 def unused_imports(source: str) -> set:
     tree = ast.parse(source)
-    imported = {}
+
+    def unread(scope):
+        return set(own_imports(scope)) - {
+            n.id for n in ast.walk(scope) if isinstance(n, ast.Name)
+        }
+
     exported = set()
-    used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
+        if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             exported.update(ast.literal_eval(node.value))
-    return {name for name in imported if name not in used | exported}
+    unused = unread(tree) - exported
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            unused |= unread(node)
+    return unused
 
 
 def test_sources_found():
@@ -66,9 +80,14 @@ def test_scan_flags_an_unused_import():
         "__all__ = ['exported']\n"
         "from .x import exported\n"
         "def f(x: Seq) -> None:\n"
+        "    from .y import stale\n"
         "    return os.path.join(x)\n"
+        "def g():\n"
+        "    from .y import stale, used\n"
+        "    return stale(lambda: used)\n"
     )
-    assert unused_imports(source) == {"Iterable"}
+    # stale is read in g, but not in f, whose own import binds it
+    assert unused_imports(source) == {"Iterable", "stale"}
 
 
 def load_tracing():
@@ -110,11 +129,15 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     (["info", "--p", "23", "--q", "24"], ["exact", "minimal"]),
     (["braid", "--p", "7", "--q", "8", "--ext", "3,3,4,4"], ["braiding", "exact", "minimal"]),
     (["decompose", "3c"], ["algebra", "braiding", "exact", "minimal"]),
-    (["verify", "lemma-5a"], ["algebra", "braiding", "exact", "minimal"]),
-], ids=["import", "qdim", "fusion", "info", "braid", "decompose", "verify"])
+    (["verify", "lemma-5a"], ["braiding", "exact", "minimal"]),
+    (["verify", "lemma-3c"], ["braiding", "exact", "minimal"]),
+    (["verify", "all"], ["algebra", "braiding", "exact", "minimal"]),
+], ids=["import", "qdim", "fusion", "info", "braid", "decompose", "verify",
+        "verify-lemma-3c", "verify-all"])
 def test_each_command_loads_only_its_layers(argv, layers):
     # A cold mm process compiles every module it imports; qdim, fusion
-    # and info need neither braiding nor algebra, and braid no algebra.
+    # and info need neither braiding nor algebra, and braid and the two
+    # lemma targets no algebra.
     code = ("import sys, minmod.cli\n"
             "rc = minmod.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
             "print(sorted(m[7:] for m in sys.modules if m.startswith('minmod.')))\n"
@@ -143,6 +166,20 @@ def test_package_names_resolve_lazily():
         assert name in listed, name
     with pytest.raises(AttributeError):
         minmod.no_such_name
+
+
+@pytest.mark.parametrize("name,layers", [
+    ("braid_matrix", ["braiding"]),
+    ("SolutionSet", ["algebra", "braiding"]),
+])
+def test_a_package_name_loads_only_its_layers(name, layers):
+    # minmod looks a name up in braiding before algebra, which imports
+    # braiding itself; a braiding name never compiles algebra.
+    code = (f"import sys, minmod\nminmod.{name}\n"
+            "print(sorted(m[7:] for m in sys.modules if m.startswith('minmod.')))")
+    done = run_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == repr(sorted(["exact", "minimal", *layers]))
 
 
 def test_half_integral_exponent_exits_2_in_a_cold_process():
