@@ -1,9 +1,8 @@
 """Braiding matrices for unitary minimal models, built exactly.
 
 The matrix (B_{a4,a1}^{a3,a2})_{mu,gamma} factorizes, up to an explicit
-prefactor, into two chiral pieces r'(...) and r(...), each given by base
-cases at m = 1 and n = 1, a closed-form row at m = 2 and a recursion
-that peels m down to that row.  The chiral pieces live on the q = p + 1
+prefactor, into two chiral pieces r'(...) and r(...), each one quantum
+6j sum past its base cases.  The chiral pieces live on the q = p + 1
 and p sides respectively.  Their quantum brackets and bracket inverses
 are sines in Q(zeta_{2q}) and Q(zeta_{2p}), and the quarter powers of
 the deformation parameter put r' in Q(zeta_{4q}) and r in Q(zeta_{4p}).
@@ -14,6 +13,7 @@ claim is a decidable coefficient comparison.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache, partial
 from math import prod
 from typing import NamedTuple
@@ -136,15 +136,6 @@ def _supported(q: RQuery, bound: int) -> bool:
     )
 
 
-def _splittings(bound: int, a: int, m: int, b: int) -> list[int]:
-    # candidates a1 adjacent to a with (m-1, b, a1) admissible
-    return [
-        a1
-        for a1 in (a - 1, a + 1)
-        if 0 < a1 < bound and _side_admissible(m - 1, b, a1, bound)
-    ]
-
-
 def r_matrix(query: RQuery) -> CyclotomicNumber:
     """Evaluate one chiral r-matrix entry exactly.
 
@@ -152,18 +143,20 @@ def r_matrix(query: RQuery) -> CyclotomicNumber:
     fusion constraints are exactly zero.  Indices outside the open
     range of the side raise IndexOutOfRange.
 
-    A supported m = 2 entry is closed form.  With e = b - a and
-    f = d - c, each +-1, and q the side's deformation parameter x or y,
+    m = 1 and n = 1 give 0 or 1.  Every other supported entry is the
+    quantum 6j-symbol {A N B; C M D} of Kauffman-Lins (Temperley-Lieb
+    Recoupling Theory, 1994) in colours A, ..., D = a - 1, ..., d - 1,
+    in the vertex gauge of Felder-Froehlich-Keller (CMP 124, 1989) and
+    times the Casimir phase q^{(a^2+c^2-b^2-d^2)/8}.  With the lows L,
+    highs H and ups U of _r_value, and [k]! = [1][2]...[k] in the side's
+    brackets, it is eps power((a^2+c^2-b^2-d^2)/2) [d] times
 
-        r(a, 2, n, c)_{b,d} = -f q^{(-e*a - f*c - 1)/4} [(e*a - f*c + n)/2] / [c].
+        sum_{max L <= s <= min H} (-1)^s [s+1]! prod_U [u]!
+            / ([L3+1]! [L4+1]! prod_i [s-L_i]! prod_j [H_j-s]!)
 
-    At n = 2 it is the table of Felder-Froehlich-Keller (CMP 124, 1989),
-    and it keeps their step that peels n: both terms of the sum carry
-    the same quarter power, and the brackets collapse by
-    [x][y] - [x-1][y+1] = [1][y-x+1].  The tests check it exactly against
-    that recursion, and the step up to p = 59.  For m > 2 the recursion
-    peels m through the smallest admissible splitting index; the tests
-    check that every other choice gives the same value.
+    with eps = (-1)^((a+c-b-d)/2 + L1 + L2 + B).  Each term has as many
+    brackets above the line as below.  The tests check it exactly
+    against the recursion that peels m.
     """
     cached = _R_MEMO.get(query)
     if cached is not None:
@@ -177,33 +170,39 @@ def r_matrix(query: RQuery) -> CyclotomicNumber:
     return value
 
 
-def _sub(query: RQuery, a, m, n, c, b, d) -> CyclotomicNumber:
-    return r_matrix(RQuery(query.model, query.variant, a, m, n, c, b, d))
+def _factorial_ratio(table: BracketTable, ups, downs) -> CyclotomicNumber:
+    # prod [u]! / prod [v]!, where [l] occurs #{u >= l} - #{v >= l} times
+    tally, run, value = Counter(ups), 0, _ONE
+    tally.subtract(downs)
+    for l in range(max(tally), 0, -1):
+        run += tally[l]
+        for _ in range(abs(run)):
+            factor = table[l] if run > 0 else table.inv(l)
+            value = factor if value is _ONE else value * factor
+    return value
 
 
 def _r_value(query: RQuery, table: BracketTable) -> CyclotomicNumber:
-    bound = table.bound
-    if not _supported(query, bound):
+    if not _supported(query, table.bound):
         return _ZERO
     a, m, n, c, b, d = query.indices()
     if m == 1:
         return _ONE if (b, d) == (a, c) else _ZERO
     if n == 1:
         return _ONE if (b, d) == (c, a) else _ZERO
-    if m == 2:
-        # the closed-form row (see r_matrix); the sign -f costs no product
-        e, f = b - a, d - c
-        value = table.power(-e * a - f * c - 1) * table[(e * a - f * c + n) // 2] * table.inv(c)
-        return -value if f > 0 else value
-    # peel one unit off m; the splitting index a1 is a matter of choice
-    a1 = _splittings(bound, a, m, b)[0]
+    # the 6j sum (see r_matrix); signs cost no product
+    A, M, N, C, B, D = (x - 1 for x in query.indices())
+    lows = ((A + M + B) // 2, (N + C + B) // 2, (A + N + D) // 2, (C + M + D) // 2)
+    highs = ((N + M + B + D) // 2, (A + C + B + D) // 2, (A + N + C + M) // 2)
+    ups = ((M + B - A) // 2, (A + M - B) // 2, (N + C - B) // 2,
+           (N + B - C) // 2, (A + D - N) // 2, (C + D - M) // 2)
     total = _ZERO
-    for d1 in (d - 1, d + 1):
-        if 0 < d1 < bound:
-            tail = _sub(query, a1, m - 1, n, c, b, d1)
-            if tail:
-                total = total + _sub(query, a, 2, n, d1, a1, d) * tail
-    return total
+    for s in range(max(lows), min(highs) + 1):
+        downs = (lows[2] + 1, lows[3] + 1, *(s - l for l in lows), *(h - s for h in highs))
+        term = _factorial_ratio(table, (s + 1, *ups), downs)
+        total = total - term if s % 2 else total + term
+    value = table.power((a * a + c * c - b * b - d * d) // 2) * table[d] * total
+    return -value if ((a + c - b - d) // 2 + lows[0] + lows[1] + B) % 2 else value
 
 
 class BraidMatrix(NamedTuple):

@@ -1,14 +1,20 @@
 """Chiral r-matrices and assembled braiding matrices."""
 import cmath
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import minmod
 import oracles
 from minmod import (
     BraidMatrix,
@@ -217,34 +223,74 @@ def test_r_against_float_oracle():
                                 assert abs(_embed(got) - want) < 1e-9
 
 
+# -- the m-peeling recursion, the exact reference of the 6j sum -------------
+
+
+def splittings(bound, a, m, b):
+    """The splitting indices a1 adjacent to a with (m-1, b, a1) admissible."""
+    return [
+        a1
+        for a1 in (a - 1, a + 1)
+        if 0 < a1 < bound and minimal._side_admissible(m - 1, b, a1, bound)
+    ]
+
+
+@lru_cache(maxsize=None)
+def m_peeled(query):
+    """r(a, m, n, c)_{b,d} by the route the 6j sum replaced.
+
+    The base cases at m = 1 and n = 1; the closed-form m = 2 row, with
+    e = b - a and f = d - c, each +-1, and q the side's x or y,
+
+        r(a, 2, n, c)_{b,d} = -f q^{(-e*a - f*c - 1)/4} [(e*a - f*c + n)/2] / [c];
+
+    and for m > 2 one unit of m peeled through the smallest splitting
+    index.  n_peeled_row is the reference of the row.
+    """
+    table = brackets(query.model, query.variant)
+    if not braiding._supported(query, table.bound):
+        return ZERO
+    a, m, n, c, b, d = query.indices()
+    if m == 1:
+        return ONE if (b, d) == (a, c) else ZERO
+    if n == 1:
+        return ONE if (b, d) == (c, a) else ZERO
+    if m == 2:
+        e, f = b - a, d - c
+        value = table.power(-e * a - f * c - 1) * table[(e * a - f * c + n) // 2] * table.inv(c)
+        return -value if f > 0 else value
+    return peel(query, splittings(table.bound, a, m, b)[0])
+
+
+def peel(query, a1):
+    """r(a, m, n, c)_{b,d}, m > 2, as the sum over d1 = d -+ 1 of
+    r(a, 2, n, d1)_{a1,d} * r(a1, m-1, n, c)_{b,d1}; a product whose
+    m - 1 factor is zero is skipped."""
+    bound = brackets(query.model, query.variant).bound
+    total = ZERO
+    for d1 in (query.d - 1, query.d + 1):
+        if 0 < d1 < bound:
+            tail = m_peeled(query._replace(a=a1, m=query.m - 1, d=d1))
+            if tail:
+                total = total + m_peeled(query._replace(m=2, c=d1, b=a1)) * tail
+    return total
+
+
 def r_matrix_variants(query):
     """An r-matrix entry recomputed once per admissible top-level splitting.
 
-    r_matrix peels one unit off m through the smallest splitting index
-    a1; every other choice must give the same value.  Each peel sums
-    r(a, 2, n, d1)_{a1,d} * r(a1, m-1, n, c)_{b,d1} over d1 = d -+ 1.
-    Only m > 2 peels, so only those entries split.
+    Only supported entries with m > 2 peel, so only those split.
     """
     bound = brackets(query.model, query.variant).bound
-    a, m, n, c, b, d = query.indices()
-    if not (braiding._supported(query, bound) and m > 2):
-        return (r_matrix(query),)
-
-    def r(*indices):
-        return r_matrix(RQuery(query.model, query.variant, *indices))
-
-    return tuple(
-        sum((r(a, 2, n, d1, a1, d) * r(a1, m - 1, n, c, b, d1)
-             for d1 in (d - 1, d + 1) if 0 < d1 < bound), ZERO)
-        for a1 in braiding._splittings(bound, a, m, b)
-    )
+    if not (braiding._supported(query, bound) and query.m > 2):
+        return (m_peeled(query),)
+    return tuple(peel(query, a1) for a1 in splittings(bound, query.a, query.m, query.b))
 
 
 def split_queries_of_the_lemma_matrices(monkeypatch):
     """The r-matrix queries of the two lemma matrices, from an empty memo.
 
-    69 of them, all with m > 2, have two splittings.  Peeling n, before
-    the closed-form m = 2 row, split 213 more, all with m = 2.
+    36 of them, 23 with two splittings.
     """
     monkeypatch.setattr(braiding, "_R_MEMO", {})
     braid_matrix(M78, LEMMA_EXTS)
@@ -253,8 +299,8 @@ def split_queries_of_the_lemma_matrices(monkeypatch):
 
 
 def count_split_queries(queries):
-    """Check that every splitting of each query gives the value r_matrix
-    gives, and count the queries with more than one splitting."""
+    """Check that r_matrix gives the reference value of each query under
+    every splitting, and count the queries with more than one splitting."""
     seen = 0
     for q in queries:
         values = r_matrix_variants(q)
@@ -270,10 +316,83 @@ def test_recursion_choice_independence(monkeypatch):
     lemma_3c_entry()
     # the session memo: whatever this run has cached, any model or externals
     assert count_split_queries(memoized_queries()) > 0
-    assert count_split_queries(split_queries_of_the_lemma_matrices(monkeypatch)) == 69
+    assert count_split_queries(split_queries_of_the_lemma_matrices(monkeypatch)) > 0
 
 
-# -- the closed-form m = 2 row ----------------------------------------------
+def identical(x, y):
+    """Equal as field elements, and in the same field: what keeps every
+    rendering byte-identical."""
+    return x.order == y.order and x == y
+
+
+def supported_entries(bound):
+    """Every (a, m, n, c, b, d) of one side that passes the support gate."""
+    adm, r = minimal._side_admissible, range(1, bound)
+    for a, m, b in itertools.product(r, repeat=3):
+        if adm(m, b, a, bound):
+            for n, c in itertools.product(r, repeat=2):
+                if adm(n, c, b, bound):
+                    for d in r:
+                        if adm(n, d, a, bound) and adm(m, c, d, bound):
+                            yield a, m, n, c, b, d
+
+
+def drawn_entry(bound, rng):
+    """One supported (a, m, n, c, b, d) with m, n >= 2: a, m and n at
+    random, then b, c and d among the indices the gate admits."""
+    adm, r = minimal._side_admissible, range(1, bound)
+    while True:
+        a, m, n = rng.randrange(1, bound), rng.randrange(2, bound), rng.randrange(2, bound)
+        bs = [x for x in r if adm(m, x, a, bound)]
+        if not bs:
+            continue
+        b = rng.choice(bs)
+        c = rng.choice([x for x in r if adm(n, x, b, bound)])
+        ds = [x for x in r if adm(n, x, a, bound) and adm(m, c, x, bound)]
+        if ds:
+            return a, m, n, c, b, rng.choice(ds)
+
+
+@pytest.mark.parametrize("variant", ["primed", "unprimed"])
+def test_6j_sum_matches_m_peeling_on_every_supported_entry(variant):
+    # _r_value is r_matrix past its memo, which would keep every entry
+    for p in range(3, 9):
+        model = MinimalModel(p, p + 1)
+        table = brackets(model, variant)
+        for i in supported_entries(table.bound):
+            query = RQuery(model, variant, *i)
+            assert identical(braiding._r_value(query, table), m_peeled(query)), query
+
+
+@pytest.mark.parametrize("ps,draws", [(range(9, 15), 50), ((23, 29, 41, 59), 6)],
+                         ids=["p9-14", "p23-59"])
+def test_6j_sum_matches_m_peeling_on_drawn_entries(ps, draws):
+    for p in ps:
+        model, rng = MinimalModel(p, p + 1), random.Random(p)
+        for variant in ("primed", "unprimed"):
+            table = brackets(model, variant)
+            for _ in range(draws):
+                query = RQuery(model, variant, *drawn_entry(table.bound, rng))
+                assert identical(braiding._r_value(query, table), m_peeled(query)), query
+
+
+def test_r_matrix_does_not_recurse_on_m():
+    # r(1, 399, 399, 1)_{399,399} on the primed side of (400, 401): the
+    # m-peeling nests about m deep and cannot finish under 80 frames
+    script = (
+        "import sys\n"
+        "from minmod import MinimalModel, RQuery, r_matrix\n"
+        "sys.setrecursionlimit(80)\n"
+        "print(r_matrix(RQuery(MinimalModel(400, 401), 'primed', 1, 399, 399, 1, 399, 399)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(minmod.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "z1604^404\n"
+
+
+# -- the m = 2 row against the n-peeling ------------------------------------
 
 
 def n_peeled_row(model, variant):
@@ -306,7 +425,7 @@ def n_peeled_row(model, variant):
                     (l - 1, l + 1): table.power(-1) * table[l - 1] * table.inv(l),
                 }.get((b, d), ZERO)
         else:
-            c1 = braiding._splittings(bound, b, n, c)[0]
+            c1 = splittings(bound, b, n, c)[0]
             for d1 in (a - 1, a + 1):
                 if 0 < d1 < bound:
                     value = value + r(a, 2, c1, b, d1) * r(d1, n - 1, c, c1, d)
@@ -407,7 +526,7 @@ def test_closed_form_row_satisfies_the_n_peel(p):
             row = (a, n, c, b, d)
             if not supported(*row):
                 continue
-            c1 = braiding._splittings(bound, b, n, c)[0]
+            c1 = splittings(bound, b, n, c)[0]
             vec = [0] * order
             for u, i in cleared(*row):
                 vec[(i + 2 * c1 * other) % order] += u

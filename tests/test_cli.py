@@ -622,15 +622,15 @@ def test_arithmetic_error_is_one_error_line(capsys, monkeypatch, patch, argv):
     assert "Traceback" not in err
 
 
-def test_recursion_limit_is_one_error_line(capsys, monkeypatch):
-    # A braid with an index m near 330 nests the r-matrix recursion on m
-    # deeper than the stack; that input is too large, so the exit code is 2.
-    monkeypatch.setattr(braiding, "braid_matrix",
-                        _raise(RecursionError("maximum recursion depth exceeded")))
-    code, out, err = run(capsys, "braid", "--p", "7", "--q", "8", "--ext", "3,3,4,4")
-    assert code == 2
-    assert out == ""
-    assert err == "error: input too large: recursion depth exceeded\n"
+@pytest.mark.parametrize("p,want", [(170, "-z684^174"), (340, "z1364^344")])
+def test_braid_near_the_side_bound(capsys, p, want):
+    # r(1, p, p, 1)_{p,p} on the primed side: the 6j sum has one term and
+    # nothing nests with m, so the Python stack sets no limit on p
+    code, out, err = run(capsys, "braid", "--p", str(p), "--q", str(p + 1),
+                         "--ext", f"1,{p - 1},1,{p - 1},1,1,1,1")
+    assert (code, err) == (0, "")
+    entry, det = out.splitlines()[:2]
+    assert entry.split()[2] == det.split()[2] == want
 
 
 @pytest.mark.parametrize("bits", ["0", "-5", "x"])
