@@ -426,7 +426,7 @@ class CyclotomicNumber:
 
 
 _TERM_RE = re.compile(
-    r"^(?:(?P<coef>\d+(?:/\d+)?)\*?)?(?:z(?P<order>\d+)(?:\^(?P<exp>\d+))?)?$"
+    r"^(?:(?P<coef>\d+(?:/0*[1-9]\d*)?)\*?)?(?:z(?P<order>\d+)(?:\^(?P<exp>\d+))?)?$"
 )
 
 

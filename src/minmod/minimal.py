@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain
 from math import gcd, prod
 from typing import NamedTuple, Sequence
 
@@ -149,12 +149,10 @@ class ModuleLabel:
 
 @lru_cache(maxsize=None)
 def _canonical_pairs(p: int, q: int) -> tuple[tuple[int, int], ...]:
-    model = MinimalModel(p, q)
-    seen = set()
-    for m in range(1, p):
-        for n in range(1, q):
-            seen.add(model.canonical(m, n))
-    return tuple(sorted(seen, key=lambda mn: (model.conformal_weight(*mn), mn)))
+    # h_{m,n} = ((np - mq)^2 - (p - q)^2) / 4pq grows with (np - mq)^2, so
+    # this integer key gives the (weight, m, n) order without a Fraction.
+    pairs = {min((m, n), (p - m, q - n)) for m in range(1, p) for n in range(1, q)}
+    return tuple(sorted(pairs, key=lambda mn: ((mn[1] * p - mn[0] * q) ** 2, mn)))
 
 
 class FusionMultiset:
@@ -230,60 +228,45 @@ def ffk_pair(label: ModuleLabel) -> tuple[int, int]:
     return (label.n, label.m)
 
 
-def _kac(t, model: MinimalModel) -> tuple[int, int]:
-    if isinstance(t, ModuleLabel):
-        if t.model != model:
-            raise ModelMismatch(f"{t!r} does not belong to {model!r}")
-        return t.kac
-    m, n = t
-    return (int(m), int(n))
+def _side_range(k1: int, k2: int, bound: int) -> range:
+    """The k3 with k1 x k2 -> k3 in the su(2) fusion rule truncated at bound."""
+    return range(abs(k1 - k2) + 1, min(k1 + k2, 2 * bound - k1 - k2), 2)
 
 
 def _side_admissible(k1: int, k2: int, k3: int, bound: int) -> bool:
-    total = k1 + k2 + k3
-    return (
-        0 < k1 < bound
-        and 0 < k2 < bound
-        and 0 < k3 < bound
-        and k1 < k2 + k3
-        and k2 < k1 + k3
-        and k3 < k1 + k2
-        and total % 2 == 1
-        and total < 2 * bound
-    )
+    return 0 < k1 < bound and 0 < k2 < bound and k3 in _side_range(k1, k2, bound)
 
 
 def is_admissible(t1, t2, t3, model: MinimalModel) -> bool:
-    """Whether the triple of Kac pairs is admissible (fusion number one).
+    """Whether t3 occurs in the fusion product t1 x t2 (fusion number one).
 
     Each argument may be a ModuleLabel of the model or a plain (m, n)
-    pair; pairs may be either representative.  The identification
-    (m, n) ~ (p-m, q-n) is honored by checking all combinations of
-    representatives and accepting if any passes.
+    pair of either representative; a pair is range-checked and
+    canonicalised as a ModuleLabel.
     """
-    p, q = model.p, model.q
-    triples = []
+    labels = []
     for t in (t1, t2, t3):
-        m, n = _kac(t, model)
-        model._check_range(m, n)
-        triples.append(((m, n), (p - m, q - n)))
-    for (m1, n1), (m2, n2), (m3, n3) in product(*triples):
-        if _side_admissible(m1, m2, m3, p) and _side_admissible(n1, n2, n3, q):
-            return True
-    return False
+        if not isinstance(t, ModuleLabel):
+            m, n = t
+            t = ModuleLabel(model, int(m), int(n))
+        elif t.model != model:
+            raise ModelMismatch(f"{t!r} does not belong to {model!r}")
+        labels.append(t)
+    a, b, c = labels
+    return c.kac in _fuse_pairs(model.p, model.q, a.kac, b.kac)
 
 
 @lru_cache(maxsize=None)
 def _fuse_pairs(p: int, q: int, ab: tuple, bb: tuple) -> tuple[tuple[int, int], ...]:
     # The product of two truncated su(2) rules, at bound p on the m side
-    # and q on the n side.  One of p, q is odd, so m3 and p - m3 (or n3
-    # and q - n3) differ in parity and no label arises twice.
+    # and q on the n side, in label order.  One of p, q is odd, so m3 and
+    # p - m3 (or n3 and q - n3) differ in parity and no label arises twice.
     model = MinimalModel(p, q)
     (m1, n1), (m2, n2) = ab, bb
     out = {
         model.canonical(m3, n3)
-        for m3 in range(abs(m1 - m2) + 1, min(m1 + m2, 2 * p - m1 - m2), 2)
-        for n3 in range(abs(n1 - n2) + 1, min(n1 + n2, 2 * q - n1 - n2), 2)
+        for m3 in _side_range(m1, m2, p)
+        for n3 in _side_range(n1, n2, q)
     }
     return tuple(c for c in _canonical_pairs(p, q) if c in out)
 

@@ -75,9 +75,13 @@ def s_matrix(p, q):
 
 
 def verlinde_tensor(p, q):
-    """N[a,b,c] from the S-matrix; entries land within 1e-8 of integers."""
+    """N[a,b,c] from the S-matrix; entries land within 1e-8 of integers.
+
+    The division is by the vacuum's row, which in a non-unitary model
+    is not the row of the label of least weight.
+    """
     labs, S = s_matrix(p, q)
-    return labs, np.einsum("ax,bx,cx->abc", S, S, S / S[0])
+    return labs, np.einsum("ax,bx,cx->abc", S, S, S / S[labs.index((1, 1))])
 
 
 # -- Perron-Frobenius route ---------------------------------------------------

@@ -98,6 +98,14 @@ def test_parse_ignores_radical_suffix():
     assert parse_exact(text) == value
 
 
+@pytest.mark.parametrize(
+    "text", ["", "+ z4", "z4 +", "--1", "1e3", "z0", "1/0", "0/0", "3/0*z8"]
+)
+def test_parse_rejects_malformed_literals(text):
+    with pytest.raises(ValueError):
+        parse_exact(text)
+
+
 # -- properties ---------------------------------------------------------------
 
 @given(_values(_ALL_ORDERS), _values(_ALL_ORDERS))
