@@ -16,9 +16,11 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
 from math import prod
+from operator import mul
 from typing import Callable, NamedTuple
 
-from .braiding import lemma_3c_entry, lemma_5a_combos, named_entry
+from . import braiding
+from .braiding import named_entry
 from .exact import CyclotomicNumber, echelon, sine_inv, two_i_sin, zeta
 from .minimal import MinimalModel, ModuleLabel, QDim, _qdim_from, fuse, qdim_tensor
 
@@ -325,16 +327,108 @@ class SectorSystem(NamedTuple):
     equations: tuple[SectorEquation, ...]
 
 
-# Both 5A systems obey one row rule: in row (i, j) the unknown of
-# column k has coefficient B[k,i]*Bt[k,j] - [k = i = j].  Existence
-# has unknowns for k = 2, 3, 4: the pairwise products of structure
-# constants that the crossing relation on (U3, U4, U4, U3) ties
+class _Replay(NamedTuple):
+    """What the printed elimination of one sector system claims; see
+    solve_sector_system for how each field is checked."""
+
+    unknowns: tuple[str, ...]
+    equations: Callable[[], tuple[SectorEquation, ...]]
+    nonzero: tuple[tuple[str, Callable[[dict], CyclotomicNumber]], ...]
+    identities: tuple[tuple[str, Callable[[], tuple]], ...]
+    full_rank: tuple[tuple[str, tuple[int, ...]], ...]
+    solution: tuple[CyclotomicNumber, ...] | None
+    steps: tuple[str, ...]
+
+
+def _row_rule(ks: tuple[int, ...]) -> tuple[SectorEquation, ...]:
+    # Both 5A systems obey one row rule: in row (i, j) the unknown of
+    # column k has coefficient B[k,i]*Bt[k,j] - [k = i = j].
+    return tuple(
+        SectorEquation(f"({i},{j})", tuple(
+            _b(k, i) * _bt(k, j) - 1 if k == i == j else _b(k, i) * _bt(k, j) for k in ks
+        ), _ZERO)
+        for i, j in _ROWS_9
+    )
+
+
+def _minor(index: int) -> CyclotomicNumber:
+    # m1 (0) or m2 (1), looked up at call time so that a replaced fact is read
+    return braiding.lemma_5a_combos()[index]
+
+
+_ELIMINATION = "elimination identity failed"
+
+# Existence has unknowns for k = 2, 3, 4: the pairwise products of
+# structure constants that the crossing relation on (U3, U4, U4, U3) ties
 # together.  Uniqueness has them for k = 3, 4: differences of the same
 # relation for two candidate structures, linear in 1-mu^2 and
-# 1-gamma^2.
-_5A_COLUMNS = {
-    "5A-existence": (("u", "v", "w"), (2, 3, 4)),
-    "5A-uniqueness": (("1 - mu^2", "1 - gamma^2"), (3, 4)),
+# 1-gamma^2.  3C keeps its constant side.
+_REPLAYS = {
+    "5A-existence": _Replay(
+        unknowns=("u", "v", "w"),
+        equations=partial(_row_rule, (2, 3, 4)),
+        nonzero=(("the (4,4)/(2,3) minor", lambda rows: _minor(0)),),
+        identities=(
+            (_ELIMINATION, lambda: ((("(3,2)", _b(4, 4)), ("(4,2)", -_b(4, 3))),
+                                    (_minor(0) * _bt(2, 2), None, _ZERO))),
+            (_ELIMINATION, lambda: ((("(3,2)", _b(2, 4)), ("(4,2)", -_b(2, 3))),
+                                    (_ZERO, None, -(_minor(0) * _bt(4, 2))))),
+        ),
+        # the (u, w) columns are the v = 0 branch, the (u, v) ones its mirror
+        full_rank=(("the v = 0 branch", (0, 2)), ("the w = 0 branch", (0, 1))),
+        solution=None,
+        steps=(
+            "assume v = 0; rows (2,2), (3,2), (4,2) close in u and w alone",
+            "rows (3,2) and (4,2) eliminate to u * m1 * Bt[2,2] = 0 "
+            "and w * m1 * Bt[4,2] = 0, m1 = B[4,4]B[2,3] - B[4,3]B[2,4]",
+            "m1 != 0 (exact) and u != 0, so Bt[2,2] = 0 and w * Bt[4,2] = 0",
+            "row (2,2) then collapses to u = 0, contradicting u != 0",
+            "so v != 0; the mirrored elimination rules out w = 0 the same way",
+        ),
+    ),
+    "5A-uniqueness": _Replay(
+        unknowns=("1 - mu^2", "1 - gamma^2"),
+        equations=partial(_row_rule, (3, 4)),
+        nonzero=(
+            ("the (3,2)/(4,4) minor", lambda rows: _minor(1)),
+            ("row (4,3) pivot", lambda rows: rows["(4,3)"][1]),
+        ),
+        identities=(
+            (_ELIMINATION, lambda: ((("(2,3)", _b(4, 4)), ("(4,3)", -_b(4, 2))),
+                                    (_minor(1) * _bt(3, 3), _ZERO))),
+            (_ELIMINATION, lambda: ((("(2,3)", _b(3, 4)), ("(4,3)", -_b(3, 2))),
+                                    (_ZERO, -(_minor(1) * _bt(4, 3))))),
+        ),
+        full_rank=(("coefficient matrix", (0, 1)),),
+        solution=(_ZERO, _ZERO),
+        steps=(
+            "rows (2,3) and (4,3) eliminate to (1-mu^2) * m2 * Bt[3,3] = 0 "
+            "and (1-gamma^2) * m2 * Bt[4,3] = 0, m2 = B[3,2]B[4,4] - B[4,2]B[3,4]",
+            "m2 != 0 (exact); if 1-mu^2 were nonzero, Bt[3,3] = 0 would follow",
+            "row (3,3) then collapses to 1-mu^2 = 0, a contradiction, so mu^2 = 1",
+            "with 1-mu^2 = 0, row (4,3) reads (1-gamma^2) * B[4,4]Bt[4,3] = 0",
+            "B[4,4]Bt[4,3] != 0 (exact), so gamma^2 = 1",
+            "a diagonal rescale by (1, lambda mu gamma, gamma, mu) matches the structures",
+        ),
+    ),
+    "3C": _Replay(
+        unknowns=("lambda^2",),
+        equations=lambda: (
+            SectorEquation("(2,1)", (_e3c(2, 1),), _e3c(2, 1)),
+            SectorEquation("(2,2)", (_e3c(2, 2) - 1,), _e3c(2, 2) - 1),
+        ),
+        nonzero=(("the (2,1) braid entry", lambda rows: braiding.lemma_3c_entry()),),
+        identities=(("system coefficients drifted from the braid matrix",
+                     lambda: ((("(2,1)", _ONE),), (braiding.lemma_3c_entry(),))),),
+        full_rank=(),
+        solution=(_ONE,),
+        steps=(
+            "row (2,1) reads (1 - lambda^2) * B[2,1] = 0",
+            "B[2,1] != 0 (exact), so lambda^2 = 1",
+            "row (2,2) holds identically at lambda^2 = 1",
+            "a diagonal rescale by lambda on the odd sector matches the two structures",
+        ),
+    ),
 }
 
 
@@ -348,150 +442,52 @@ def build_sector_system(name: str) -> SectorSystem:
     constant side.
     """
     key = name.strip().upper()
-    names = tuple(_SOLVERS)
+    names = tuple(_REPLAYS)
     canonical = {n.upper(): n for n in names}.get(key)
     if canonical is None:
         raise ValueError(f"unknown system {name!r}, expected one of {names}")
-    if canonical == "3C":
-        e21, e22 = _e3c(2, 1), _e3c(2, 2)
-        return SectorSystem(canonical, ("lambda^2",), (
-            SectorEquation("(2,1)", (e21,), e21),
-            SectorEquation("(2,2)", (e22 - 1,), e22 - 1),
-        ))
-    unknowns, ks = _5A_COLUMNS[canonical]
-    equations = tuple(
-        SectorEquation(f"({i},{j})", tuple(
-            _b(k, i) * _bt(k, j) - 1 if k == i == j else _b(k, i) * _bt(k, j) for k in ks
-        ), _ZERO)
-        for i, j in _ROWS_9
-    )
-    return SectorSystem(canonical, unknowns, equations)
-
-
-def _equation(system: SectorSystem, label: str) -> SectorEquation:
-    for equation in system.equations:
-        if equation.label == label:
-            return equation
-    raise KeyError(label)
-
-
-def _check_solution(system: SectorSystem, values: tuple[CyclotomicNumber, ...]) -> None:
-    for equation in system.equations:
-        total = _ZERO
-        for coefficient, value in zip(equation.coefficients, values):
-            total = total + coefficient * value
-        if total != equation.rhs:
-            raise DegenerateSystem(
-                f"{system.name}: claimed solution fails relation {equation.label}"
-            )
-
-
-def _eliminates(system: SectorSystem, i1, i2, j, x, y, want) -> bool:
-    """Whether B[x,i2] * row (i1,j) - B[x,i1] * row (i2,j) of a 5A system
-    clears the column-x unknown and leaves `want` on the column-y one."""
-    ks = _5A_COLUMNS[system.name][1]
-    top = _equation(system, f"({i1},{j})").coefficients
-    bottom = _equation(system, f"({i2},{j})").coefficients
-    combo = [_b(x, i2) * a - _b(x, i1) * b for a, b in zip(top, bottom)]
-    return combo[ks.index(x)].is_zero() and combo[ks.index(y)] == want
+    replay = _REPLAYS[canonical]
+    return SectorSystem(canonical, replay.unknowns, replay.equations())
 
 
 def solve_sector_system(system: SectorSystem) -> SolutionSet:
-    """Solve exactly, replaying the published elimination as certificate steps.
+    """Replay the published elimination, reading the system's table entry.
 
-    Every pivot is consumed as an exact nonvanishing fact; a zero pivot
-    raises DegenerateSystem, since the surrounding argument would then
-    collapse.
+    Each fact a printed step rests on is checked exactly, in this order,
+    and the first that fails raises DegenerateSystem naming it: the
+    values a step cancels are nonzero (m1, m2, the row (4,3) pivot
+    B[4,4]Bt[4,3], the 3C entry B[2,1]); each listed column set has full
+    rank, by echelon (uniqueness: both columns; existence: (u, w) for
+    v = 0 and (u, v) for w = 0); each identity holds, its weighted sum
+    of rows equal to its target on every column not None (the four
+    printed eliminations, and 3C's row (2,1) carrying exactly B[2,1]);
+    the claimed solution satisfies every row, by substitution.  The
+    solution, None for a contradiction, and the steps are the table's.
     """
-    solver = _SOLVERS.get(system.name)
-    if solver is None:
-        raise ValueError(f"unknown system {system.name!r}")
-    return solver(system)
-
-
-def _solve_3c(system: SectorSystem) -> SolutionSet:
-    pivot = lemma_3c_entry()
-    if pivot.is_zero():
-        raise DegenerateSystem("3C: the (2,1) braid entry vanishes")
-    if _equation(system, "(2,1)").coefficients[0] != pivot:
-        raise DegenerateSystem("3C: system coefficients drifted from the braid matrix")
-    _check_solution(system, (_ONE,))
-    steps = (
-        "row (2,1) reads (1 - lambda^2) * B[2,1] = 0",
-        "B[2,1] != 0 (exact), so lambda^2 = 1",
-        "row (2,2) holds identically at lambda^2 = 1",
-        "a diagonal rescale by lambda on the odd sector matches the two structures",
-    )
-    return SolutionSet("unique", (("lambda^2", _ONE),), steps)
-
-
-def _solve_5a_uniqueness(system: SectorSystem) -> SolutionSet:
-    minor = lemma_5a_combos()[1]
-    if minor.is_zero():
-        raise DegenerateSystem("5A-uniqueness: the (3,2)/(4,4) minor vanishes")
-    # Eliminate between rows (2,3) and (4,3); both combinations must
-    # produce the minor times a single Bt entry.
-    if not (_eliminates(system, 2, 4, 3, 4, 3, minor * _bt(3, 3))
-            and _eliminates(system, 2, 4, 3, 3, 4, -(minor * _bt(4, 3)))):
-        raise DegenerateSystem("5A-uniqueness: elimination identity failed")
-    pivot = _b(4, 4) * _bt(4, 3)
-    if pivot.is_zero():
-        raise DegenerateSystem("5A-uniqueness: row (4,3) pivot vanishes")
-    _check_solution(system, (_ZERO, _ZERO))
-    if len(echelon([eq.coefficients for eq in system.equations])[1]) != 2:
-        raise DegenerateSystem("5A-uniqueness: coefficient matrix is rank deficient")
-    steps = (
-        "rows (2,3) and (4,3) eliminate to (1-mu^2) * m2 * Bt[3,3] = 0 "
-        "and (1-gamma^2) * m2 * Bt[4,3] = 0, m2 = B[3,2]B[4,4] - B[4,2]B[3,4]",
-        "m2 != 0 (exact); if 1-mu^2 were nonzero, Bt[3,3] = 0 would follow",
-        "row (3,3) then collapses to 1-mu^2 = 0, a contradiction, so mu^2 = 1",
-        "with 1-mu^2 = 0, row (4,3) reads (1-gamma^2) * B[4,4]Bt[4,3] = 0",
-        "B[4,4]Bt[4,3] != 0 (exact), so gamma^2 = 1",
-        "a diagonal rescale by (1, lambda mu gamma, gamma, mu) matches the structures",
-    )
-    assignments = (("1 - mu^2", _ZERO), ("1 - gamma^2", _ZERO))
-    return SolutionSet("unique", assignments, steps)
-
-
-def _solve_5a_existence(system: SectorSystem) -> SolutionSet:
-    minor = lemma_5a_combos()[0]
-    if minor.is_zero():
-        raise DegenerateSystem("5A-existence: the (4,4)/(2,3) minor vanishes")
-    # Branch v = 0: only the u and w columns of rows (2,2), (3,2), (4,2)
-    # survive.  Recover the printed eliminations exactly.
-    if not (_eliminates(system, 3, 4, 2, 4, 2, minor * _bt(2, 2))
-            and _eliminates(system, 3, 4, 2, 2, 4, -(minor * _bt(4, 2)))):
-        raise DegenerateSystem("5A-existence: elimination identity failed")
-    # Either branch, v = 0 or w = 0, leaves the u column and one other of
-    # rank 2: their only solution is zero, so u = 0 there.  Eliminate u
-    # once, against one pivot row and without an inverse: a branch has
-    # rank 2 when its other column keeps a nonzero entry after that.
-    # The v = 0 check cannot fail once the printed eliminations hold:
-    # they leave m1*Bt[2,2] on u alone and -m1*Bt[4,2] on w alone, both
-    # nonzero here, so the (u, w) columns already have rank 2.  It stays
-    # as a cheap second route to that fact; the w = 0 check is the only
-    # test of the mirrored branch.
-    rows = [eq.coefficients for eq in system.equations]
-    top = next((row for row in rows if row[0]), None)
-    for gone, k in (("v", 2), ("w", 1)):
-        if top is None or not any(top[0] * row[k] - row[0] * top[k] for row in rows):
-            raise DegenerateSystem(f"5A-existence: the {gone} = 0 branch is rank deficient")
-    steps = (
-        "assume v = 0; rows (2,2), (3,2), (4,2) close in u and w alone",
-        "rows (3,2) and (4,2) eliminate to u * m1 * Bt[2,2] = 0 "
-        "and w * m1 * Bt[4,2] = 0, m1 = B[4,4]B[2,3] - B[4,3]B[2,4]",
-        "m1 != 0 (exact) and u != 0, so Bt[2,2] = 0 and w * Bt[4,2] = 0",
-        "row (2,2) then collapses to u = 0, contradicting u != 0",
-        "so v != 0; the mirrored elimination rules out w = 0 the same way",
-    )
-    return SolutionSet("contradiction", (), steps)
-
-
-_SOLVERS = {
-    "5A-existence": _solve_5a_existence,
-    "5A-uniqueness": _solve_5a_uniqueness,
-    "3C": _solve_3c,
-}
+    name = system.name
+    replay = _REPLAYS.get(name)
+    if replay is None:
+        raise ValueError(f"unknown system {name!r}")
+    rows = {eq.label: eq.coefficients for eq in system.equations}
+    for fact, value in replay.nonzero:
+        if value(rows).is_zero():
+            raise DegenerateSystem(f"{name}: {fact} vanishes")
+    for fact, columns in replay.full_rank:
+        matrix = [[row[k] for k in columns] for row in rows.values()]
+        if len(echelon(matrix)[1]) < len(columns):
+            raise DegenerateSystem(f"{name}: {fact} is rank deficient")
+    for fact, identity in replay.identities:
+        weights, target = identity()
+        for k, want in enumerate(target):
+            if want is not None and want != sum(
+                    (w * rows[label][k] for label, w in weights), _ZERO):
+                raise DegenerateSystem(f"{name}: {fact}")
+    if replay.solution is None:
+        return SolutionSet("contradiction", (), replay.steps)
+    for eq in system.equations:
+        if sum(map(mul, eq.coefficients, replay.solution), _ZERO) != eq.rhs:
+            raise DegenerateSystem(f"{name}: claimed solution fails relation {eq.label}")
+    return SolutionSet("unique", tuple(zip(system.unknowns, replay.solution)), replay.steps)
 
 
 # ---------------------------------------------------------------------------

@@ -413,26 +413,27 @@ def _verify_lemma_3c(digits: int) -> list:
     ]
 
 
-def _replay(system: str, fail_name: str, claim) -> list:
+def _replay(system: str, fail_name: str, claim: str, digits: int,
+            shown: str | None = None) -> list:
     """The claim row and the printed steps of one solved sector system, or
-    one fail row when a fact the elimination relies on does not hold."""
+    one fail row when a fact the elimination relies on does not hold.
+    The claim row shows the solved value of the unknown `shown`, if any."""
     from .algebra import DegenerateSystem, build_sector_system, solve_sector_system
     try:
         solution = solve_sector_system(build_sector_system(system))
     except DegenerateSystem as exc:
         return [Check(fail_name, "fail", str(exc))]
-    return [claim(solution), *(Check(step, "info") for step in solution.steps)]
+    value = None if shown is None else solution.value(shown)
+    return [_claim(claim, True, value, digits),
+            *(Check(step, "info") for step in solution.steps)]
 
 
 def _verify_uniqueness_5a(digits: int) -> list:
     from .algebra import build_sector_system
-    checks = _replay("5A-uniqueness", "uniqueness replay", lambda s: _claim(
-        "unique solution: mu^2 = 1 and gamma^2 = 1",
-        s.kind == "unique" and all(v.is_zero() for _, v in s.assignments),
-    ))
-    checks += _replay("5A-existence", "existence replay", lambda s: _claim(
-        "even-sector coefficient forced nonzero", s.kind == "contradiction",
-    ))
+    checks = _replay("5A-uniqueness", "uniqueness replay",
+                     "unique solution: mu^2 = 1 and gamma^2 = 1", digits)
+    checks += _replay("5A-existence", "existence replay",
+                      "even-sector coefficient forced nonzero", digits)
     # Report only: with every structure constant 1, crossing would need
     # sum_k B[k,i]*Bt[k,j] = delta(i,j).  The raw braid normalization does
     # not promise it; row (i,j) of the existence system is that identity
@@ -445,11 +446,8 @@ def _verify_uniqueness_5a(digits: int) -> list:
 
 
 def _verify_uniqueness_3c(digits: int) -> list:
-    return _replay("3C", "uniqueness replay", lambda s: _claim(
-        "unique solution: lambda^2 = 1",
-        s.kind == "unique" and s.value("lambda^2").is_one(),
-        s.value("lambda^2"), digits,
-    ))
+    return _replay("3C", "uniqueness replay", "unique solution: lambda^2 = 1",
+                   digits, "lambda^2")
 
 
 def _verify_chains(name: str, digits: int) -> list:

@@ -358,9 +358,6 @@ class CyclotomicNumber:
     def is_zero(self) -> bool:
         return not any(self._num)
 
-    def is_one(self) -> bool:
-        return self._den == 1 and self._num[0] == 1 and not any(self._num[1:])
-
     def is_rational(self) -> bool:
         return not any(self._num[1:])
 

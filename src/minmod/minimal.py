@@ -24,7 +24,7 @@ class InvalidModel(ValueError):
 
 
 class InvalidLabel(ValueError):
-    """Kac indices outside the open box 0 < m < p, 0 < n < q."""
+    """Kac indices that are not integers in the open box 0 < m < p, 0 < n < q."""
 
 
 class ModelMismatch(ValueError):
@@ -78,6 +78,8 @@ class MinimalModel:
 
     def canonical(self, m: int, n: int) -> tuple[int, int]:
         """The lexicographically smaller of (m, n) and (p-m, q-n)."""
+        if not isinstance(m, int) or not isinstance(n, int):
+            raise InvalidLabel(f"integer (m, n) required, got ({m!r}, {n!r})")
         self._check_range(m, n)
         return min((m, n), (self.p - m, self.q - n))
 
@@ -248,7 +250,7 @@ def is_admissible(t1, t2, t3, model: MinimalModel) -> bool:
     for t in (t1, t2, t3):
         if not isinstance(t, ModuleLabel):
             m, n = t
-            t = ModuleLabel(model, int(m), int(n))
+            t = ModuleLabel(model, m, n)
         elif t.model != model:
             raise ModelMismatch(f"{t!r} does not belong to {model!r}")
         labels.append(t)

@@ -307,7 +307,7 @@ def test_criterion_08_property_suites(monkeypatch):
                     assert (a + b) * c == a * c + b * c
                     assert (a * b) * c == a * (b * c)
             if not a.is_zero():
-                assert (a * a.inv()).is_one()
+                assert a * a.inv() == ONE
 
         for p, q in ((3, 4), (7, 8), (11, 12)):
             model = MinimalModel(p, q)

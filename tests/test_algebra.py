@@ -25,7 +25,7 @@ from minmod import (
     solve_sector_system,
     zeta,
 )
-from minmod import algebra
+from minmod import algebra, braiding
 from minmod.algebra import GradedAlgebra, Sector, _qdim_sum, _ratio_check
 from minmod.braiding import named_entry
 from minmod.cli import main
@@ -208,7 +208,7 @@ def test_sector_qdims_exact():
     def sq(i):
         return qdim_tensor(A5.sectors[i - 1].components).exact
 
-    assert sq(1).is_one() and sq(2).is_one() and sq(5).is_one() and sq(6).is_one()
+    assert sq(1) == sq(2) == sq(5) == sq(6) == ONE
     assert sq(3) == 2 * SQRT2 + 3
     assert sq(4) == 2 * SQRT2 + 3
     assert sq(7) == 2 * SQRT2 + 3
@@ -217,7 +217,7 @@ def test_sector_qdims_exact():
     def tq(i):
         return qdim_tensor(A3.sectors[i - 1].components).exact
 
-    assert tq(1).is_one() and tq(3).is_one()
+    assert tq(1) == tq(3) == ONE
     assert tq(2) == SQRT3 + 2
     assert tq(4) == SQRT3 + 2
     assert tq(5) == SQRT3 + 3
@@ -260,7 +260,7 @@ def test_solve_3c_system():
     system = build_sector_system("3C")
     solution = solve_sector_system(system)
     assert solution.kind == "unique"
-    assert solution.value("lambda^2").is_one()
+    assert solution.value("lambda^2") == ONE
     assert solution.steps
     with pytest.raises(KeyError):
         solution.value("mu^2")
@@ -284,25 +284,26 @@ def test_solve_5a_existence_contradiction():
     assert again.steps == solution.steps
 
 
-def _bump(system, label, column, by=1):
-    # the system with `by` added to one coefficient of one row
+def _edit(system, change, label=None):
+    # the system with change(equation) in place of row `label`, or of every row
     return system._replace(equations=tuple(
-        eq._replace(coefficients=tuple(
-            c + by if k == column else c for k, c in enumerate(eq.coefficients)
-        )) if eq.label == label else eq
-        for eq in system.equations
+        change(eq) if label in (None, eq.label) else eq for eq in system.equations
     ))
 
 
-@pytest.mark.parametrize("name, label, message", [
-    ("5A-uniqueness", "(4,3)", "elimination identity failed"),
-    ("5A-existence", "(3,2)", "elimination identity failed"),
-    ("3C", "(2,1)", "drifted"),
-    ("3C", "(2,2)", "claimed solution fails relation (2,2)"),
-], ids=("5A-uniqueness-(4,3)", "5A-existence-(3,2)", "3C-(2,1)", "3C-(2,2)"))
-def test_perturbed_system_is_refused(name, label, message):
-    with pytest.raises(DegenerateSystem, match=re.escape(message)):
-        solve_sector_system(_bump(build_sector_system(name), label, 0))
+def _column(k, new):
+    # an equation change: coefficient k becomes new(coefficients)
+    return lambda eq: eq._replace(coefficients=tuple(
+        new(eq.coefficients) if i == k else c for i, c in enumerate(eq.coefficients)
+    ))
+
+
+def _bumped(label, k=0):
+    return lambda system: _edit(system, _column(k, lambda c: c[k] + 1), label)
+
+
+def _u_copied_into(k):
+    return lambda system: _edit(system, _column(k, lambda c: c[0]))
 
 
 def test_elimination_clears_its_column():
@@ -310,59 +311,83 @@ def test_elimination_clears_its_column():
     # B[3,.] combination keeps its value: only the requirement that the
     # B[4,.] combination clears that column can refuse the system.
     system = build_sector_system("5A-uniqueness")
-    system = _bump(system, "(2,3)", 1, algebra._b(3, 2))
-    system = _bump(system, "(4,3)", 1, algebra._b(3, 4))
+    system = _edit(system, _column(1, lambda c: c[1] + algebra._b(3, 2)), "(2,3)")
+    system = _edit(system, _column(1, lambda c: c[1] + algebra._b(3, 4)), "(4,3)")
     with pytest.raises(DegenerateSystem, match="elimination identity failed"):
         solve_sector_system(system)
 
 
-def _rank_one(rows):
-    return rows, (0,), 1
+def _table_reasons():
+    # (system, message prefix) of each DegenerateSystem the table can raise
+    for name, replay in algebra._REPLAYS.items():
+        yield from ((name, f"{fact} vanishes") for fact, _ in replay.nonzero)
+        yield from ((name, f"{fact} is rank deficient") for fact, _ in replay.full_rank)
+        yield from dict.fromkeys((name, fact) for fact, _ in replay.identities)
+        if replay.solution is not None:
+            yield name, "claimed solution fails relation"
 
 
-def _u_copied_into(system, column):
-    # the system with one column replaced by its u column
-    return system._replace(equations=tuple(
-        eq._replace(coefficients=tuple(
-            eq.coefficients[0] if k == column else c for k, c in enumerate(eq.coefficients)
-        ))
-        for eq in system.equations
-    ))
+# How each reason is reached: (id, change to the system, braiding facts
+# patched).  A reason the table gains without an entry here fails
+# collection.  The v = 0 columns keep rank 2 whenever the printed
+# eliminations hold, and the rank checks run first, so copying u into w
+# reaches that branch.
+BREAKS = {
+    ("5A-existence", "the (4,4)/(2,3) minor vanishes"): [
+        ("5A-existence-minor", None, {"lemma_5a_combos": lambda: (ZERO, ONE)})],
+    ("5A-existence", "the v = 0 branch is rank deficient"): [
+        ("5A-existence-v-branch", _u_copied_into(2), {})],
+    ("5A-existence", "the w = 0 branch is rank deficient"): [
+        ("5A-existence-w-branch", _u_copied_into(1), {})],
+    ("5A-existence", "elimination identity failed"): [
+        ("5A-existence-(3,2)", _bumped("(3,2)"), {}),
+        ("5A-existence-identity", None, {"lemma_5a_combos": lambda: (ONE, ONE)})],
+    ("5A-uniqueness", "the (3,2)/(4,4) minor vanishes"): [
+        ("5A-uniqueness-minor", None, {"lemma_5a_combos": lambda: (ONE, ZERO)})],
+    ("5A-uniqueness", "row (4,3) pivot vanishes"): [
+        ("5A-uniqueness-pivot",
+         lambda system: _edit(system, _column(1, lambda c: ZERO), "(4,3)"), {})],
+    ("5A-uniqueness", "coefficient matrix is rank deficient"): [
+        ("5A-uniqueness-rank", _u_copied_into(1), {})],
+    ("5A-uniqueness", "elimination identity failed"): [
+        ("5A-uniqueness-(4,3)", _bumped("(4,3)"), {}),
+        ("5A-uniqueness-identity", None, {"lemma_5a_combos": lambda: (ONE, ONE)})],
+    ("5A-uniqueness", "claimed solution fails relation"): [
+        ("5A-uniqueness-solution",
+         lambda system: _edit(system, lambda eq: eq._replace(rhs=ONE), "(2,2)"), {})],
+    ("3C", "the (2,1) braid entry vanishes"): [
+        ("3C-pivot", None, {"lemma_3c_entry": lambda: ZERO})],
+    ("3C", "system coefficients drifted from the braid matrix"): [
+        ("3C-(2,1)", _bumped("(2,1)"), {})],
+    ("3C", "claimed solution fails relation"): [
+        ("3C-(2,2)", _bumped("(2,2)"), {})],
+}
 
 
-# Facts no perturbed system reaches: patch the value the check reads.
-# The v = 0 branch keeps rank 2 whenever the printed eliminations hold,
-# so its case also patches those out.
-@pytest.mark.parametrize("name, patches, message", [
-    ("3C", {"lemma_3c_entry": lambda: ZERO}, "the (2,1) braid entry vanishes"),
-    ("5A-uniqueness", {"lemma_5a_combos": lambda: (ONE, ZERO)}, "minor vanishes"),
-    ("5A-existence", {"lemma_5a_combos": lambda: (ZERO, ONE)}, "minor vanishes"),
-    ("5A-uniqueness", {"_bt": lambda i, j: ONE}, "elimination identity failed"),
-    ("5A-existence", {"_bt": lambda i, j: ONE}, "elimination identity failed"),
-    ("5A-uniqueness", {
-        "_eliminates": lambda *args: True,
-        "_bt": lambda i, j: ZERO if (i, j) == (4, 3) else ONE,
-    }, "row (4,3) pivot vanishes"),
-    ("5A-uniqueness", {"echelon": _rank_one}, "coefficient matrix is rank deficient"),
-    (_u_copied_into(build_sector_system("5A-existence"), 2),
-     {"_eliminates": lambda *args: True}, "the v = 0 branch is rank deficient"),
-], ids=("3C-pivot", "5A-uniqueness-minor", "5A-existence-minor", "5A-uniqueness-identity",
-        "5A-existence-identity", "5A-uniqueness-pivot", "5A-uniqueness-rank",
-        "5A-existence-v-branch"))
-def test_degenerate_fact_is_refused(monkeypatch, name, patches, message):
-    system = build_sector_system(name) if isinstance(name, str) else name
-    for attr, value in patches.items():
-        monkeypatch.setattr(algebra, attr, value)
+# The substitution check also names the row that fails: the row each
+# solution case breaks.  A solution case without an entry fails collection.
+FAILING_ROW = {"5A-uniqueness-solution": "(2,2)", "3C-(2,2)": "(2,2)"}
+
+
+def _message(name, reason, case):
+    if reason == "claimed solution fails relation":
+        return f"{name}: {reason} {FAILING_ROW[case]}"
+    return f"{name}: {reason}"
+
+
+@pytest.mark.parametrize("name, message, change, facts", [
+    pytest.param(name, _message(name, reason, case), change, facts, id=case)
+    for name, reason in _table_reasons()
+    for case, change, facts in BREAKS[name, reason]
+])
+def test_degenerate_fact_is_refused(monkeypatch, name, message, change, facts):
+    # Each fact the table checks refuses the system when it fails, with a
+    # message that names the system and the fact.
+    system = build_sector_system(name)
+    for attr, value in facts.items():
+        monkeypatch.setattr(braiding, attr, value)
     with pytest.raises(DegenerateSystem, match=re.escape(message)):
-        solve_sector_system(system)
-
-
-def test_mirrored_branch_is_checked():
-    # The printed eliminations never read the v column.  With v a copy of
-    # u, the v = 0 columns keep rank 2 and the w = 0 columns lose it.
-    system = _u_copied_into(build_sector_system("5A-existence"), 1)
-    with pytest.raises(DegenerateSystem, match="the w = 0 branch is rank deficient"):
-        solve_sector_system(system)
+        solve_sector_system(change(system) if change else system)
 
 
 RESIDUALS_5A = {
@@ -514,8 +539,8 @@ def test_module_fusion_ring_axioms():
 
 
 def test_qdim_module_values():
-    assert qdim_module(A5, (1, 1)).exact.is_one()
-    assert qdim_module(A3, 0).exact.is_one()
+    assert qdim_module(A5, (1, 1)).exact == ONE
+    assert qdim_module(A3, 0).exact == ONE
     assert abs(qdim_module(A3, 2).approx - 2.6825070656623624) < 1e-9
     assert abs(qdim_module(A5, (3, 3)).approx - 5.048917339522305) < 1e-9
     # sine ratios against the plain library

@@ -115,7 +115,7 @@ def test_brackets_live_in_their_side_field(p, variant):
         assert (2 * bound) % table[l].order == 0
         assert table[l].promote(full) == old
         assert (2 * bound) % table.inv(l).order == 0
-        assert (table.inv(l).promote(full) * old).is_one()
+        assert table.inv(l).promote(full) * old == ONE
         # one cache for the bracket and the sine-ratio routes
         assert table[l] is two_i_sin(l * other, bound)
         assert table.inv(l) is sine_inv(l * other, bound)
@@ -184,9 +184,9 @@ def test_r_base_cases():
                         continue
                     if (n + c + a) % 2 == 0:
                         continue
-                    assert r_matrix(q).is_one()
+                    assert r_matrix(q) == ONE
     # m = 1 puts the unit at (b, d) = (a, c); n = 1 puts it at (c, a)
-    assert r_matrix(RQuery(M78, "primed", 2, 3, 1, 4, 4, 2)).is_one()
+    assert r_matrix(RQuery(M78, "primed", 2, 3, 1, 4, 4, 2)) == ONE
 
 
 def test_r_unsupported_is_exact_zero():

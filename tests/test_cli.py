@@ -371,6 +371,20 @@ def test_verify_uniqueness_certificate_is_pinned(capsys, target):
     assert [(c["name"], c["status"]) for c in report["checks"]] == certificate
 
 
+GOLDEN = Path(__file__).with_name("verify_all.golden.json")
+
+
+def test_verify_all_json_is_pinned(capsys):
+    # Every row of the paper battery, exact and approx strings included,
+    # in the order `mm verify all --format json` prints them; elapsed_ms
+    # is left out.  The file changes only with an intended output change.
+    code, out, err = run(capsys, "verify", "all", "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    del report["elapsed_ms"]
+    assert json.dumps(report, indent=2) + "\n" == GOLDEN.read_text()
+
+
 REPLAYS = [
     ("5A-uniqueness", "uniqueness-5a",
      "unique solution: mu^2 = 1 and gamma^2 = 1", "uniqueness replay"),

@@ -199,7 +199,7 @@ def test_two_i_sin_embeds_at_any_multiple_order():
         assert value.order == 2 * b and value is two_i_sin(k, b)
         got = complex(value.promote(order).embed())
         assert abs(got - 2j * math.sin(math.pi * k / b)) < 1e-12
-        assert (sine_inv(k, b) * value).is_one()
+        assert sine_inv(k, b) * value == ONE
     assert two_i_sin(3, 8) == two_i_sin(3, 8).promote(224)
     with pytest.raises(DivisionByZero):
         sine_inv(16, 8)

@@ -107,6 +107,16 @@ def test_label_validation():
         ModuleLabel(M34, 1, 4)
 
 
+def test_label_indices_must_be_integers():
+    # A float or Fraction index is refused, not stored (2.0 used to make
+    # `fuse` raise TypeError) nor truncated (2.7 used to pass as 2).
+    for m, n in ((2.0, 1), (Fraction(2), 1), (2, 3.0)):
+        with pytest.raises(InvalidLabel, match="integer"):
+            ModuleLabel(M78, m, n)
+    with pytest.raises(InvalidLabel, match="integer"):
+        is_admissible((2.7, 1), (1, 1), (2, 1), M78)
+
+
 def test_ising_weights():
     weights = [label.h for label in M34.labels()]
     assert weights == [0, Fraction(1, 16), Fraction(1, 2)]
