@@ -78,7 +78,9 @@ class MinimalModel:
 
     def canonical(self, m: int, n: int) -> tuple[int, int]:
         """The lexicographically smaller of (m, n) and (p-m, q-n)."""
-        if not isinstance(m, int) or not isinstance(n, int):
+        # bool is an int subclass, but a label built from True would be
+        # interned under (1, ...) and print as (True, ...) ever after
+        if type(m) is not int or type(n) is not int:
             raise InvalidLabel(f"integer (m, n) required, got ({m!r}, {n!r})")
         self._check_range(m, n)
         return min((m, n), (self.p - m, self.q - n))
@@ -100,28 +102,36 @@ class MinimalModel:
         return tuple(ModuleLabel(self, m, n) for m, n in _canonical_pairs(self.p, self.q))
 
 
-# Equal labels share one hash object: a warm session keeps some 10^5
-# labels alive, and an int object of its own would add 36 bytes to each.
-_LABEL_HASHES: dict[int, int] = {}
+# One object per canonical label, keyed by (p, q, m, n): a model has
+# at most a few hundred labels, and fusion hands out the same ones.
+_LABELS: dict[tuple[int, int, int, int], "ModuleLabel"] = {}
 
 
 class ModuleLabel:
     """A canonical Kac label of a minimal model.
 
-    The constructor accepts either representative and stores the
-    canonical one, so ModuleLabel(m34, 2, 2) equals ModuleLabel(m34, 1, 2).
-    Labels are immutable and compare equal only to labels.
+    The constructor accepts either representative and returns the one
+    shared object of the canonical label, so ModuleLabel(m34, 2, 2) is
+    ModuleLabel(m34, 1, 2).  Labels are immutable and compare equal only
+    to labels.
     """
 
-    __slots__ = ("model", "m", "n", "_hash")
+    __slots__ = ("model", "m", "n", "kac", "_hash")
 
-    def __init__(self, model: MinimalModel, m: int, n: int) -> None:
-        m, n = model.canonical(m, n)
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        h = hash((model, m, n))
-        object.__setattr__(self, "_hash", _LABEL_HASHES.setdefault(h, h))
+    def __new__(cls, model: MinimalModel, m: int, n: int) -> "ModuleLabel":
+        kac = model.canonical(m, n)
+        m, n = kac
+        key = (model.p, model.q, m, n)
+        label = _LABELS.get(key)
+        if label is None:
+            label = object.__new__(cls)
+            object.__setattr__(label, "model", model)
+            object.__setattr__(label, "m", m)
+            object.__setattr__(label, "n", n)
+            object.__setattr__(label, "kac", kac)
+            object.__setattr__(label, "_hash", hash((model, m, n)))
+            _LABELS[key] = label
+        return label
 
     def __setattr__(self, name, value):
         raise AttributeError("ModuleLabel is immutable")
@@ -133,10 +143,6 @@ class ModuleLabel:
 
     def __hash__(self):
         return self._hash
-
-    @property
-    def kac(self) -> tuple[int, int]:
-        return (self.m, self.n)
 
     @property
     def h(self) -> Fraction:
@@ -255,31 +261,30 @@ def is_admissible(t1, t2, t3, model: MinimalModel) -> bool:
             raise ModelMismatch(f"{t!r} does not belong to {model!r}")
         labels.append(t)
     a, b, c = labels
-    return c.kac in _fuse_pairs(model.p, model.q, a.kac, b.kac)
+    return c in _fusion_product(a, b)
 
 
 @lru_cache(maxsize=None)
-def _fuse_pairs(p: int, q: int, ab: tuple, bb: tuple) -> tuple[tuple[int, int], ...]:
+def _fusion_product(a: ModuleLabel, b: ModuleLabel) -> tuple[ModuleLabel, ...]:
     # The product of two truncated su(2) rules, at bound p on the m side
     # and q on the n side, in label order.  One of p, q is odd, so m3 and
     # p - m3 (or n3 and q - n3) differ in parity and no label arises twice.
-    model = MinimalModel(p, q)
-    (m1, n1), (m2, n2) = ab, bb
+    model = a.model
+    p, q = model.p, model.q
+    (m1, n1), (m2, n2) = a.kac, b.kac
     out = {
         model.canonical(m3, n3)
         for m3 in _side_range(m1, m2, p)
         for n3 in _side_range(n1, n2, q)
     }
-    return tuple(c for c in _canonical_pairs(p, q) if c in out)
+    return tuple(ModuleLabel(model, *c) for c in _canonical_pairs(p, q) if c in out)
 
 
 def fuse(a: ModuleLabel, b: ModuleLabel) -> FusionMultiset:
     """The fusion product of two modules of the same model."""
     if a.model != b.model:
         raise ModelMismatch(f"cannot fuse {a!r} with {b!r}")
-    model = a.model
-    pairs = _fuse_pairs(model.p, model.q, a.kac, b.kac)
-    return FusionMultiset({ModuleLabel(model, m, n): 1 for m, n in pairs})
+    return FusionMultiset(dict.fromkeys(_fusion_product(a, b), 1))
 
 
 class RingCheck(NamedTuple):

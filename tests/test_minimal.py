@@ -83,8 +83,8 @@ def test_label_record_semantics():
 @pytest.mark.parametrize("p,q", [(3, 4), (7, 8), (11, 12), (5, 7), (23, 24)])
 def test_hashes_keep_their_tuple_formulas(p, q):
     # Kept at construction, with the values the tuples give, so set and
-    # dict orders do not depend on the cache; equal labels share the one
-    # int, and both classes stay immutable.
+    # dict orders do not depend on the cache; equal labels are one
+    # object, and both classes stay immutable.
     model = MinimalModel(p, q)
     assert hash(model) == hash((MinimalModel, p, q))
     for m in range(1, p):
@@ -92,8 +92,9 @@ def test_hashes_keep_their_tuple_formulas(p, q):
             label = ModuleLabel(model, m, n)
             assert hash(label) == hash((model, *label.kac))
             twin = ModuleLabel(MinimalModel(p, q), p - m, q - n)
-            assert hash(twin) == hash(label) and twin._hash is label._hash
-    for obj, attr in ((model, "p"), (model, "_hash"), (label, "n"), (label, "_hash")):
+            assert hash(twin) == hash(label) and twin is label
+    attrs = ((model, "p"), (model, "_hash"), (label, "n"), (label, "kac"), (label, "_hash"))
+    for obj, attr in attrs:
         with pytest.raises(AttributeError):
             setattr(obj, attr, 0)
 
@@ -110,9 +111,12 @@ def test_label_validation():
 def test_label_indices_must_be_integers():
     # A float or Fraction index is refused, not stored (2.0 used to make
     # `fuse` raise TypeError) nor truncated (2.7 used to pass as 2).
-    for m, n in ((2.0, 1), (Fraction(2), 1), (2, 3.0)):
+    # A bool is refused too: a label built from True would be the shared
+    # (1, n) label and print as (True,n) wherever (1, n) appears later.
+    for m, n in ((2.0, 1), (Fraction(2), 1), (2, 3.0), (True, 1)):
         with pytest.raises(InvalidLabel, match="integer"):
             ModuleLabel(M78, m, n)
+    assert repr(ModuleLabel(M78, 1, 1)) == "(1,1)@7,8"
     with pytest.raises(InvalidLabel, match="integer"):
         is_admissible((2.7, 1), (1, 1), (2, 1), M78)
 
@@ -179,9 +183,10 @@ def test_fusion_enumeration_matches_admissibility_scan(p, q):
     # admissibility is symmetric in its three labels and is asked once
     # per unordered triple; the ordered scan {c : adm(a, b, c)} for every
     # pair a, b is then read off in label order.  fuse re-sorts its
-    # output, so the enumeration's own order is checked on _fuse_pairs;
-    # fuse itself meets the oracle in the next test.
-    labs = MinimalModel(p, q).labels()
+    # output, so the enumeration's own order is checked on the cached
+    # _fusion_product; fuse itself meets the oracle in the next test.
+    model = MinimalModel(p, q)
+    labs = model.labels()
     assert tuple(lab.kac for lab in labs) == oracles.labels(p, q)
     hits = [
         triple
@@ -194,9 +199,25 @@ def test_fusion_enumeration_matches_admissibility_scan(p, q):
     for i, a in enumerate(labs):
         for j, b in enumerate(labs):
             want = tuple(labs[k].kac for k in np.flatnonzero(scan[i, j]))
-            assert minimal._fuse_pairs(p, q, a.kac, b.kac) == want, (a, b)
-            # the other Kac representative of a, where the m side truncates
-            assert minimal._fuse_pairs(p, q, (p - a.m, q - a.n), b.kac) == want, (a, b)
+            got = tuple(c.kac for c in minimal._fusion_product(a, b))
+            assert got == want, (a, b)
+            # the other Kac representative of a, where the m side truncates,
+            # is the same label and so reads the same cached product
+            assert ModuleLabel(model, p - a.m, q - a.n) is a
+
+
+@pytest.mark.parametrize("p,q", [(7, 8), (13, 14)])
+def test_fusion_hands_out_the_models_labels(p, q):
+    # Every label of a product is an object of labels(), so once labels()
+    # has run, fusing every pair adds nothing to the label table.
+    model = MinimalModel(p, q)
+    labs = model.labels()
+    ids = {id(lab) for lab in labs}
+    size = len(minimal._LABELS)
+    for a in labs:
+        for b in labs:
+            assert all(id(c) in ids for c in fuse(a, b)), (a, b)
+    assert len(minimal._LABELS) == size
 
 
 @pytest.mark.parametrize("p,q", ENUMERATION_MODELS[:-1] + [(11, 12)])
