@@ -85,6 +85,7 @@ __all__ = [
     "check_subalgebra_chain",
     "ffk_pair",
     "fuse",
+    "irreducible_module",
     "irreducible_modules",
     "is_admissible",
     "lemma_3c_entry",

@@ -59,7 +59,7 @@ class GradedAlgebra(_AlgebraFields):
     def __new__(cls, name, factors, sectors):
         if len({sector.components for sector in sectors}) != len(sectors):
             raise ValueError("sector components are not pairwise distinct")
-        if any(label.h != 0 for label in sectors[0].components):
+        if not sectors or any(label.h != 0 for label in sectors[0].components):
             raise ValueError("first sector is not the vacuum")
         return super().__new__(cls, name, factors, sectors)
 
@@ -71,8 +71,7 @@ class _Spec(NamedTuple):
     claims are the paper's quantum dimensions as (check name, sector
     index, value thunk); thunks keep field inverses out of the import.
     A module key maps to the m-indices of its (m,1) labels on the
-    factors after the Ising one; a pattern row is a component's Ising
-    Kac label followed by one n-index per such factor.
+    factors after the Ising one.
     """
 
     factors: tuple[tuple[int, int], ...]
@@ -80,7 +79,6 @@ class _Spec(NamedTuple):
     chain: tuple[int, ...]
     claims: tuple[tuple[str, int, Callable[[], CyclotomicNumber]], ...]
     modules: dict
-    pattern: tuple[tuple, ...]
 
 
 # In the 5A sector list the pairs U3/U4 and U11/U12 couple the two (7,8)
@@ -112,20 +110,6 @@ _SPECS = {
              lambda: -4 * sine_inv(1, 8) ** 2),
         ),
         modules={(i, j): (i, j) for i in (1, 3, 5) for j in (1, 3, 5)},
-        pattern=(
-            ((1, 1), 1, 1),
-            ((1, 1), 3, 5),
-            ((1, 1), 5, 3),
-            ((1, 1), 7, 7),
-            ((1, 3), 1, 7),
-            ((1, 3), 3, 3),
-            ((1, 3), 5, 5),
-            ((1, 3), 7, 1),
-            ((1, 2), 2, 4),
-            ((1, 2), 4, 2),
-            ((1, 2), 6, 4),
-            ((1, 2), 4, 6),
-        ),
     ),
     "3C": _Spec(
         factors=((3, 4), (11, 12)),
@@ -143,14 +127,6 @@ _SPECS = {
              lambda: (zeta(8) + zeta(8, -1)) * two_i_sin(1, 3) * sine_inv(1, 12)),
         ),
         modules={k: (k + 1,) for k in (0, 2, 4, 6, 8)},
-        pattern=(
-            ((1, 1), 1),
-            ((1, 1), 7),
-            ((1, 3), 11),
-            ((1, 3), 5),
-            ((1, 2), 4),
-            ((1, 2), 8),
-        ),
     ),
 }
 
@@ -494,49 +470,45 @@ def solve_sector_system(system: SectorSystem) -> SolutionSet:
 # Irreducible modules and their fusion rules.
 
 class IrreducibleModuleSpec(NamedTuple):
+    """A module induced from its (m,1) index labels, one per factor after
+    the Ising one: its components are the algebra's sectors, in sector
+    order, with each index factor's (1,n) put at (m,n)."""
+
     algebra: GradedAlgebra
     key: tuple[int, int] | int
     components: tuple[tuple[ModuleLabel, ...], ...]
-
-
-def _norm_key(alg: GradedAlgebra, key):
-    want = tuple(key) if isinstance(key, list) else key
-    for known in _SPECS[alg.name].modules:
-        if known == want:
-            return known
-    raise ValueError(f"unknown {alg.name} module key {key!r}")
+    index: tuple[ModuleLabel, ...]
 
 
 @lru_cache(maxsize=None)
-def _modules(name: str) -> tuple[IrreducibleModuleSpec, ...]:
+def _modules(name: str) -> dict:
+    # module key -> its record, in the spec's key order; the sectors'
+    # index labels are all (1,n), a form that canonicalizing keeps
     alg = _build(name)
-    spec = _SPECS[name]
-    ising, *index = alg.factors
-    return tuple(
-        IrreducibleModuleSpec(alg, key, tuple(
-            (
-                ModuleLabel(ising, *kac),
-                *(ModuleLabel(model, m, n) for model, m, n in zip(index, ms, ns)),
-            )
-            for kac, *ns in spec.pattern
-        ))
-        for key, ms in spec.modules.items()
-    )
+    models = alg.factors[1:]
+    table = {}
+    for key, ms in _SPECS[name].modules.items():
+        components = tuple(
+            (ising, *(ModuleLabel(model, m, label.n)
+                      for model, m, label in zip(models, ms, labels)))
+            for ising, *labels in (sector.components for sector in alg.sectors)
+        )
+        index = tuple(ModuleLabel(model, m, 1) for model, m in zip(models, ms))
+        table[key] = IrreducibleModuleSpec(alg, key, components, index)
+    return table
 
 
-@lru_cache(maxsize=None)
-def _index_labels(name: str) -> dict:
-    # module key -> its (m,1) labels on the factors after the Ising one
-    index = _build(name).factors[1:]
-    return {
-        key: tuple(ModuleLabel(model, m, 1) for model, m in zip(index, ms))
-        for key, ms in _SPECS[name].modules.items()
-    }
+def irreducible_module(alg: GradedAlgebra, key) -> IrreducibleModuleSpec:
+    """The irreducible module named by key; a list names its tuple."""
+    try:
+        return _modules(alg.name)[tuple(key) if isinstance(key, list) else key]
+    except (KeyError, TypeError):  # TypeError: the key is unhashable
+        raise ValueError(f"unknown {alg.name} module key {key!r}") from None
 
 
 def irreducible_modules(alg: GradedAlgebra) -> tuple[IrreducibleModuleSpec, ...]:
     """The nine 5A modules keyed (i,j), or the five 3C modules keyed 2k."""
-    return _modules(alg.name)
+    return tuple(_modules(alg.name).values())
 
 
 def module_fusion(alg: GradedAlgebra, key_a, key_b) -> dict:
@@ -547,14 +519,11 @@ def module_fusion(alg: GradedAlgebra, key_a, key_b) -> dict:
     The multiplicity of a target is the product over those factors of
     its labels' multiplicities in the factor fusion.
     """
-    labels = _index_labels(alg.name)
-    fused = [
-        fuse(a, b)
-        for a, b in zip(labels[_norm_key(alg, key_a)], labels[_norm_key(alg, key_b)])
-    ]
+    fused = [fuse(a, b) for a, b in zip(irreducible_module(alg, key_a).index,
+                                        irreducible_module(alg, key_b).index)]
     out = {}
-    for key, targets in labels.items():
-        dim = prod(counts[t] for counts, t in zip(fused, targets))
+    for key, module in _modules(alg.name).items():
+        dim = prod(counts[t] for counts, t in zip(fused, module.index))
         if dim:
             out[key] = dim
     return out
@@ -566,5 +535,5 @@ def qdim_module(alg: GradedAlgebra, key) -> QDim:
     Its factors are the m-side ratios sin(pi*q*m/p)/sin(pi*q/p) of the
     module's index labels, each in Q(zeta_2p).
     """
-    ms = _SPECS[alg.name].modules[_norm_key(alg, key)]
+    ms = _SPECS[alg.name].modules[irreducible_module(alg, key).key]
     return _qdim_from((model.q, m, model.p) for model, m in zip(alg.factors[1:], ms))

@@ -320,11 +320,11 @@ def cmd_verify(args) -> Report:
 
 
 def cmd_decompose(args) -> Report:
-    from .algebra import build_algebra, irreducible_modules
+    from .algebra import build_algebra, irreducible_module, irreducible_modules
     alg = build_algebra(args.algebra)
-    modules = irreducible_modules(alg)
-    key = _module_key(args.module) if args.module is not None else modules[0].key
-    if key == modules[0].key:
+    vacuum = irreducible_modules(alg)[0]
+    spec = vacuum if args.module is None else irreducible_module(alg, _module_key(args.module))
+    if spec is vacuum:
         # the vacuum module is the algebra itself; list its sectors
         checks = []
         for sector in alg.sectors:
@@ -332,9 +332,6 @@ def cmd_decompose(args) -> Report:
             checks.append(_qdim_row(str(sector), _render_exact(d.exact), d,
                                     args.digits))
         return Report(f"decompose {alg.name}", checks)
-    spec = next((m for m in modules if m.key == key), None)
-    if spec is None:
-        raise ValueError(f"unknown {alg.name} module key {args.module!r}")
     checks = []
     for component in spec.components:
         labels = " x ".join(f"({l.m},{l.n})" for l in component)

@@ -100,6 +100,8 @@ def test_sector_and_algebra_validate_on_construction():
         GradedAlgebra("3C", A3.factors, A3.sectors[1:])
     with pytest.raises(ValueError, match="pairwise distinct"):
         GradedAlgebra("3C", A3.factors, A3.sectors + (A3.sectors[1],))
+    with pytest.raises(ValueError, match="not the vacuum"):
+        GradedAlgebra("X", (), ())
 
 
 def test_sector_fusion_compares_by_value():
@@ -437,13 +439,13 @@ def _h78(m, n):
     return Fraction((7 * n - 8 * m) ** 2 - 1, 4 * 7 * 8)
 
 
-# grade pattern of a 5A module, in display order
+# grade pattern of a 5A module, in sector order U1..U12
 _5A_SHAPE = (
-    (0, (1, 1)), (0, (3, 5)), (0, (5, 3)), (0, (7, 7)),
-    (Fraction(1, 2), (1, 7)), (Fraction(1, 2), (3, 3)),
-    (Fraction(1, 2), (5, 5)), (Fraction(1, 2), (7, 1)),
+    (0, (1, 1)), (0, (7, 7)), (0, (3, 5)), (0, (5, 3)),
+    (Fraction(1, 2), (1, 7)), (Fraction(1, 2), (7, 1)),
+    (Fraction(1, 2), (3, 3)), (Fraction(1, 2), (5, 5)),
     (Fraction(1, 16), (2, 4)), (Fraction(1, 16), (4, 2)),
-    (Fraction(1, 16), (6, 4)), (Fraction(1, 16), (4, 6)),
+    (Fraction(1, 16), (4, 6)), (Fraction(1, 16), (6, 4)),
 )
 
 
@@ -461,7 +463,7 @@ def test_5a_modules():
         assert module_weights(spec) == want
     # the vacuum module is the algebra itself, sector by sector
     vacuum = specs[0]
-    assert set(module_weights(vacuum)) == {s.weights for s in A5.sectors}
+    assert module_weights(vacuum) == tuple(s.weights for s in A5.sectors)
 
 
 MODULE_WEIGHTS_3C = {
@@ -492,7 +494,7 @@ def test_3c_modules():
     specs = irreducible_modules(A3)
     assert [spec.key for spec in specs] == [0, 2, 4, 6, 8]
     vacuum = specs[0]
-    assert set(module_weights(vacuum)) == {s.weights for s in A3.sectors}
+    assert module_weights(vacuum) == tuple(s.weights for s in A3.sectors)
     for spec in specs[1:]:
         assert len(spec.components) == 6
         got = module_weights(spec)
@@ -606,6 +608,15 @@ def test_module_key_validation():
         qdim_module(A3, "0")
     with pytest.raises(ValueError):
         qdim_module(A3, (1, 1))
+    # an unhashable key is an unknown key, not a TypeError
+    with pytest.raises(ValueError):
+        module_fusion(A5, [[1], 3], (1, 1))
+    with pytest.raises(ValueError):
+        qdim_module(A3, {})
+    # a key compares by value: bools and floats equal to a key name it
+    assert qdim_module(A3, False) == qdim_module(A3, 0)
+    assert module_fusion(A3, 2.0, False) == module_fusion(A3, 2, 0)
+    assert module_fusion(A5, (1.0, 3), [True, 5]) == module_fusion(A5, (1, 3), (1, 5))
     # a list names the same 5A module as its tuple
     assert module_fusion(A5, [3, 5], (1, 1)) == module_fusion(A5, (3, 5), (1, 1))
     assert qdim_module(A5, [3, 5]) == qdim_module(A5, (3, 5))

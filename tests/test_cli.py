@@ -385,6 +385,28 @@ def test_verify_all_json_is_pinned(capsys):
     assert json.dumps(report, indent=2) + "\n" == GOLDEN.read_text()
 
 
+DECOMPOSE_GOLDEN = Path(__file__).with_name("decompose.golden.json")
+DECOMPOSE_ARGV = (
+    ("5a",), ("3c",),
+    *(("5a", "--module", f"{i},{j}") for i in (1, 3, 5) for j in (1, 3, 5)),
+    *(("3c", "--module", str(k)) for k in (0, 2, 4, 6, 8)),
+)
+
+
+def test_decompose_json_is_pinned(capsys):
+    # Both sector listings and every module's components, in the order
+    # `mm decompose ... --format json` prints them, keyed by the arguments
+    # after `decompose`; elapsed_ms is left out.
+    reports = {}
+    for args in DECOMPOSE_ARGV:
+        code, out, err = run(capsys, "decompose", *args, "--format", "json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        del report["elapsed_ms"]
+        reports[" ".join(args)] = report
+    assert json.dumps(reports, indent=2) + "\n" == DECOMPOSE_GOLDEN.read_text()
+
+
 REPLAYS = [
     ("5A-uniqueness", "uniqueness-5a",
      "unique solution: mu^2 = 1 and gamma^2 = 1", "uniqueness replay"),
@@ -478,9 +500,9 @@ def test_decompose_rejects_bad_input(capsys):
     code, out, err = run(capsys, "decompose", "6a")
     assert code == 2
     code, out, err = run(capsys, "decompose", "3c", "--module", "3")
-    assert code == 2
+    assert (code, err) == (2, "error: unknown 3C module key 3\n")
     code, out, err = run(capsys, "decompose", "5a", "--module", "2,2")
-    assert code == 2
+    assert (code, err) == (2, "error: unknown 5A module key (2, 2)\n")
 
 
 def test_table_format_footer(capsys):
