@@ -22,7 +22,6 @@ from .minimal import (
     QDim,
     RingCheck,
     check_fusion_ring,
-    ffk_pair,
     fuse,
     is_admissible,
     qdim,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BraidMatrix",
-    "BracketTable",
     "ChainCheck",
     "CyclotomicNumber",
     "DegenerateSystem",
@@ -76,14 +74,12 @@ __all__ = [
     "SectorProduct",
     "SectorSystem",
     "SolutionSet",
-    "brackets",
     "braid_entry",
     "braid_matrix",
     "build_algebra",
     "build_sector_system",
     "check_fusion_ring",
     "check_subalgebra_chain",
-    "ffk_pair",
     "fuse",
     "irreducible_module",
     "irreducible_modules",

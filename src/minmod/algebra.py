@@ -532,8 +532,8 @@ def module_fusion(alg: GradedAlgebra, key_a, key_b) -> dict:
 def qdim_module(alg: GradedAlgebra, key) -> QDim:
     """Quantum dimension of an irreducible module, as a sine ratio.
 
-    Its factors are the m-side ratios sin(pi*q*m/p)/sin(pi*q/p) of the
-    module's index labels, each in Q(zeta_2p).
+    Its factors are the p-side ratios sin(pi*q*m/p)/sin(pi*q/p) of the
+    module's (m,1) index labels, each in Q(zeta_2p).
     """
     ms = _SPECS[alg.name].modules[irreducible_module(alg, key).key]
-    return _qdim_from((model.q, m, model.p) for model, m in zip(alg.factors[1:], ms))
+    return _qdim_from(model.sides[0].ratio(m) for model, m in zip(alg.factors[1:], ms))

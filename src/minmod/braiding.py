@@ -2,10 +2,11 @@
 
 The matrix (B_{a4,a1}^{a3,a2})_{mu,gamma} factorizes, up to an explicit
 prefactor, into two chiral pieces r'(...) and r(...), each one quantum
-6j sum past its base cases.  The chiral pieces live on the q = p + 1
-and p sides respectively.  Their quantum brackets and bracket inverses
-are sines in Q(zeta_{2q}) and Q(zeta_{2p}), and the quarter powers of
-the deformation parameter put r' in Q(zeta_{4q}) and r in Q(zeta_{4p}).
+6j sum past its base cases.  They are evaluated on the model's two
+minimal.Side objects: r' on the q = p + 1 side (the paper's primed
+side), r on the p side.  A side's brackets and bracket inverses are
+sines in Q(zeta_{2q}) or Q(zeta_{2p}), and its quarter powers of the
+deformation parameter put r' in Q(zeta_{4q}) and r in Q(zeta_{4p}).
 Only a braiding-matrix entry multiplies the two up to Q(zeta_{4pq}), and
 stays in the smaller field when one side is trivial.  Every nonvanishing
 claim is a decidable coefficient comparison.
@@ -18,16 +19,8 @@ from functools import lru_cache, partial
 from math import prod
 from typing import NamedTuple
 
-from .exact import CyclotomicNumber, echelon, sine_inv, two_i_sin, zeta
-from .minimal import (
-    MinimalModel,
-    ModelMismatch,
-    ModuleLabel,
-    NonUnitaryModel,
-    ffk_pair,
-    fuse,
-    _side_admissible,
-)
+from .exact import CyclotomicNumber, echelon, zeta
+from .minimal import MinimalModel, ModelMismatch, ModuleLabel, NonUnitaryModel, Side, fuse
 
 
 class IndexOutOfRange(ValueError):
@@ -58,52 +51,10 @@ def named_label(model: MinimalModel, index: int) -> ModuleLabel:
     return model.label(m, n)
 
 
-class BracketTable:
-    """Quantum brackets of one chirality.
-
-    primed:   [l]' = y^{l/2} - y^{-l/2}, y for exp(2*pi*i*p/q), bound q
-    unprimed: [l]  = x^{l/2} - x^{-l/2}, x for exp(2*pi*i*q/p), bound p
-
-    With b the bound and o the other index, [l] is 2i*sin(pi*l*o/b), so
-    every bracket and inverse comes from the cached exact.two_i_sin and
-    exact.sine_inv in Q(zeta_{2b}).  (x or y)^{1/4} is the root
-    zeta_{4b}^o, so power(k), the quarter power (x or y)^{k/4}, lives in
-    Q(zeta_{4b}): Q(zeta_{4q}) on the primed side, Q(zeta_{4p}) on the
-    unprimed side.  Brackets satisfy [0] = 0 and [-l] = -[l].
-    """
-
-    __slots__ = ("bound", "_other")
-
-    def __init__(self, model: MinimalModel, variant: str) -> None:
-        if not model.is_unitary:
-            raise NonUnitaryModel(f"{model!r} has no chiral bracket data")
-        if variant not in ("primed", "unprimed"):
-            raise ValueError(f"unknown variant {variant!r}")
-        if variant == "primed":
-            self.bound, self._other = model.q, model.p
-        else:
-            self.bound, self._other = model.p, model.q
-
-    def power(self, k: int) -> CyclotomicNumber:
-        return zeta(4 * self.bound, k * self._other)
-
-    def __getitem__(self, l: int) -> CyclotomicNumber:
-        return two_i_sin(l * self._other, self.bound)
-
-    def inv(self, l: int) -> CyclotomicNumber:
-        return sine_inv(l * self._other, self.bound)
-
-
-@lru_cache(maxsize=None)
-def brackets(model: MinimalModel, variant: str) -> BracketTable:
-    return BracketTable(model, variant)
-
-
 class RQuery(NamedTuple):
-    """One chiral r-matrix evaluation r(a, m, n, c)_{b, d}."""
+    """One chiral r-matrix evaluation r(a, m, n, c)_{b, d} on one side."""
 
-    model: MinimalModel
-    variant: str
+    side: Side
     a: int
     m: int
     n: int
@@ -112,7 +63,7 @@ class RQuery(NamedTuple):
     d: int
 
     def indices(self) -> tuple[int, int, int, int, int, int]:
-        return self[2:]
+        return self[1:]
 
 
 _R_MEMO: dict[RQuery, CyclotomicNumber] = {}
@@ -126,13 +77,13 @@ def memoized_queries() -> tuple[RQuery, ...]:
     return tuple(_R_MEMO)
 
 
-def _supported(q: RQuery, bound: int) -> bool:
-    a, m, n, c, b, d = q.indices()
+def _supported(query: RQuery) -> bool:
+    side, a, m, n, c, b, d = query
     return (
-        _side_admissible(m, b, a, bound)
-        and _side_admissible(n, c, b, bound)
-        and _side_admissible(n, d, a, bound)
-        and _side_admissible(m, c, d, bound)
+        side.admissible(m, b, a)
+        and side.admissible(n, c, b)
+        and side.admissible(n, d, a)
+        and side.admissible(m, c, d)
     )
 
 
@@ -161,30 +112,30 @@ def r_matrix(query: RQuery) -> CyclotomicNumber:
     cached = _R_MEMO.get(query)
     if cached is not None:
         return cached
-    table = brackets(query.model, query.variant)
-    bound = table.bound
+    bound = query.side.bound
     if not all(0 < x < bound for x in query.indices()):
         raise IndexOutOfRange(f"{query} outside 1..{bound - 1}")
-    value = _r_value(query, table)
+    value = _r_value(query)
     _R_MEMO[query] = value
     return value
 
 
-def _factorial_ratio(table: BracketTable, ups, downs) -> CyclotomicNumber:
+def _factorial_ratio(side: Side, ups, downs) -> CyclotomicNumber:
     # prod [u]! / prod [v]!, where [l] occurs #{u >= l} - #{v >= l} times
     tally, run, value = Counter(ups), 0, _ONE
     tally.subtract(downs)
     for l in range(max(tally), 0, -1):
         run += tally[l]
         for _ in range(abs(run)):
-            factor = table[l] if run > 0 else table.inv(l)
+            factor = side[l] if run > 0 else side.inv(l)
             value = factor if value is _ONE else value * factor
     return value
 
 
-def _r_value(query: RQuery, table: BracketTable) -> CyclotomicNumber:
-    if not _supported(query, table.bound):
+def _r_value(query: RQuery) -> CyclotomicNumber:
+    if not _supported(query):
         return _ZERO
+    side = query.side
     a, m, n, c, b, d = query.indices()
     if m == 1:
         return _ONE if (b, d) == (a, c) else _ZERO
@@ -199,9 +150,9 @@ def _r_value(query: RQuery, table: BracketTable) -> CyclotomicNumber:
     total = _ZERO
     for s in range(max(lows), min(highs) + 1):
         downs = (lows[2] + 1, lows[3] + 1, *(s - l for l in lows), *(h - s for h in highs))
-        term = _factorial_ratio(table, (s + 1, *ups), downs)
+        term = _factorial_ratio(side, (s + 1, *ups), downs)
         total = total - term if s % 2 else total + term
-    value = table.power((a * a + c * c - b * b - d * d) // 2) * table[d] * total
+    value = side.power((a * a + c * c - b * b - d * d) // 2) * side[d] * total
     return -value if ((a + c - b - d) // 2 + lows[0] + lows[1] + B) % 2 else value
 
 
@@ -241,32 +192,34 @@ def braid_entry(
 ) -> CyclotomicNumber:
     """One entry (B_{a4,a1}^{a3,a2})_{mu,gamma} of the factorized form.
 
-    The two-index names are read off ffk_pair; the prefactor is a power
+    Each label's Kac pair is read against model.sides: its m indexes r on
+    the p side, its n indexes r' on the q side.  The prefactor is a power
     of i = zeta_4 times a sign whose exponent must come out integral.
     """
     a4, a1, a3, a2 = externals
-    n_p, n = ffk_pair(a1)
-    m_p, m = ffk_pair(a4)
-    c_p, c = ffk_pair(a3)
-    a_p, a = ffk_pair(a2)
-    b_p, b = ffk_pair(mu)
-    d_p, d = ffk_pair(gamma)
+    _check_labels(model, (*externals, mu, gamma))
+    # the six indices of r(a, m, n, c)_{b,d}, one tuple per side
+    indices = tuple(zip(*(x.kac for x in (a2, a4, a1, a3, mu, gamma))))
+    (a, m, n, c, b, d), (a_p, m_p, n_p, c_p, b_p, d_p) = indices
     ipow = (-(m_p - 1) * (n - 1) - (n_p - 1) * (m - 1)) % 4
     doubled = (a - b + c - d) * (n_p + m) + (a_p - b_p + c_p - d_p) * (n + m)
     if doubled % 2:
         raise NonIntegerExponent(f"sign exponent {doubled}/2 for {externals}")
     sign = -1 if (doubled // 2) % 2 else 1
-    primed = r_matrix(RQuery(model, "primed", a_p, m_p, n_p, c_p, b_p, d_p))
-    unprimed = r_matrix(RQuery(model, "unprimed", a, m, n, c, b, d))
+    unprimed, primed = (r_matrix(RQuery(side, *i)) for side, i in zip(model.sides, indices))
     return zeta(4, ipow) * sign * primed * unprimed
+
+
+def _check_labels(model: MinimalModel, labels) -> None:
+    if not model.is_unitary:
+        raise NonUnitaryModel(f"{model!r} has no braiding data here")
+    if any(x.model != model for x in labels):
+        raise ModelMismatch(f"labels {labels} do not all belong to {model!r}")
 
 
 def braid_matrix(model: MinimalModel, externals) -> BraidMatrix:
     """Assemble the full braiding matrix over fusion-allowed channels."""
-    if not model.is_unitary:
-        raise NonUnitaryModel(f"{model!r} has no braiding data here")
-    if any(x.model != model for x in externals):
-        raise ModelMismatch(f"externals {externals} do not all belong to {model!r}")
+    _check_labels(model, externals)
     a4, a1, a3, a2 = externals
     a3a4, a3a1 = fuse(a3, a4), fuse(a3, a1)
     rows = tuple(x for x in fuse(a2, a1) if x in a3a4)

@@ -345,10 +345,9 @@ def cmd_decompose(args) -> Report:
 # -- verify targets ---------------------------------------------------------
 
 def _verify_lemma_5a(digits: int) -> list:
-    from .braiding import brackets, lemma_5a_combos, named_entry, named_matrix
-    model = MinimalModel(7, 8)
+    from .braiding import lemma_5a_combos, named_entry, named_matrix
     b = partial(named_entry, 7, (3, 3, 4, 4))
-    t = brackets(model, "primed")
+    t = MinimalModel(7, 8).sides[1]
     y = t.power(4)
     y_inv = t.power(-4)
     sqrt2 = zeta(8) + zeta(8, -1)
@@ -386,10 +385,9 @@ def _verify_lemma_5a(digits: int) -> list:
 
 
 def _verify_lemma_3c(digits: int) -> list:
-    from .braiding import brackets, lemma_3c_entry, named_matrix
-    model = MinimalModel(11, 12)
+    from .braiding import lemma_3c_entry, named_matrix
     entry = lemma_3c_entry()
-    t = brackets(model, "primed")
+    t = MinimalModel(11, 12).sides[1]
     y = t.power(4)
     product = (
         y ** 6

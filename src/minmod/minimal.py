@@ -2,10 +2,15 @@
 
 The model L(c_{p,q}, 0) for coprime 2 <= p < q has (p-1)(q-1)/2
 irreducible modules, labelled by Kac pairs (m, n) with 0 < m < p,
-0 < n < q modulo the identification (m, n) ~ (p-m, q-n).  Everything
-here is exact: weights and central charges are Fractions, and a
-quantum dimension is kept as its two sine ratios, one in Q(zeta_{2p})
-and one in Q(zeta_{2q}), whose product lives in Q(zeta_{2pq}).
+0 < n < q modulo the identification (m, n) ~ (p-m, q-n).  The model has
+two chiral sides, su(2) truncated at p for the m index and at q for the
+n index (Felder-Froehlich-Keller, CMP 124, 1989); a Side holds the
+fusion rule, the quantum brackets and the sine ratio of one of them.
+Fusion, quantum dimensions and the braiding layer's r-matrices all read
+them.  Everything here is exact: weights and central charges are
+Fractions, and a quantum dimension is kept as its two sine ratios, one
+in Q(zeta_{2p}) and one in Q(zeta_{2q}), whose product lives in
+Q(zeta_{2pq}).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from itertools import chain
 from math import gcd, prod
 from typing import NamedTuple, Sequence
 
-from .exact import CyclotomicNumber, sine_inv, two_i_sin
+from .exact import CyclotomicNumber, sine_inv, two_i_sin, zeta
 
 
 class InvalidModel(ValueError):
@@ -35,10 +40,78 @@ class NonUnitaryModel(ValueError):
     """The operation needs the unitary series q = p + 1."""
 
 
-class MinimalModel:
-    """The minimal model L(c_{p,q}, 0); hashable, compared by (p, q)."""
+# One object per side, keyed by (bound, other): the r-matrix memo and
+# the sine-ratio cache key on sides, and many models share them.
+_SIDES: dict[tuple[int, int], "Side"] = {}
 
-    __slots__ = ("p", "q", "_hash")
+
+class Side:
+    """One chiral side of a minimal model: su(2) truncated at bound.
+
+    The model (p, q) has Side(p, q) for its m indices and Side(q, p) for
+    its n indices (the paper's primed side when q = p + 1).  With b the
+    bound and o the other index, the quantum bracket [l] is
+    2i*sin(pi*l*o/b), so every bracket and inverse comes from the cached
+    exact.two_i_sin and exact.sine_inv in Q(zeta_{2b}), and [0] = 0,
+    [-l] = -[l].  The deformation parameter's quarter root is
+    zeta_{4b}^o, so power(k), its k-th power, lives in Q(zeta_{4b}).
+    The constructor returns the one shared object of (bound, other).
+    """
+
+    __slots__ = ("bound", "other")
+
+    def __new__(cls, bound: int, other: int) -> "Side":
+        side = _SIDES.get((bound, other))
+        if side is None:
+            side = _SIDES[(bound, other)] = object.__new__(cls)
+            side.bound, side.other = bound, other
+        return side
+
+    def __repr__(self):
+        return f"Side({self.bound}, {self.other})"
+
+    def fusion(self, k1: int, k2: int) -> range:
+        """The k3 with k1 x k2 -> k3 in the su(2) fusion rule truncated at bound."""
+        return range(abs(k1 - k2) + 1, min(k1 + k2, 2 * self.bound - k1 - k2), 2)
+
+    def admissible(self, k1: int, k2: int, k3: int) -> bool:
+        return 0 < k1 < self.bound and 0 < k2 < self.bound and k3 in self.fusion(k1, k2)
+
+    def __getitem__(self, l: int) -> CyclotomicNumber:
+        return two_i_sin(l * self.other, self.bound)
+
+    def inv(self, l: int) -> CyclotomicNumber:
+        return sine_inv(l * self.other, self.bound)
+
+    def power(self, k: int) -> CyclotomicNumber:
+        return zeta(4 * self.bound, k * self.other)
+
+    @lru_cache(maxsize=None)
+    def ratio(self, k: int) -> tuple[CyclotomicNumber, float]:
+        """|[k]/[1]| = |sin(pi*k*o/b) / sin(pi*o/b)| in Q(zeta_{2b}), and its float.
+
+        sin(pi*x) has the sign (-1)^floor(x), so the sign of the ratio comes
+        from integers; its realness is decided exactly.
+        """
+        b, o = self.bound, self.other
+        value = self[k] * self.inv(1)
+        if (k * o // b + o // b) % 2:
+            value = -value
+        approx = value.embed().real
+        if not (value.is_real() and approx > 0):
+            raise ArithmeticError(
+                f"sine ratio sin(pi*{k * o}/{b})/sin(pi*{o}/{b}) is not real and positive"
+            )
+        return value, approx
+
+
+class MinimalModel:
+    """The minimal model L(c_{p,q}, 0); hashable, compared by (p, q).
+
+    sides is (Side(p, q), Side(q, p)), in the order of a label's (m, n).
+    """
+
+    __slots__ = ("p", "q", "sides", "_hash")
 
     def __init__(self, p: int, q: int) -> None:
         if not isinstance(p, int) or not isinstance(q, int):
@@ -47,7 +120,8 @@ class MinimalModel:
             raise InvalidModel(f"need coprime 2 <= p < q, got ({p}, {q})")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        # models and labels key the r-matrix memo, so the hash is kept
+        object.__setattr__(self, "sides", (Side(p, q), Side(q, p)))
+        # every label's hash reads it, so the hash is kept
         object.__setattr__(self, "_hash", hash((MinimalModel, p, q)))
 
     def __setattr__(self, name, value):
@@ -222,29 +296,6 @@ class QDim(NamedTuple):
         return prod(self.factors, start=CyclotomicNumber.from_rational(1))
 
 
-def ffk_pair(label: ModuleLabel) -> tuple[int, int]:
-    """The two-index name (i', i) of a module of a unitary model.
-
-    The first index runs on the q = p + 1 side, so the canonical label
-    (m, n) maps to (n, m).  The weight of the name,
-    ((p*i' - (p+1)*i)^2 - 1) / (4p(p+1)), is h_{m,n} itself, since
-    (p - q)^2 = 1 there.
-    """
-    model = label.model
-    if not model.is_unitary:
-        raise NonUnitaryModel(f"{model!r} is not in the unitary series")
-    return (label.n, label.m)
-
-
-def _side_range(k1: int, k2: int, bound: int) -> range:
-    """The k3 with k1 x k2 -> k3 in the su(2) fusion rule truncated at bound."""
-    return range(abs(k1 - k2) + 1, min(k1 + k2, 2 * bound - k1 - k2), 2)
-
-
-def _side_admissible(k1: int, k2: int, k3: int, bound: int) -> bool:
-    return 0 < k1 < bound and 0 < k2 < bound and k3 in _side_range(k1, k2, bound)
-
-
 def is_admissible(t1, t2, t3, model: MinimalModel) -> bool:
     """Whether t3 occurs in the fusion product t1 x t2 (fusion number one).
 
@@ -266,18 +317,14 @@ def is_admissible(t1, t2, t3, model: MinimalModel) -> bool:
 
 @lru_cache(maxsize=None)
 def _fusion_product(a: ModuleLabel, b: ModuleLabel) -> tuple[ModuleLabel, ...]:
-    # The product of two truncated su(2) rules, at bound p on the m side
-    # and q on the n side, in label order.  One of p, q is odd, so m3 and
-    # p - m3 (or n3 and q - n3) differ in parity and no label arises twice.
+    # The product of the two sides' fusion rules, in label order.  One of
+    # p, q is odd, so m3 and p - m3 (or n3 and q - n3) differ in parity
+    # and no label arises twice.
     model = a.model
-    p, q = model.p, model.q
-    (m1, n1), (m2, n2) = a.kac, b.kac
-    out = {
-        model.canonical(m3, n3)
-        for m3 in _side_range(m1, m2, p)
-        for n3 in _side_range(n1, n2, q)
-    }
-    return tuple(ModuleLabel(model, *c) for c in _canonical_pairs(p, q) if c in out)
+    ms, ns = (side.fusion(k1, k2) for side, k1, k2 in zip(model.sides, a.kac, b.kac))
+    out = {model.canonical(m3, n3) for m3 in ms for n3 in ns}
+    return tuple(ModuleLabel(model, *c) for c in _canonical_pairs(model.p, model.q)
+                 if c in out)
 
 
 def fuse(a: ModuleLabel, b: ModuleLabel) -> FusionMultiset:
@@ -364,31 +411,13 @@ def qdim(label: ModuleLabel) -> QDim:
 
 @lru_cache(maxsize=None)
 def _qdim_cached(p: int, q: int, m: int, n: int) -> QDim:
-    return _qdim_from(((q, m, p), (p, n, q)))
+    return _qdim_from(side.ratio(k) for side, k in zip(MinimalModel(p, q).sides, (m, n)))
 
 
 def _qdim_from(ratios) -> QDim:
-    """The quantum dimension whose factors are the sine ratios (k, m, b)."""
-    pairs = [_sine_ratio(*ratio) for ratio in ratios]
-    return QDim(tuple(value for value, _ in pairs), prod(x for _, x in pairs))
-
-
-@lru_cache(maxsize=None)
-def _sine_ratio(k: int, m: int, b: int) -> tuple[CyclotomicNumber, float]:
-    """|sin(pi*k*m/b) / sin(pi*k/b)| in Q(zeta_{2b}), and its float.
-
-    sin(pi*x) has the sign (-1)^floor(x), so the sign of the ratio comes
-    from integers; its realness is decided exactly.
-    """
-    value = two_i_sin(k * m, b) * sine_inv(k, b)
-    if (k * m // b + k // b) % 2:
-        value = -value
-    approx = value.embed().real
-    if not (value.is_real() and approx > 0):
-        raise ArithmeticError(
-            f"sine ratio sin(pi*{k * m}/{b})/sin(pi*{k}/{b}) is not real and positive"
-        )
-    return value, approx
+    """The quantum dimension whose factors are the given Side.ratio pairs."""
+    values, approxes = zip(*ratios)
+    return QDim(values, prod(approxes))
 
 
 def qdim_tensor(labels: Sequence[ModuleLabel]) -> QDim:

@@ -19,12 +19,10 @@ from minmod import (
     ModuleLabel,
     RingCheck,
     braid_matrix,
-    brackets,
     build_algebra,
     build_sector_system,
     check_fusion_ring,
     check_subalgebra_chain,
-    ffk_pair,
     fuse,
     irreducible_modules,
     is_admissible,
@@ -66,8 +64,9 @@ def test_criterion_01_charges_and_weights():
     with criterion("1", "central charges and conformal weights"):
         assert M78.central_charge() == Fraction(25, 28)
         assert M1112.central_charge() == Fraction(21, 22)
+        # FFK's two-index name (i', i) of a module, q side first
         by_pair = {
-            ffk_pair(label): label.h
+            oracles.ffk_indices(*label.kac): label.h
             for label in M78.labels()
             if label.m == 1 and label.n in (1, 3, 5, 7)
         }
@@ -78,7 +77,8 @@ def test_criterion_01_charges_and_weights():
             (7, 1): Fraction(15, 2),
         }
         lab = ModuleLabel(M1112, 1, 7)
-        assert ffk_pair(lab) == (7, 1)
+        (_, i), (side, i_p) = zip(M1112.sides, lab.kac)
+        assert (i_p, i, side.bound) == (7, 1, 12)
         assert lab.h == 8
 
 
@@ -106,7 +106,7 @@ def test_criterion_02a_first_minor_catalogued_value():
         ) * I
         matrix = braid_matrix(M78, tuple(named_label(M78, i) for i in (3, 3, 4, 4)))
         lab = {i: named_label(M78, i) for i in (2, 3, 4)}
-        y = brackets(M78, "primed").power(4)
+        y = M78.sides[1].power(4)
         entries = dict(matrix.entries)
         # the source display prints y in B23 where the r-matrix forces 1/y
         entries[(lab[2], lab[3])] = y * y * entries[(lab[2], lab[3])]
@@ -139,7 +139,7 @@ def test_criterion_02b_second_minor_and_intermediates():
         assert not first.is_zero()
         matrix = braid_matrix(M78, tuple(named_label(M78, i) for i in (3, 3, 4, 4)))
         lab = {i: named_label(M78, i) for i in (2, 3, 4)}
-        y_inv = brackets(M78, "primed").power(-4)
+        y_inv = M78.sides[1].power(-4)
         assert matrix.entry(lab[3], lab[2]) * matrix.entry(lab[4], lab[4]) == (
             SQRT2 - 1
         ) * y_inv
@@ -152,7 +152,7 @@ def test_criterion_03_3c_entry():
     with criterion("3", "3C pivot entry, exact and against the float oracle"):
         entry = lemma_3c_entry()
         assert not entry.is_zero()
-        primed = brackets(M1112, "primed")
+        primed = M1112.sides[1]
         b = primed.__getitem__
         product = (
             primed.power(24)

@@ -28,7 +28,6 @@ from minmod import (
     RQuery,
     braid_entry,
     braid_matrix,
-    brackets,
     is_admissible,
     lemma_3c_entry,
     lemma_5a_combos,
@@ -38,9 +37,10 @@ from minmod import (
     r_matrix,
     zeta,
 )
-from minmod import braiding, minimal
+from minmod import braiding
 from minmod.braiding import named_matrix
 from minmod.exact import _reduce, sine_inv, two_i_sin
+from minmod.minimal import Side
 
 M78 = MinimalModel(7, 8)
 M1112 = MinimalModel(11, 12)
@@ -66,8 +66,7 @@ def lemma_matrix() -> BraidMatrix:
 
 
 def test_bracket_vanishing():
-    primed = brackets(M78, "primed")
-    unprimed = brackets(M78, "unprimed")
+    unprimed, primed = M78.sides
     assert primed[0].is_zero()
     assert primed[8].is_zero()
     assert primed[-16].is_zero()
@@ -81,34 +80,37 @@ def test_bracket_vanishing():
 
 
 def test_bracket_antisymmetry_and_caching():
-    primed = brackets(M78, "primed")
+    primed = M78.sides[1]
     for l in range(1, 8):
         assert primed[-l] == -primed[l]
-    assert brackets(M78, "primed") is primed
+    assert MinimalModel(7, 8).sides[1] is MinimalModel(7, 8).sides[1]
+    assert Side(8, 7) is primed
 
 
 def test_primed_deformation_parameter():
     # y = (primed base)^{1} lives at the quarter power 4
-    y = brackets(M78, "primed").power(4)
+    y = M78.sides[1].power(4)
     assert abs(_embed(y) - cmath.exp(7j * cmath.pi / 4)) < 1e-12
-    y3c = brackets(M1112, "primed").power(4)
+    y3c = M1112.sides[1].power(4)
     assert abs(_embed(y3c) - cmath.exp(11j * cmath.pi / 6)) < 1e-12
 
 
 def test_bracket_against_sine_oracle():
-    for variant, side in zip(("unprimed", "primed"), oracles.sides(7)):
+    # oracles.sides(p) is (p side, q side), the order of model.sides
+    for side, oracle in zip(M78.sides, oracles.sides(7)):
+        assert side.bound == oracle.bound
         for l in range(1, side.bound):
-            got = _embed(brackets(M78, variant)[l])
-            assert abs(got - side.br(l)) < 1e-12
+            assert abs(_embed(side[l]) - oracle.br(l)) < 1e-12
 
 
 @pytest.mark.parametrize("p", [7, 11, 13])
-@pytest.mark.parametrize("variant", ["primed", "unprimed"])
-def test_brackets_live_in_their_side_field(p, variant):
+@pytest.mark.parametrize("index", [1, 0], ids=["primed", "unprimed"])
+def test_brackets_live_in_their_side_field(p, index):
     # the full-field route: the same roots of unity taken in Q(zeta_{4pq})
-    model = MinimalModel(p, p + 1)
-    table = brackets(model, variant)
-    bound, other = (p + 1, p) if variant == "primed" else (p, p + 1)
+    table = MinimalModel(p, p + 1).sides[index]
+    bound = oracles.sides(p)[index].bound
+    other = 2 * p + 1 - bound
+    assert (table.bound, table.other) == (bound, other)
     full, step = 4 * p * (p + 1), 2 * p * (p + 1) // bound
     for l in range(1, bound):
         old = zeta(full, l * other * step) - zeta(full, -l * other * step)
@@ -128,10 +130,13 @@ def test_memoized_values_live_in_their_side_field():
     named_matrix(7, (3, 3, 4, 4))
     named_matrix(11, (2, 2, 2, 2))
     queries = memoized_queries()
-    assert {M78, M1112} <= {query.model for query in queries}
+    assert {*M78.sides, *M1112.sides} <= {query.side for query in queries}
     for query in queries:
-        bound = query.model.q if query.variant == "primed" else query.model.p
-        assert (4 * bound) % r_matrix(query).order == 0
+        assert (4 * query.side.bound) % r_matrix(query).order == 0
+    # qdim's factors are the sine ratios of the same side objects
+    for label in M78.labels():
+        assert all(f is side.ratio(k)[0] for f, side, k in
+                   zip(qdim(label).factors, M78.sides, label.kac, strict=True))
 
 
 def test_lemma_matrix_entries_live_in_the_primed_field():
@@ -169,44 +174,38 @@ def test_products_across_fields_never_promote(monkeypatch):
     assert len(products) == len(labels) == 253
 
 
-def test_nonunitary_has_no_brackets():
-    with pytest.raises(NonUnitaryModel):
-        brackets(MinimalModel(2, 5), "primed")
-
-
 def test_r_base_cases():
-    for variant, bound in (("unprimed", 7), ("primed", 8)):
+    for side, bound in zip(M78.sides, (7, 8)):
         for a in range(1, bound):
             for n in range(1, bound):
                 for c in range(1, bound):
-                    q = RQuery(M78, variant, a, 1, n, c, a, c)
+                    q = RQuery(side, a, 1, n, c, a, c)
                     if not (abs(n - c) < a < min(n + c, 2 * bound - n - c)):
                         continue
                     if (n + c + a) % 2 == 0:
                         continue
                     assert r_matrix(q) == ONE
     # m = 1 puts the unit at (b, d) = (a, c); n = 1 puts it at (c, a)
-    assert r_matrix(RQuery(M78, "primed", 2, 3, 1, 4, 4, 2)) == ONE
+    assert r_matrix(RQuery(M78.sides[1], 2, 3, 1, 4, 4, 2)) == ONE
 
 
 def test_r_unsupported_is_exact_zero():
-    q = RQuery(M78, "primed", 1, 3, 3, 1, 1, 1)
+    q = RQuery(M78.sides[1], 1, 3, 3, 1, 1, 1)
     assert oracles.sides(7)[1].r(1, 3, 3, 1, 1, 1) == 0
     assert r_matrix(q).is_zero()
 
 
 def test_r_out_of_range():
     with pytest.raises(IndexOutOfRange):
-        r_matrix(RQuery(M78, "primed", 8, 1, 1, 8, 8, 8))
+        r_matrix(RQuery(M78.sides[1], 8, 1, 1, 8, 8, 8))
     with pytest.raises(IndexOutOfRange):
-        r_matrix(RQuery(M78, "unprimed", 7, 1, 1, 7, 7, 7))
+        r_matrix(RQuery(M78.sides[0], 7, 1, 1, 7, 7, 7))
     with pytest.raises(IndexOutOfRange):
-        r_matrix(RQuery(M78, "primed", 0, 1, 1, 1, 1, 1))
+        r_matrix(RQuery(M78.sides[1], 0, 1, 1, 1, 1, 1))
 
 
 def test_r_against_float_oracle():
-    sides = dict(zip(("unprimed", "primed"), oracles.sides(7)))
-    for variant, side in sides.items():
+    for table, side in zip(M78.sides, oracles.sides(7)):
         bound = side.bound
         for a in range(1, bound):
             for m in range(1, min(bound, 5)):
@@ -217,21 +216,19 @@ def test_r_against_float_oracle():
                                 want = side.r(a, m, n, c, b, d)
                                 if want is None:
                                     continue
-                                got = r_matrix(
-                                    RQuery(M78, variant, a, m, n, c, b, d)
-                                )
+                                got = r_matrix(RQuery(table, a, m, n, c, b, d))
                                 assert abs(_embed(got) - want) < 1e-9
 
 
 # -- the m-peeling recursion, the exact reference of the 6j sum -------------
 
 
-def splittings(bound, a, m, b):
+def splittings(side, a, m, b):
     """The splitting indices a1 adjacent to a with (m-1, b, a1) admissible."""
     return [
         a1
         for a1 in (a - 1, a + 1)
-        if 0 < a1 < bound and minimal._side_admissible(m - 1, b, a1, bound)
+        if 0 < a1 < side.bound and side.admissible(m - 1, b, a1)
     ]
 
 
@@ -247,8 +244,8 @@ def m_peeled(query):
     and for m > 2 one unit of m peeled through the smallest splitting
     index.  n_peeled_row is the reference of the row.
     """
-    table = brackets(query.model, query.variant)
-    if not braiding._supported(query, table.bound):
+    table = query.side
+    if not braiding._supported(query):
         return ZERO
     a, m, n, c, b, d = query.indices()
     if m == 1:
@@ -259,14 +256,14 @@ def m_peeled(query):
         e, f = b - a, d - c
         value = table.power(-e * a - f * c - 1) * table[(e * a - f * c + n) // 2] * table.inv(c)
         return -value if f > 0 else value
-    return peel(query, splittings(table.bound, a, m, b)[0])
+    return peel(query, splittings(table, a, m, b)[0])
 
 
 def peel(query, a1):
     """r(a, m, n, c)_{b,d}, m > 2, as the sum over d1 = d -+ 1 of
     r(a, 2, n, d1)_{a1,d} * r(a1, m-1, n, c)_{b,d1}; a product whose
     m - 1 factor is zero is skipped."""
-    bound = brackets(query.model, query.variant).bound
+    bound = query.side.bound
     total = ZERO
     for d1 in (query.d - 1, query.d + 1):
         if 0 < d1 < bound:
@@ -281,10 +278,9 @@ def r_matrix_variants(query):
 
     Only supported entries with m > 2 peel, so only those split.
     """
-    bound = brackets(query.model, query.variant).bound
-    if not (braiding._supported(query, bound) and query.m > 2):
+    if not (braiding._supported(query) and query.m > 2):
         return (m_peeled(query),)
-    return tuple(peel(query, a1) for a1 in splittings(bound, query.a, query.m, query.b))
+    return tuple(peel(query, a1) for a1 in splittings(query.side, query.a, query.m, query.b))
 
 
 def split_queries_of_the_lemma_matrices(monkeypatch):
@@ -325,55 +321,54 @@ def identical(x, y):
     return x.order == y.order and x == y
 
 
-def supported_entries(bound):
+def supported_entries(side):
     """Every (a, m, n, c, b, d) of one side that passes the support gate."""
-    adm, r = minimal._side_admissible, range(1, bound)
+    adm, r = side.admissible, range(1, side.bound)
     for a, m, b in itertools.product(r, repeat=3):
-        if adm(m, b, a, bound):
+        if adm(m, b, a):
             for n, c in itertools.product(r, repeat=2):
-                if adm(n, c, b, bound):
+                if adm(n, c, b):
                     for d in r:
-                        if adm(n, d, a, bound) and adm(m, c, d, bound):
+                        if adm(n, d, a) and adm(m, c, d):
                             yield a, m, n, c, b, d
 
 
-def drawn_entry(bound, rng):
+def drawn_entry(side, rng):
     """One supported (a, m, n, c, b, d) with m, n >= 2: a, m and n at
     random, then b, c and d among the indices the gate admits."""
-    adm, r = minimal._side_admissible, range(1, bound)
+    adm, bound = side.admissible, side.bound
+    r = range(1, bound)
     while True:
         a, m, n = rng.randrange(1, bound), rng.randrange(2, bound), rng.randrange(2, bound)
-        bs = [x for x in r if adm(m, x, a, bound)]
+        bs = [x for x in r if adm(m, x, a)]
         if not bs:
             continue
         b = rng.choice(bs)
-        c = rng.choice([x for x in r if adm(n, x, b, bound)])
-        ds = [x for x in r if adm(n, x, a, bound) and adm(m, c, x, bound)]
+        c = rng.choice([x for x in r if adm(n, x, b)])
+        ds = [x for x in r if adm(n, x, a) and adm(m, c, x)]
         if ds:
             return a, m, n, c, b, rng.choice(ds)
 
 
-@pytest.mark.parametrize("variant", ["primed", "unprimed"])
-def test_6j_sum_matches_m_peeling_on_every_supported_entry(variant):
+@pytest.mark.parametrize("index", [1, 0], ids=["primed", "unprimed"])
+def test_6j_sum_matches_m_peeling_on_every_supported_entry(index):
     # _r_value is r_matrix past its memo, which would keep every entry
     for p in range(3, 9):
-        model = MinimalModel(p, p + 1)
-        table = brackets(model, variant)
-        for i in supported_entries(table.bound):
-            query = RQuery(model, variant, *i)
-            assert identical(braiding._r_value(query, table), m_peeled(query)), query
+        side = MinimalModel(p, p + 1).sides[index]
+        for i in supported_entries(side):
+            query = RQuery(side, *i)
+            assert identical(braiding._r_value(query), m_peeled(query)), query
 
 
 @pytest.mark.parametrize("ps,draws", [(range(9, 15), 50), ((23, 29, 41, 59), 6)],
                          ids=["p9-14", "p23-59"])
 def test_6j_sum_matches_m_peeling_on_drawn_entries(ps, draws):
     for p in ps:
-        model, rng = MinimalModel(p, p + 1), random.Random(p)
-        for variant in ("primed", "unprimed"):
-            table = brackets(model, variant)
+        rng = random.Random(p)
+        for side in reversed(MinimalModel(p, p + 1).sides):
             for _ in range(draws):
-                query = RQuery(model, variant, *drawn_entry(table.bound, rng))
-                assert identical(braiding._r_value(query, table), m_peeled(query)), query
+                query = RQuery(side, *drawn_entry(side, rng))
+                assert identical(braiding._r_value(query), m_peeled(query)), query
 
 
 def test_r_matrix_does_not_recurse_on_m():
@@ -383,7 +378,7 @@ def test_r_matrix_does_not_recurse_on_m():
         "import sys\n"
         "from minmod import MinimalModel, RQuery, r_matrix\n"
         "sys.setrecursionlimit(80)\n"
-        "print(r_matrix(RQuery(MinimalModel(400, 401), 'primed', 1, 399, 399, 1, 399, 399)))\n"
+        "print(r_matrix(RQuery(MinimalModel(400, 401).sides[1], 1, 399, 399, 1, 399, 399)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(minmod.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -395,11 +390,10 @@ def test_r_matrix_does_not_recurse_on_m():
 # -- the m = 2 row against the n-peeling ------------------------------------
 
 
-def n_peeled_row(model, variant):
-    """r(a, 2, n, c)_{b,d} by peeling n, the exact route the closed form
-    replaced: the m = n = 2 table, then one unit off n through the
-    smallest splitting index c1."""
-    table = brackets(model, variant)
+def n_peeled_row(table):
+    """r(a, 2, n, c)_{b,d} on one side by peeling n, the exact route the
+    closed form replaced: the m = n = 2 table, then one unit off n through
+    the smallest splitting index c1."""
     bound = table.bound
     memo = {}
 
@@ -408,7 +402,7 @@ def n_peeled_row(model, variant):
         if key in memo:
             return memo[key]
         value = ZERO
-        if not braiding._supported(RQuery(model, variant, a, 2, n, c, b, d), bound):
+        if not braiding._supported(RQuery(table, a, 2, n, c, b, d)):
             pass
         elif n == 1:
             value = ONE if (b, d) == (c, a) else ZERO
@@ -425,7 +419,7 @@ def n_peeled_row(model, variant):
                     (l - 1, l + 1): table.power(-1) * table[l - 1] * table.inv(l),
                 }.get((b, d), ZERO)
         else:
-            c1 = splittings(bound, b, n, c)[0]
+            c1 = splittings(table, b, n, c)[0]
             for d1 in (a - 1, a + 1):
                 if 0 < d1 < bound:
                     value = value + r(a, 2, c1, b, d1) * r(d1, n - 1, c, c1, d)
@@ -435,51 +429,50 @@ def n_peeled_row(model, variant):
     return r
 
 
-def supported_m2_rows(bound):
+def supported_m2_rows(side):
     """Every (a, n, c, b, d) of an m = 2 row that passes the support gate.
 
     The rest are the zero of that one shared gate on either route."""
-    adm = minimal._side_admissible
+    adm, bound = side.admissible, side.bound
     for a in range(1, bound):
         for b in (a - 1, a + 1):
             for n in range(1, bound):
                 for c in range(abs(n - b) + 1, min(n + b, 2 * bound - n - b), 2):
                     for d in (c - 1, c + 1):
-                        if adm(2, b, a, bound) and adm(n, d, a, bound) and adm(2, c, d, bound):
+                        if adm(2, b, a) and adm(n, d, a) and adm(2, c, d):
                             yield a, n, c, b, d
 
 
 @lru_cache(maxsize=None)
-def closed_form_rows(p, variant):
-    """{(a, n, c, b, d): r(a, 2, n, c)_{b,d}} by braiding, past the memo."""
-    model = MinimalModel(p, p + 1)
-    table = brackets(model, variant)
+def closed_form_rows(p, index):
+    """{(a, n, c, b, d): r(a, 2, n, c)_{b,d}} on side index of (p, p + 1)
+    by braiding, past the memo."""
+    side = MinimalModel(p, p + 1).sides[index]
     return {
-        i: braiding._r_value(RQuery(model, variant, i[0], 2, *i[1:]), table)
-        for i in supported_m2_rows(table.bound)
+        i: braiding._r_value(RQuery(side, i[0], 2, *i[1:]))
+        for i in supported_m2_rows(side)
     }
 
 
-@pytest.mark.parametrize("variant", ["primed", "unprimed"])
-def test_closed_form_row_matches_n_peeling(variant):
+@pytest.mark.parametrize("index", [1, 0], ids=["primed", "unprimed"])
+def test_closed_form_row_matches_n_peeling(index):
     for p in range(3, 15):
-        reference = n_peeled_row(MinimalModel(p, p + 1), variant)
-        for i, value in closed_form_rows(p, variant).items():
+        reference = n_peeled_row(MinimalModel(p, p + 1).sides[index])
+        for i, value in closed_form_rows(p, index).items():
             assert value == reference(*i), (p, i)
 
 
 @pytest.mark.parametrize("p", [7, 11, 13])
 def test_closed_form_row_against_float_oracle(p):
-    for variant, side in zip(("unprimed", "primed"), oracles.sides(p)):
-        for (a, n, c, b, d), value in closed_form_rows(p, variant).items():
+    for index, side in enumerate(oracles.sides(p)):
+        for (a, n, c, b, d), value in closed_form_rows(p, index).items():
             assert abs(_embed(value) - side.r(a, 2, n, c, b, d)) < 1e-9, (p, a, n, c, b, d)
 
 
 def test_bracket_exchange_identity():
     # [x][y] - [x-1][y+1] = [1][y-x+1], the step the n-peel of the
     # closed form reduces to
-    for variant in ("primed", "unprimed"):
-        t = brackets(M78, variant)
+    for t in M78.sides:
         for x in range(-9, 10):
             for y in range(-9, 10):
                 assert t[x] * t[y] - t[x - 1] * t[y + 1] == t[1] * t[y - x + 1]
@@ -496,12 +489,10 @@ def test_closed_form_row_satisfies_the_n_peel(p):
     sums, or else after reduction mod Phi_{4b}.  Every 50th row also
     checks that braiding's value times [c] is the cleared row.
     """
-    model = MinimalModel(p, p + 1)
     rng = random.Random(p)
-    adm = minimal._side_admissible
-    for variant in ("primed", "unprimed"):
-        table = brackets(model, variant)
-        bound, other = table.bound, p if variant == "primed" else p + 1
+    for table in reversed(MinimalModel(p, p + 1).sides):
+        adm, bound = table.admissible, table.bound
+        other = 2 * p + 1 - bound
         order = 4 * bound
 
         def cleared(a, n, c, b, d):
@@ -510,8 +501,7 @@ def test_closed_form_row_satisfies_the_n_peel(p):
             return ((-f, k + l), (f, k - l))
 
         def supported(a, n, c, b, d):
-            return (adm(2, b, a, bound) and adm(n, c, b, bound)
-                    and adm(n, d, a, bound) and adm(2, c, d, bound))
+            return adm(2, b, a) and adm(n, c, b) and adm(n, d, a) and adm(2, c, d)
 
         drawn = 0
         while drawn < 5000:
@@ -526,7 +516,7 @@ def test_closed_form_row_satisfies_the_n_peel(p):
             row = (a, n, c, b, d)
             if not supported(*row):
                 continue
-            c1 = splittings(bound, b, n, c)[0]
+            c1 = splittings(table, b, n, c)[0]
             vec = [0] * order
             for u, i in cleared(*row):
                 vec[(i + 2 * c1 * other) % order] += u
@@ -536,17 +526,17 @@ def test_closed_form_row_satisfies_the_n_peel(p):
                     for u, i in cleared(a, 2, c1, b, d1):
                         for v, j in cleared(d1, n - 1, c, c1, d):
                             vec[(i + j) % order] -= u * v
-            assert not any(vec) or not any(_reduce(vec, order)), (variant, row)
+            assert not any(vec) or not any(_reduce(vec, order)), (table, row)
             if drawn % 50 == 0:
-                value = braiding._r_value(RQuery(model, variant, a, 2, n, c, b, d), table)
+                value = braiding._r_value(RQuery(table, a, 2, n, c, b, d))
                 want = sum((u * zeta(order, i) for u, i in cleared(*row)), ZERO)
-                assert value * table[c] == want, (variant, row)
+                assert value * table[c] == want, (table, row)
             drawn += 1
 
 
 def test_rquery_is_hashable():
-    a = RQuery(M78, "primed", 1, 2, 2, 1, 2, 2)
-    b = RQuery(M78, "primed", 1, 2, 2, 1, 2, 2)
+    a = RQuery(M78.sides[1], 1, 2, 2, 1, 2, 2)
+    b = RQuery(MinimalModel(7, 8).sides[1], 1, 2, 2, 1, 2, 2)
     assert a == b and hash(a) == hash(b)
     assert {a: 1}[b] == 1
 
@@ -613,7 +603,7 @@ def test_displayed_entry_has_inverted_parameter():
     # the (2,3) entry carries y^{-1}; the same product with y instead
     # lands elsewhere
     matrix = lemma_matrix()
-    primed = brackets(M78, "primed")
+    primed = M78.sides[1]
     form = (
         primed[6] * primed[7] * primed.inv(4) * primed.inv(5)
     )
@@ -633,7 +623,7 @@ def test_minor_combinations_exact():
 def test_minor_intermediate_products_exact():
     matrix = lemma_matrix()
     lab = {i: named_label(M78, i) for i in (2, 3, 4)}
-    y_inv = brackets(M78, "primed").power(-4)
+    y_inv = M78.sides[1].power(-4)
     assert matrix.entry(lab[3], lab[2]) * matrix.entry(lab[4], lab[4]) == (
         SQRT2 - 1
     ) * y_inv
@@ -667,7 +657,7 @@ def test_3c_entry_exact():
 
 
 def test_3c_entry_bracket_form():
-    primed = brackets(M1112, "primed")
+    primed = M1112.sides[1]
     b = lambda l: primed[l]
     form = (
         primed.power(24)
@@ -727,6 +717,12 @@ def test_braid_matrix_rejects_foreign_externals():
     vac = MinimalModel(11, 12).vacuum
     with pytest.raises(ModelMismatch):
         braid_matrix(M78, (vac, vac, vac, vac))
+    # one entry reads every external and channel against the model's sides
+    a = M1112.label(1, 3)
+    with pytest.raises(ModelMismatch):
+        braid_entry(M78, (a,) * 4, a, a)
+    with pytest.raises(ModelMismatch):
+        braid_entry(M78, LEMMA_EXTS, named_label(M78, 3), a)
 
 
 def test_braid_matrix_rejects_nonunitary():
@@ -734,6 +730,8 @@ def test_braid_matrix_rejects_nonunitary():
     vac = model.vacuum
     with pytest.raises(NonUnitaryModel):
         braid_matrix(model, (vac, vac, vac, vac))
+    with pytest.raises(NonUnitaryModel):
+        braid_entry(model, (vac, vac, vac, vac), vac, vac)
 
 
 def test_named_label_lookup():
@@ -747,7 +745,7 @@ def test_named_label_lookup():
 
 
 @given(
-    st.sampled_from(("primed", "unprimed")),
+    st.sampled_from((1, 0)),
     st.integers(1, 7),
     st.integers(1, 4),
     st.integers(1, 4),
@@ -756,14 +754,14 @@ def test_named_label_lookup():
     st.integers(1, 7),
 )
 @settings(max_examples=80, deadline=None)
-def test_exact_matches_float_everywhere(variant, a, m, n, c, b, d):
-    side = oracles.sides(7)[variant == "primed"]
+def test_exact_matches_float_everywhere(index, a, m, n, c, b, d):
+    side = oracles.sides(7)[index]
     if max(a, m, n, c, b, d) >= side.bound:
         return
     want = side.r(a, m, n, c, b, d)
     if want is None:
         return
-    got = r_matrix(RQuery(M78, variant, a, m, n, c, b, d))
+    got = r_matrix(RQuery(M78.sides[index], a, m, n, c, b, d))
     assert abs(_embed(got) - want) < 1e-9
 
 

@@ -407,6 +407,35 @@ def test_decompose_json_is_pinned(capsys):
     assert json.dumps(reports, indent=2) + "\n" == DECOMPOSE_GOLDEN.read_text()
 
 
+COMMANDS_GOLDEN = Path(__file__).with_name("commands.golden.json")
+COMMANDS_ARGV = (
+    # braids with both sides nontrivial, then the named ones whose n side
+    # alone moves
+    ("braid", "--p", "5", "--q", "6", "--ext", "2,2,2,2,2,2,2,2"),
+    ("braid", "--p", "7", "--q", "8", "--ext", "2,3,2,3,2,5,2,5"),
+    ("braid", "--p", "11", "--q", "12", "--ext", "2,7,2,7,3,6,3,4"),
+    ("braid", "--p", "7", "--q", "8", "--ext", "3,3,4,4"),
+    ("braid", "--p", "11", "--q", "12", "--ext", "2,2,2,2"),
+    ("info", "--p", "4", "--q", "7"),
+    ("info", "--p", "13", "--q", "14"),
+    ("qdim", "--p", "23", "--q", "24", "--label", "5,7"),
+    ("fusion", "--p", "13", "--q", "14", "--a", "3,5", "--b", "4,7"),
+)
+
+
+def test_commands_json_is_pinned(capsys):
+    # The `braid`, `info`, `qdim` and `fusion` reports, exact and approx
+    # strings included, keyed by the argv; elapsed_ms is left out.
+    reports = {}
+    for argv in COMMANDS_ARGV:
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        del report["elapsed_ms"]
+        reports[" ".join(argv)] = report
+    assert json.dumps(reports, indent=2) + "\n" == COMMANDS_GOLDEN.read_text()
+
+
 REPLAYS = [
     ("5A-uniqueness", "uniqueness-5a",
      "unique solution: mu^2 = 1 and gamma^2 = 1", "uniqueness replay"),
@@ -561,9 +590,10 @@ def test_info_stays_in_the_sine_ratio_fields(capsys, monkeypatch):
     for name in ("__mul__", "__rmul__", "conjugate", "inv"):
         method = getattr(CyclotomicNumber, name)
         monkeypatch.setattr(CyclotomicNumber, name, _recording_orders(method, orders))
-    for name in ("_qdim_cached", "_sine_ratio", "sine_inv"):
-        fresh = lru_cache(maxsize=None)(getattr(minimal, name).__wrapped__)
-        monkeypatch.setattr(minimal, name, fresh)
+    for owner, name in ((minimal, "_qdim_cached"), (minimal.Side, "ratio"),
+                        (minimal, "sine_inv")):
+        fresh = lru_cache(maxsize=None)(getattr(owner, name).__wrapped__)
+        monkeypatch.setattr(owner, name, fresh)
     code, out, err = run(capsys, "info", "--p", "41", "--q", "42")
     assert code == 0
     assert len(out.splitlines()) == 820 + 2
@@ -636,7 +666,7 @@ def _non_real_qdims(monkeypatch):
     # tilt one sine ratio off the real line, as in test_non_real_qdim_raises
     sine_inv = minimal.sine_inv
     monkeypatch.setattr(minimal, "sine_inv", lambda k, b: sine_inv(k, b) * zeta(8))
-    monkeypatch.setattr(minimal, "_sine_ratio", minimal._sine_ratio.__wrapped__)
+    monkeypatch.setattr(minimal.Side, "ratio", minimal.Side.ratio.__wrapped__)
     monkeypatch.setattr(minimal, "_qdim_cached", minimal._qdim_cached.__wrapped__)
 
 

@@ -17,10 +17,8 @@ from minmod import (
     MinimalModel,
     ModelMismatch,
     ModuleLabel,
-    NonUnitaryModel,
     RingCheck,
     check_fusion_ring,
-    ffk_pair,
     fuse,
     is_admissible,
     qdim,
@@ -29,6 +27,7 @@ from minmod import (
 )
 from minmod import minimal
 from minmod.exact import two_i_sin
+from minmod.minimal import Side
 
 M34 = MinimalModel(3, 4)
 M78 = MinimalModel(7, 8)
@@ -134,14 +133,23 @@ def test_weights_at_7_8():
     assert ModuleLabel(M1112, 1, 7).h == 8
 
 
-def test_ffk_pair_convention():
-    # the dual-convention cross-check is baked in; a mismatch raises
-    assert ffk_pair(ModuleLabel(M78, 1, 1)) == (1, 1)
-    assert ffk_pair(ModuleLabel(M78, 1, 3)) == (3, 1)
-    assert ffk_pair(ModuleLabel(M78, 1, 7)) == (7, 1)
-    assert ffk_pair(ModuleLabel(M1112, 1, 7)) == (7, 1)
-    with pytest.raises(NonUnitaryModel):
-        ffk_pair(ModuleLabel(MinimalModel(2, 5), 1, 1))
+def test_side_index_convention():
+    # A label's (m, n) indexes (p side, q side), each side deformed by the
+    # other index.  FFK's two-index name (i', i) of a unitary module runs
+    # on the q side first, and its weight ((p*i' - q*i)^2 - 1) / 4pq is
+    # h_{m,n}, since (p - q)^2 = 1 there.
+    for model in (M34, M78, M1112, MinimalModel(2, 5)):
+        p, q = model.p, model.q
+        assert model.sides == (Side(p, q), Side(q, p))
+        assert [(s.bound, s.other) for s in model.sides] == [(p, q), (q, p)]
+        assert model.sides[1] is MinimalModel(p, q).sides[1]
+    for model in (M78, M1112):
+        p, q = model.p, model.q
+        for label in model.labels():
+            (_, i), (side, i_p) = zip(model.sides, label.kac)
+            assert (i_p, i) == oracles.ffk_indices(*label.kac)
+            assert 0 < i_p < side.bound == q
+            assert Fraction((p * i_p - q * i) ** 2 - 1, 4 * p * q) == label.h
 
 
 def test_named_fusion_table_at_7_8():
@@ -342,7 +350,7 @@ def test_side_admissible_matches_the_eight_condition_rule():
         r = range(-1, bound + 2)
         for triple in ((k1, k2, k3) for k1 in r for k2 in r for k3 in r):
             want = side_admissible_reference(*triple, bound)
-            assert minimal._side_admissible(*triple, bound) == want, (triple, bound)
+            assert Side(bound, bound + 1).admissible(*triple) == want, (triple, bound)
 
 
 def test_label_order_builds_no_fraction(monkeypatch):
@@ -454,7 +462,7 @@ def test_non_real_qdim_raises(monkeypatch, tilt):
     sine_inv = minimal.sine_inv
     monkeypatch.setattr(minimal, "sine_inv", lambda k, b: sine_inv(k, b) * tilt)
     with pytest.raises(ArithmeticError, match="not real"):
-        minimal._sine_ratio.__wrapped__(8, 2, 7)
+        Side.ratio.__wrapped__(Side(7, 8), 2)
 
 
 def test_qdim_embeds_once_per_ratio(monkeypatch):
@@ -467,9 +475,7 @@ def test_qdim_embeds_once_per_ratio(monkeypatch):
     monkeypatch.setattr(
         CyclotomicNumber, "embed", lambda self: orders.append(self.order) or embed(self)
     )
-    monkeypatch.setattr(
-        minimal, "_sine_ratio", lru_cache(maxsize=None)(minimal._sine_ratio.__wrapped__)
-    )
+    monkeypatch.setattr(Side, "ratio", lru_cache(maxsize=None)(Side.ratio.__wrapped__))
     dims = [minimal._qdim_cached.__wrapped__(p, q, *lab.kac) for lab in labs]
     ratios = {(q, m, p) for m, _ in (l.kac for l in labs)}
     ratios |= {(p, n, q) for _, n in (l.kac for l in labs)}
@@ -485,7 +491,7 @@ def test_qdim_embeds_once_per_ratio(monkeypatch):
 def test_sine_ratio_sign_is_parity():
     # the sign of sin(pi*k*m/b) / sin(pi*k/b) is (-1)^(floor(k*m/b) +
     # floor(k/b)), against the embedding for every residue k mod 2b prime
-    # to b and every 0 < m < b; _sine_ratio applies it up to b = 12
+    # to b and every 0 < m < b; Side(b, k).ratio applies it up to b = 12
     for b in range(2, 31):
         sines = [two_i_sin(j, b).embed().imag for j in range(2 * b)]
         for k in range(1, 2 * b):
@@ -497,7 +503,7 @@ def test_sine_ratio_sign_is_parity():
                 assert raw * sign > 0, (k, m, b)
                 if b <= 12:
                     exact = two_i_sin(k * m, b) / two_i_sin(k, b)
-                    value, approx = minimal._sine_ratio(k, m, b)
+                    value, approx = Side(b, k).ratio(m)
                     assert value == sign * exact
                     assert approx == pytest.approx(abs(raw), rel=1e-12)
 
