@@ -15,7 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
-from math import prod
 from operator import mul
 from typing import Callable, NamedTuple
 
@@ -155,11 +154,12 @@ def build_algebra(name: str) -> GradedAlgebra:
 class SectorProduct(NamedTuple):
     """Graded fusion product: matched sectors plus stray components.
 
-    `terms` pairs each matched sector with its multiplicity.  `extras`
-    pairs each componentwise product that does not assemble into any
-    sector of the algebra with its multiplicity.  They are expected: only
-    designated subalgebra chains close, and the closure checks look at
-    `terms`.
+    `terms` pairs each matched sector, in sector order, with its count.
+    `extras` pairs each componentwise product that does not assemble into
+    any sector of the algebra, in label order, with its count.  Every
+    count is 1: minimal-model fusion is multiplicity-free.  Extras are
+    expected: only designated subalgebra chains close, and the closure
+    checks look at `terms`.
     """
 
     terms: tuple[tuple[Sector, int], ...]
@@ -171,29 +171,12 @@ def sector_fusion(alg: GradedAlgebra, a: Sector, b: Sector) -> SectorProduct:
     for sector in (a, b):
         if sector not in alg.sectors:
             raise ValueError(f"{sector.name} is not a sector of the {alg.name} algebra")
-    per_factor = [fuse(x, y).items() for x, y in zip(a.components, b.components)]
-    lookup = {sector.components: sector for sector in alg.sectors}
-    order = {sector: i for i, sector in enumerate(alg.sectors)}
-    terms: dict[Sector, int] = {}
-    extras: dict[tuple[ModuleLabel, ...], int] = {}
-    for combo in product(*per_factor):
-        labels = tuple(label for label, _ in combo)
-        count = 1
-        for _, k in combo:
-            count *= k
-        sector = lookup.get(labels)
-        if sector is not None:
-            terms[sector] = terms.get(sector, 0) + count
-        else:
-            extras[labels] = extras.get(labels, 0) + count
+    fused = [fuse(x, y) for x, y in zip(a.components, b.components)]
+    terms = tuple((sector, 1) for sector in alg.sectors
+                  if all(t in f for f, t in zip(fused, sector.components)))
+    matched = {sector.components for sector, _ in terms}
     return SectorProduct(
-        tuple(sorted(terms.items(), key=lambda kv: order[kv[0]])),
-        tuple(
-            sorted(
-                extras.items(),
-                key=lambda kv: tuple(label.sort_key() for label in kv[0]),
-            )
-        ),
+        terms, tuple((labels, 1) for labels in product(*fused) if labels not in matched)
     )
 
 
@@ -512,21 +495,17 @@ def irreducible_modules(alg: GradedAlgebra) -> tuple[IrreducibleModuleSpec, ...]
 
 
 def module_fusion(alg: GradedAlgebra, key_a, key_b) -> dict:
-    """Fusion multiplicities between irreducible modules, each 0 or 1.
+    """Fusion product of irreducible modules: each module in it maps to 1.
 
     A module is named by (m,1) labels of the factor models after the
     Ising one: (i,1),(j,1) at (7,8) for 5A, (k+1,1) at (11,12) for 3C.
-    The multiplicity of a target is the product over those factors of
-    its labels' multiplicities in the factor fusion.
+    A module is in the product when each of its index labels lies in its
+    factor's fusion product; minimal-model fusion is multiplicity-free.
     """
     fused = [fuse(a, b) for a, b in zip(irreducible_module(alg, key_a).index,
                                         irreducible_module(alg, key_b).index)]
-    out = {}
-    for key, module in _modules(alg.name).items():
-        dim = prod(counts[t] for counts, t in zip(fused, module.index))
-        if dim:
-            out[key] = dim
-    return out
+    return {key: 1 for key, module in _modules(alg.name).items()
+            if all(t in f for f, t in zip(fused, module.index))}
 
 
 def qdim_module(alg: GradedAlgebra, key) -> QDim:

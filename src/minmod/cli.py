@@ -103,10 +103,6 @@ def _digits(bits: int) -> int:
     return min(12, max(8, bits * 301 // 1000 - 8))
 
 
-def _fmt_real(x: float, digits: int = 8) -> str:
-    return f"{x:.{digits}f}"
-
-
 def _fmt_complex(approx, digits: int = 8) -> str:
     re, im = approx.real, approx.imag
     if abs(im) < 5e-13:
@@ -249,13 +245,13 @@ def _module_key(text: str):
 
 def _qdim_row(name: str, exact: str, d, digits: int) -> Check:
     # the numeric column of every listing row is a quantum dimension
-    return Check(name, "info", exact, _fmt_real(d.approx, digits))
+    return Check(name, "info", exact, _fmt_complex(d.approx, digits))
 
 
 def cmd_info(args) -> Report:
     model = MinimalModel(args.p, args.q)
     c = model.central_charge()
-    checks = [Check("central charge", "info", str(c), _fmt_real(float(c), args.digits))]
+    checks = [Check("central charge", "info", str(c), _fmt_complex(float(c), args.digits))]
     for label in model.labels():
         checks.append(_qdim_row(f"({label.m},{label.n})", str(label.h),
                                 qdim(label), args.digits))
@@ -266,12 +262,8 @@ def cmd_fusion(args) -> Report:
     model = MinimalModel(args.p, args.q)
     a = ModuleLabel(model, *_pair(args.a))
     b = ModuleLabel(model, *_pair(args.b))
-    checks = []
-    for label, count in fuse(a, b).items():
-        name = f"({label.m},{label.n})"
-        if count != 1:
-            name += f" x{count}"
-        checks.append(_qdim_row(name, str(label.h), qdim(label), args.digits))
+    checks = [_qdim_row(f"({label.m},{label.n})", str(label.h), qdim(label), args.digits)
+              for label in fuse(a, b)]
     command = (
         f"fusion ({a.m},{a.n}) x ({b.m},{b.n}) at ({model.p},{model.q})"
     )
@@ -463,14 +455,9 @@ def _verify_fusion(name: str, digits: int) -> list:
     expected = {"5A": 9, "3C": 5}[alg.name]
     ring = check_fusion_ring(keys, lambda a, b: table[(a, b)], keys[0])
     dims = {k: qdim_module(alg, k).exact for k in keys}
-    hom_ok = True
-    for a in keys:
-        for b in keys:
-            total = CyclotomicNumber.from_rational(0)
-            for k, mult in table[(a, b)].items():
-                total = total + dims[k] * mult
-            if dims[a] * dims[b] != total:
-                hom_ok = False
+    zero = CyclotomicNumber.from_rational(0)
+    hom_ok = all(dims[a] * dims[b] == sum((dims[k] for k in table[(a, b)]), zero)
+                 for a in keys for b in keys)
     return [
         _claim(f"{expected} irreducible modules", len(modules) == expected),
         _claim("multiplicities all 0 or 1",

@@ -3,6 +3,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -538,6 +539,41 @@ def test_module_fusion_ring_axioms():
     for alg, keys in ((A5, [(i, j) for i in (1, 3, 5) for j in (1, 3, 5)]), (A3, [0, 2, 4, 6, 8])):
         ring = check_fusion_ring(keys, lambda a, b: module_fusion(alg, a, b), keys[0])
         assert ring == RingCheck(), alg.name
+
+
+FUSION_GOLDEN = Path(__file__).with_name("fusion.golden.json")
+
+
+def _cli_key(key) -> str:
+    return ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
+
+
+def fusion_products():
+    """(name, terms) for every ordered sector pair and module key pair of
+    both algebras, each product in the order the function returns it:
+    matched sector names and extras as Kac lists, with their counts."""
+    for alg in (A5, A3):
+        for a in alg.sectors:
+            for b in alg.sectors:
+                product = sector_fusion(alg, a, b)
+                yield f"sector {alg.name} {a.name} {b.name}", {
+                    "terms": [[s.name, k] for s, k in product.terms],
+                    "extras": [[[list(l.kac) for l in labels], k]
+                               for labels, k in product.extras],
+                }
+        keys = [spec.key for spec in irreducible_modules(alg)]
+        for a in keys:
+            for b in keys:
+                yield f"module {alg.name} {_cli_key(a)} {_cli_key(b)}", [
+                    [_cli_key(k), v] for k, v in module_fusion(alg, a, b).items()
+                ]
+
+
+def test_sector_and_module_fusion_are_pinned():
+    # 144 + 36 sector products and 81 + 25 module products, one line each
+    lines = [f"{json.dumps(name)}: {json.dumps(value)}" for name, value in fusion_products()]
+    assert len(lines) == 144 + 36 + 81 + 25
+    assert "{\n" + ",\n".join(lines) + "\n}\n" == FUSION_GOLDEN.read_text()
 
 
 def test_qdim_module_values():

@@ -1,6 +1,7 @@
 """Chiral r-matrices and assembled braiding matrices."""
 import cmath
 import itertools
+import json
 import math
 import os
 import random
@@ -39,6 +40,7 @@ from minmod import (
 )
 from minmod import braiding
 from minmod.braiding import named_matrix
+from minmod.cli import main
 from minmod.exact import _reduce, sine_inv, two_i_sin
 from minmod.minimal import Side
 
@@ -683,6 +685,29 @@ def test_3c_matrix_determinant_nonzero():
     matrix = braid_matrix(M1112, (u2, u2, u2, u2))
     assert len(matrix.rows) == 5
     assert not matrix.det().is_zero()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: braid_matrix takes the superscripts as the braided "
+    "pair and reads only the canonical Kac representative"))
+def test_braids_with_the_vacuum_are_invertible(capsys):
+    # A braiding matrix is invertible.  Every square, non-empty matrix at
+    # (7,8) with the vacuum in the first or second external slot.
+    vacuum, labels = M78.vacuum, M78.labels()
+    singular = []
+    for x in labels:
+        for y in labels:
+            for ext in ((vacuum, x, y, y), (x, vacuum, y, y)):
+                matrix = braid_matrix(M78, ext)
+                if matrix.rows and len(matrix.rows) == len(matrix.cols):
+                    if matrix.det().is_zero():
+                        singular.append(ext)
+    assert singular == []
+    # the third external is the vacuum
+    assert main(["braid", "--p", "7", "--q", "8",
+                 "--ext", "1,2,1,3,1,1,1,2", "--format", "json"]) == 0
+    det = json.loads(capsys.readouterr().out)["checks"][-1]
+    assert det["name"] == "det" and det["exact"] != "0"
 
 
 def test_braid_entry_sign_exponent_guard():

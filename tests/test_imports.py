@@ -202,6 +202,13 @@ def test_bench_package_names_resolve():
     model = minmod.MinimalModel(3, 4)
     sigma = model.label(1, 2)
     assert minmod.fuse(model.vacuum, sigma) == {sigma}
+    # the ring ops read a product's (label, multiplicity) pairs, in label
+    # order, and compare products
+    m78 = minmod.MinimalModel(7, 8)
+    a, b = m78.label(2, 2), m78.label(2, 3)
+    want = [m78.label(3, 4), m78.label(1, 2), m78.label(3, 2), m78.label(1, 4)]
+    assert list(minmod.fuse(a, b).items()) == [(label, 1) for label in want]
+    assert minmod.fuse(a, b) == minmod.fuse(b, a)
     assert minmod.qdim(sigma).approx > 1
     alg = minmod.build_algebra("3C")
     product = minmod.sector_fusion(alg, alg.sectors[1], alg.sectors[1])
