@@ -96,21 +96,16 @@ def _render_table(report: Report) -> str:
 
 # -- numeric rendering ------------------------------------------------------
 
-def _digits(bits: int) -> int:
-    # the numeric columns are doubles, which print every value the
-    # commands show within one unit of the 12th decimal (67 bits is the
-    # first to reach 12)
-    return min(12, max(8, bits * 301 // 1000 - 8))
-
-
-def _fmt_complex(approx, digits: int = 8) -> str:
+def _fmt_complex(approx) -> str:
+    # a double prints every value the commands show within one unit of the
+    # 12th decimal; a part below 5e-13, half a unit there, is left out
     re, im = approx.real, approx.imag
     if abs(im) < 5e-13:
-        return f"{re:.{digits}f}"
+        return f"{re:.12f}"
     if abs(re) < 5e-13:
-        return f"{im:.{digits}f}i"
+        return f"{im:.12f}i"
     sign = "+" if im >= 0 else "-"
-    return f"{re:.{digits}f} {sign} {abs(im):.{digits}f}i"
+    return f"{re:.12f} {sign} {abs(im):.12f}i"
 
 
 # -- radical recognition ----------------------------------------------------
@@ -186,15 +181,13 @@ def _render_exact(value: CyclotomicNumber) -> str:
     return f"{text} = {radical}" if radical else text
 
 
-def _row(name: str, status: str, value: CyclotomicNumber, digits: int) -> Check:
-    return Check(name, status, _render_exact(value),
-                 _fmt_complex(value.embed(), digits))
+def _row(name: str, status: str, value: CyclotomicNumber) -> Check:
+    return Check(name, status, _render_exact(value), _fmt_complex(value.embed()))
 
 
-def _claim(name: str, ok: bool, value: CyclotomicNumber | None = None,
-           digits: int = 8) -> Check:
+def _claim(name: str, ok: bool, value: CyclotomicNumber | None = None) -> Check:
     status = "pass" if ok else "fail"
-    return Check(name, status) if value is None else _row(name, status, value, digits)
+    return Check(name, status) if value is None else _row(name, status, value)
 
 
 # -- argument parsing helpers -----------------------------------------------
@@ -225,13 +218,6 @@ def _labels(model: MinimalModel, text: str, count: int, flag: str) -> tuple:
     raise ValueError(f"{flag} wants {word} named indices or {word} m,n pairs")
 
 
-def _bits(text: str) -> int:
-    bits = int(text)
-    if bits < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {bits}")
-    return bits
-
-
 def _module_key(text: str):
     parts = _ints(text)
     if len(parts) == 1:
@@ -243,18 +229,17 @@ def _module_key(text: str):
 
 # -- commands ---------------------------------------------------------------
 
-def _qdim_row(name: str, exact: str, d, digits: int) -> Check:
+def _qdim_row(name: str, exact: str, d) -> Check:
     # the numeric column of every listing row is a quantum dimension
-    return Check(name, "info", exact, _fmt_complex(d.approx, digits))
+    return Check(name, "info", exact, _fmt_complex(d.approx))
 
 
 def cmd_info(args) -> Report:
     model = MinimalModel(args.p, args.q)
     c = model.central_charge()
-    checks = [Check("central charge", "info", str(c), _fmt_complex(float(c), args.digits))]
+    checks = [Check("central charge", "info", str(c), _fmt_complex(float(c)))]
     for label in model.labels():
-        checks.append(_qdim_row(f"({label.m},{label.n})", str(label.h),
-                                qdim(label), args.digits))
+        checks.append(_qdim_row(f"({label.m},{label.n})", str(label.h), qdim(label)))
     return Report(f"info ({model.p},{model.q})", checks)
 
 
@@ -262,7 +247,7 @@ def cmd_fusion(args) -> Report:
     model = MinimalModel(args.p, args.q)
     a = ModuleLabel(model, *_pair(args.a))
     b = ModuleLabel(model, *_pair(args.b))
-    checks = [_qdim_row(f"({label.m},{label.n})", str(label.h), qdim(label), args.digits)
+    checks = [_qdim_row(f"({label.m},{label.n})", str(label.h), qdim(label))
               for label in fuse(a, b)]
     command = (
         f"fusion ({a.m},{a.n}) x ({b.m},{b.n}) at ({model.p},{model.q})"
@@ -274,8 +259,7 @@ def cmd_qdim(args) -> Report:
     model = MinimalModel(args.p, args.q)
     label = ModuleLabel(model, *_pair(args.label))
     d = qdim(label)
-    check = _qdim_row(f"qdim ({label.m},{label.n})", _render_exact(d.exact), d,
-                      args.digits)
+    check = _qdim_row(f"qdim ({label.m},{label.n})", _render_exact(d.exact), d)
     return Report(f"qdim ({label.m},{label.n}) at ({model.p},{model.q})", [check])
 
 
@@ -286,17 +270,14 @@ def cmd_braid(args) -> Report:
     checks = []
     if args.entry:
         mu, gamma = _labels(model, args.entry, 2, "--entry")
-        checks.append(_row(f"B[{args.entry}]", "info",
-                           matrix.entry(mu, gamma), args.digits))
+        checks.append(_row(f"B[{args.entry}]", "info", matrix.entry(mu, gamma)))
     else:
         for mu in matrix.rows:
             for gamma in matrix.cols:
-                checks.append(_row(
-                    f"B[({mu.m},{mu.n}),({gamma.m},{gamma.n})]", "info",
-                    matrix.entry(mu, gamma), args.digits,
-                ))
+                checks.append(_row(f"B[({mu.m},{mu.n}),({gamma.m},{gamma.n})]",
+                                   "info", matrix.entry(mu, gamma)))
         if len(matrix.rows) == len(matrix.cols):
-            checks.append(_row("det", "info", matrix.det(), args.digits))
+            checks.append(_row("det", "info", matrix.det()))
     return Report(f"braid {args.ext} at ({model.p},{model.q})", checks)
 
 
@@ -304,7 +285,7 @@ def cmd_verify(args) -> Report:
     targets = tuple(_VERIFY) if args.target == "all" else (args.target,)
     checks = []
     for target in targets:
-        sub = _VERIFY[target](args.digits)
+        sub = _VERIFY[target]()
         if len(targets) > 1:
             sub = [c._replace(name=f"{target}: {c.name}") for c in sub]
         checks.extend(sub)
@@ -321,22 +302,20 @@ def cmd_decompose(args) -> Report:
         checks = []
         for sector in alg.sectors:
             d = qdim_tensor(sector.components)
-            checks.append(_qdim_row(str(sector), _render_exact(d.exact), d,
-                                    args.digits))
+            checks.append(_qdim_row(str(sector), _render_exact(d.exact), d))
         return Report(f"decompose {alg.name}", checks)
     checks = []
     for component in spec.components:
         labels = " x ".join(f"({l.m},{l.n})" for l in component)
         weights = ", ".join(str(l.h) for l in component)
         d = qdim_tensor(component)
-        checks.append(_qdim_row(f"{labels}  [{weights}]", _render_exact(d.exact), d,
-                                args.digits))
+        checks.append(_qdim_row(f"{labels}  [{weights}]", _render_exact(d.exact), d))
     return Report(f"decompose {alg.name} module {args.module}", checks)
 
 
 # -- verify targets ---------------------------------------------------------
 
-def _verify_lemma_5a(digits: int) -> list:
+def _verify_lemma_5a() -> list:
     from .braiding import lemma_5a_combos, named_entry, named_matrix
     b = partial(named_entry, 7, (3, 3, 4, 4))
     t = MinimalModel(7, 8).sides[1]
@@ -356,27 +335,20 @@ def _verify_lemma_5a(digits: int) -> list:
     form_23 = y_inv * t[6] * t[7] * t.inv(4) * t.inv(5)
     det = named_matrix(7, (3, 3, 4, 4)).det()
     return [
-        _claim("B44*B23 - B43*B24 nonzero", not first.is_zero(), first, digits),
-        _claim("B32*B44 - B42*B34 = 1 + i",
-               second == _ONE + zeta(4), second, digits),
+        _claim("B44*B23 - B43*B24 nonzero", not first.is_zero(), first),
+        _claim("B32*B44 - B42*B34 = 1 + i", second == _ONE + zeta(4), second),
         _claim("B32*B44 = (sqrt(2) - 1)/y",
-               b(3, 2) * b(4, 4) == (sqrt2 - _ONE) * y_inv,
-               b(3, 2) * b(4, 4), digits),
-        _claim("B42*B34 = -1/y",
-               b(4, 2) * b(3, 4) == -y_inv, b(4, 2) * b(3, 4), digits),
-        _claim("B44 matches its bracket form", b(4, 4) == form_44,
-               b(4, 4), digits),
-        _claim("B43 matches its bracket form", b(4, 3) == form_43,
-               b(4, 3), digits),
-        _claim("B24 matches its bracket form", b(2, 4) == form_24,
-               b(2, 4), digits),
-        _claim("B23 = [6]'[7]'/(y [4]' [5]')", b(2, 3) == form_23,
-               b(2, 3), digits),
-        _claim("det B nonzero", not det.is_zero(), det, digits),
+               b(3, 2) * b(4, 4) == (sqrt2 - _ONE) * y_inv, b(3, 2) * b(4, 4)),
+        _claim("B42*B34 = -1/y", b(4, 2) * b(3, 4) == -y_inv, b(4, 2) * b(3, 4)),
+        _claim("B44 matches its bracket form", b(4, 4) == form_44, b(4, 4)),
+        _claim("B43 matches its bracket form", b(4, 3) == form_43, b(4, 3)),
+        _claim("B24 matches its bracket form", b(2, 4) == form_24, b(2, 4)),
+        _claim("B23 = [6]'[7]'/(y [4]' [5]')", b(2, 3) == form_23, b(2, 3)),
+        _claim("det B nonzero", not det.is_zero(), det),
     ]
 
 
-def _verify_lemma_3c(digits: int) -> list:
+def _verify_lemma_3c() -> list:
     from .braiding import lemma_3c_entry, named_matrix
     entry = lemma_3c_entry()
     t = MinimalModel(11, 12).sides[1]
@@ -391,17 +363,15 @@ def _verify_lemma_3c(digits: int) -> list:
     drift = abs(complex(entry.embed()) - _3C_REFERENCE)
     det = named_matrix(11, (2, 2, 2, 2)).det()
     return [
-        _claim("B21 nonzero", not entry.is_zero(), entry, digits),
-        _claim("B21 matches its bracket product", entry == product,
-               entry, digits),
+        _claim("B21 nonzero", not entry.is_zero(), entry),
+        _claim("B21 matches its bracket product", entry == product, entry),
         _claim("B21 embedding within 1e-9 of the stored reference",
-               drift <= 1e-9, entry, digits),
-        _claim("det B nonzero", not det.is_zero(), None, digits),
+               drift <= 1e-9, entry),
+        _claim("det B nonzero", not det.is_zero()),
     ]
 
 
-def _replay(system: str, fail_name: str, claim: str, digits: int,
-            shown: str | None = None) -> list:
+def _replay(system: str, fail_name: str, claim: str, shown: str | None = None) -> list:
     """The claim row and the printed steps of one solved sector system, or
     one fail row when a fact the elimination relies on does not hold.
     The claim row shows the solved value of the unknown `shown`, if any."""
@@ -411,33 +381,32 @@ def _replay(system: str, fail_name: str, claim: str, digits: int,
     except DegenerateSystem as exc:
         return [Check(fail_name, "fail", str(exc))]
     value = None if shown is None else solution.value(shown)
-    return [_claim(claim, True, value, digits),
+    return [_claim(claim, True, value),
             *(Check(step, "info") for step in solution.steps)]
 
 
-def _verify_uniqueness_5a(digits: int) -> list:
+def _verify_uniqueness_5a() -> list:
     from .algebra import build_sector_system
     checks = _replay("5A-uniqueness", "uniqueness replay",
-                     "unique solution: mu^2 = 1 and gamma^2 = 1", digits)
+                     "unique solution: mu^2 = 1 and gamma^2 = 1")
     checks += _replay("5A-existence", "existence replay",
-                      "even-sector coefficient forced nonzero", digits)
+                      "even-sector coefficient forced nonzero")
     # Report only: with every structure constant 1, crossing would need
     # sum_k B[k,i]*Bt[k,j] = delta(i,j).  The raw braid normalization does
     # not promise it; row (i,j) of the existence system is that identity
     # with its coefficients split out, so the residual is their sum.
     for equation in build_sector_system("5A-existence").equations:
         residual = sum(equation.coefficients, CyclotomicNumber.from_rational(0))
-        checks.append(_row(f"closure residual {equation.label}", "info", residual,
-                           digits))
+        checks.append(_row(f"closure residual {equation.label}", "info", residual))
     return checks
 
 
-def _verify_uniqueness_3c(digits: int) -> list:
+def _verify_uniqueness_3c() -> list:
     return _replay("3C", "uniqueness replay", "unique solution: lambda^2 = 1",
-                   digits, "lambda^2")
+                   "lambda^2")
 
 
-def _verify_chains(name: str, digits: int) -> list:
+def _verify_chains(name: str) -> list:
     from .algebra import build_algebra, check_subalgebra_chain
     checks = []
     for c in check_subalgebra_chain(build_algebra(name)):
@@ -446,7 +415,7 @@ def _verify_chains(name: str, digits: int) -> list:
     return checks
 
 
-def _verify_fusion(name: str, digits: int) -> list:
+def _verify_fusion(name: str) -> list:
     from .algebra import build_algebra, irreducible_modules, module_fusion, qdim_module
     alg = build_algebra(name)
     modules = irreducible_modules(alg)
@@ -460,8 +429,6 @@ def _verify_fusion(name: str, digits: int) -> list:
                  for a in keys for b in keys)
     return [
         _claim(f"{expected} irreducible modules", len(modules) == expected),
-        _claim("multiplicities all 0 or 1",
-               all(v == 1 for t in table.values() for v in t.values())),
         _claim("vacuum module is the unit", ring.unit is None),
         _claim("fusion is commutative", ring.commutative is None),
         _claim("fusion is associative", ring.associative is None),
@@ -489,11 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json"), default="table")
-    common.add_argument("--precision", type=_bits, default=53, metavar="BITS",
-                        help="decimals shown in the numeric columns, from BITS"
-                             " (at least 1); the columns are doubles, so 67"
-                             " bits and more show the cap of 12 decimals,"
-                             " within one unit of the last")
     model = argparse.ArgumentParser(add_help=False)
     model.add_argument("--p", type=int, required=True)
     model.add_argument("--q", type=int, required=True)
@@ -535,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.digits = _digits(args.precision)
     start = time.perf_counter()
     try:
         report = args.func(args)
