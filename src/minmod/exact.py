@@ -14,7 +14,7 @@ import cmath
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -22,6 +22,11 @@ Rational = Union[int, Fraction]
 
 class DivisionByZero(ZeroDivisionError):
     """Raised when a vanishing value appears in a denominator."""
+
+
+def _square_factor(n: int) -> int | None:
+    # The least k with k^2 dividing n, a prime; None when n is squarefree.
+    return next((k for k in range(2, isqrt(n) + 1) if n % (k * k) == 0), None)
 
 
 @lru_cache(maxsize=None)
@@ -34,7 +39,7 @@ def _cyclotomic(n: int) -> tuple[int, ...]:
     """
     if n == 1:
         return (-1, 1)
-    p = next((k for k in range(2, isqrt(n) + 1) if n % (k * k) == 0), None)
+    p = _square_factor(n)
     if p is not None:
         base = _cyclotomic(n // p)
         poly = [0] * ((len(base) - 1) * p + 1)
@@ -92,16 +97,14 @@ def _reduce(vec: list[int], n: int) -> list[int]:
     return out
 
 
-def _poly_divmod(
-    num: list[Fraction], den: list[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
+def _poly_divmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
     # den is monic, so integer coefficients stay integers.  Returns
     # (quotient, remainder) with deg rem < deg den.
     num = list(num)
     dd = len(den) - 1
     if len(num) < len(den):
         return [], num
-    out = [Fraction(0)] * (len(num) - dd)
+    out = [0] * (len(num) - dd)
     for i in range(len(num) - dd - 1, -1, -1):
         c = num[i + dd]
         out[i] = c
@@ -112,58 +115,6 @@ def _poly_divmod(
     while rem and not rem[-1]:
         rem.pop()
     return out, rem
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = list(a) + [Fraction(0)] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _inv_coeffs(num: tuple[int, ...], den: int, order: int) -> tuple[list[int], int]:
-    """Invert (sum num[k] zeta^k) / den modulo Phi_order.
-
-    Extended Euclid over Q[x] against the (irreducible) cyclotomic
-    polynomial; the divisor is kept monic at each step to limit
-    coefficient growth.
-    """
-    a = [Fraction(c) for c in num]
-    while a and not a[-1]:
-        a.pop()
-    if not a:
-        raise DivisionByZero("inverse of zero")
-    r0: list[Fraction] = [Fraction(c) for c in _cyclotomic(order)]
-    s0: list[Fraction] = []
-    r1, s1 = a, [Fraction(1)]
-    while True:
-        lc = r1[-1]
-        if lc != 1:
-            r1 = [c / lc for c in r1]
-            s1 = [c / lc for c in s1]
-        if len(r1) == 1:
-            break
-        q, rem = _poly_divmod(r0, r1)
-        r0, s0, r1, s1 = r1, s1, rem, _poly_sub(s0, _poly_mul(q, s1))
-        assert r1, "cyclotomic polynomial is irreducible"
-    # s1 * (num/den) == 1, so the inverse is den * s1.
-    scaled = [den * c for c in s1]
-    common = lcm(*(c.denominator for c in scaled)) if scaled else 1
-    ints = [int(c * common) for c in scaled]
-    ints += [0] * (_degree(order) - len(ints))
-    return ints, common
 
 
 class CyclotomicNumber:
@@ -312,9 +263,34 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inv(self) -> "CyclotomicNumber":
-        """Multiplicative inverse; raises DivisionByZero on zero."""
-        vec, den = _inv_coeffs(self._num, self._den, self.order)
-        return CyclotomicNumber._raw(self.order, vec, den)
+        """Multiplicative inverse; raises DivisionByZero on zero.
+
+        x^-1 = c / (x*c), with c the product of x's images under the
+        Galois maps that fix a subfield, so that x*c lies in it.  When r^2
+        divides the order n, the maps zeta -> zeta^(1 + j*n/r) fix
+        Q(zeta_{n/r}), and Phi_n(X) = Phi_{n/r}(X^r) puts x*c there at
+        every r-th coefficient.  Otherwise n is squarefree, or twice an odd
+        squarefree number, and the maps of each odd prime r in turn (all
+        k = 1 mod n/r but the one k = 0 mod r) leave a rational.  The
+        result keeps the order n.
+        """
+        if not any(self._num):
+            raise DivisionByZero("inverse of zero")
+        n = self.order
+        r = _square_factor(n)
+        if r is not None:
+            c = prod(self.conjugate(1 + j * (n // r)) for j in range(1, r))
+            y = self * c
+            return c * CyclotomicNumber._raw(n // r, list(y._num[::r]), y._den).inv()
+        c, y, rest = zeta(n, 0), self, n
+        for r in range(3, n + 1, 2):
+            if rest % r:
+                continue
+            rest //= r
+            ks = (1 + j * (n // r) for j in range(1, r))
+            norm = prod(y.conjugate(k) for k in ks if k % r)
+            c, y = c * norm, y * norm
+        return c * Fraction(y._den, y._num[0])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -480,7 +456,7 @@ def sine_inv(k: int, b: int) -> CyclotomicNumber:
 
     With zeta = zeta_{2b} and w = zeta^(2k) of order m = b/gcd(k, b),
     sum_{s<m} s*w^s = m/(w - 1), so 1/(zeta^k - zeta^-k) = zeta^k/(w - 1)
-    is zeta^k * sum_{s<m} s*w^s / m: no Euclid.
+    is zeta^k * sum_{s<m} s*w^s / m: no field inverse.
     """
     m = b // gcd(k, b)
     if m == 1:

@@ -18,10 +18,12 @@ from minmod import (
 from minmod.exact import _cyclotomic, echelon, sine_inv, solve, two_i_sin
 
 ONE = CyclotomicNumber.from_rational(1)
-ZERO = CyclotomicNumber.from_rational(0)
 
 _SMALL_ORDERS = (8, 16, 24)
 _ALL_ORDERS = (8, 16, 24, 224, 528)
+# Every branch of CyclotomicNumber.inv: rational, 2-power, odd prime
+# square, squarefree odd, twice squarefree, and mixed orders.
+_INVERSE_ORDERS = (1, 2, 4, 32, 9, 25, 49, 15, 105, 30, 66, 182, 224, 288, 728)
 
 
 def _value(order, terms):
@@ -31,14 +33,14 @@ def _value(order, terms):
     return total
 
 
-def _values(orders):
+def _values(orders, max_terms=4):
     coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
     return st.sampled_from(orders).flatmap(
         lambda order: st.builds(
             _value,
             st.just(order),
             st.lists(st.tuples(st.integers(0, order - 1), coeff),
-                     min_size=0, max_size=4),
+                     min_size=0, max_size=max_terms),
         )
     )
 
@@ -72,8 +74,9 @@ def test_embed_pinned_eighth_root():
 
 
 def test_division_by_zero_raises():
-    with pytest.raises(DivisionByZero):
-        ZERO.inv()
+    for order in _INVERSE_ORDERS:
+        with pytest.raises(DivisionByZero):
+            CyclotomicNumber(order, []).inv()
 
 
 def test_rational_interface():
@@ -123,15 +126,20 @@ def test_ring_associativity_and_distributivity(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@given(_values(_SMALL_ORDERS))
-@settings(max_examples=60, deadline=None)
-def test_field_inverse(a):
-    if a.is_zero():
-        with pytest.raises(DivisionByZero):
-            a.inv()
-        return
-    assert a * a.inv() == ONE
-    assert a.inv().inv() == a
+# one draw per order, so that each example runs every branch of inv; the
+# mixed orders get sparser draws, whose inverses are cheaper to invert
+@given(st.tuples(*(_values((n,), max_terms=2 if n > 200 else 4) for n in _INVERSE_ORDERS)))
+@settings(max_examples=10, deadline=None)
+def test_field_inverse(values):
+    for a in values:
+        if a.is_zero():
+            with pytest.raises(DivisionByZero):
+                a.inv()
+            continue
+        inverse = a.inv()
+        assert a * inverse == ONE
+        assert inverse.order == a.order
+        assert inverse.inv() == a
 
 
 @given(_values(_SMALL_ORDERS), st.integers(-4, 4))
@@ -205,15 +213,16 @@ def test_two_i_sin_embeds_at_any_multiple_order():
         sine_inv(16, 8)
 
 
-def test_sine_inv_closed_form_is_the_euclid_inverse():
+def test_sine_inv_closed_form_is_the_field_inverse():
     # zeta_2b^k * sum_{s<m} s*w^s / m, w = zeta_2b^(2k) of order m, against
-    # the extended Euclid of CyclotomicNumber.inv, run once per k mod 2b
+    # CyclotomicNumber.inv, c / (x*c) with c a product of Galois conjugates
+    # of x, run once per k mod 2b
     for b in range(2, 25):
-        euclid = {k: two_i_sin(k, b).inv() for k in range(1, 2 * b) if k != b}
+        field = {k: two_i_sin(k, b).inv() for k in range(1, 2 * b) if k != b}
         for k in range(-b + 1, 2 * b):
             if k % b == 0:
                 continue
-            got, want = sine_inv(k, b), euclid[k % (2 * b)]
+            got, want = sine_inv(k, b), field[k % (2 * b)]
             assert (got.order, got.coefficients) == (want.order, want.coefficients), (k, b)
         for k in (0, b, -2 * b):
             with pytest.raises(DivisionByZero):
