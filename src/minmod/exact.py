@@ -14,7 +14,7 @@ import cmath
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -24,35 +24,42 @@ class DivisionByZero(ZeroDivisionError):
     """Raised when a vanishing value appears in a denominator."""
 
 
-def _square_factor(n: int) -> int | None:
-    # The least k with k^2 dividing n, a prime; None when n is squarefree.
-    return next((k for k in range(2, isqrt(n) + 1) if n % (k * k) == 0), None)
+def _primes(n: int) -> list[int]:
+    # The distinct primes of n, ascending, by trial division up to sqrt(n).
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
 
 
 @lru_cache(maxsize=None)
 def _cyclotomic(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, ascending.
 
-    Phi_n(X) = Phi_{n/p}(X^p) whenever p^2 divides n, so the work is done
-    at the radical of n.  A squarefree n is computed by dividing X^n - 1
-    by Phi_d over its proper divisors d.
+    For n > 1, Phi_n(X) is the product over squarefree s | n of
+    (1 - X^(n/s))^mu(s), which is prod (X^d - 1)^mu(n/d) as mu sums to 0.
+    Taken as a power series mod X^(phi+1), a factor 1 - X^d subtracts the
+    series shifted by d, top down, and its inverse adds it back, bottom up.
     """
     if n == 1:
         return (-1, 1)
-    p = _square_factor(n)
-    if p is not None:
-        base = _cyclotomic(n // p)
-        poly = [0] * ((len(base) - 1) * p + 1)
-        poly[::p] = base
-        return tuple(poly)
-    poly = [0] * (n + 1)
-    poly[0] = -1
-    poly[n] = 1
-    for d in range(1, n // 2 + 1):
-        if n % d == 0:
-            poly, rem = _poly_divmod(poly, _cyclotomic(d))
-            if rem:
-                raise ArithmeticError("inexact polynomial division")
+    primes = _primes(n)
+    phi = n * prod(p - 1 for p in primes) // prod(primes)
+    factors = [(n, 1)]
+    for p in primes:
+        factors += [(d // p, -mu) for d, mu in factors]
+    poly = [1] + [0] * phi
+    for d, mu in factors:
+        if mu > 0:
+            for i in range(phi, d - 1, -1):
+                poly[i] -= poly[i - d]
+        else:
+            for i in range(d, phi + 1):
+                poly[i] += poly[i - d]
     return tuple(poly)
 
 
@@ -95,26 +102,6 @@ def _reduce(vec: list[int], n: int) -> list[int]:
                     out[base + k] += c * t
         del out[phi:]
     return out
-
-
-def _poly_divmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    # den is monic, so integer coefficients stay integers.  Returns
-    # (quotient, remainder) with deg rem < deg den.
-    num = list(num)
-    dd = len(den) - 1
-    if len(num) < len(den):
-        return [], num
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - dd - 1, -1, -1):
-        c = num[i + dd]
-        out[i] = c
-        if c:
-            for j in range(dd + 1):
-                num[i + j] -= c * den[j]
-    rem = num[: dd]
-    while rem and not rem[-1]:
-        rem.pop()
-    return out, rem
 
 
 class CyclotomicNumber:
@@ -269,24 +256,21 @@ class CyclotomicNumber:
         Galois maps that fix a subfield, so that x*c lies in it.  When r^2
         divides the order n, the maps zeta -> zeta^(1 + j*n/r) fix
         Q(zeta_{n/r}), and Phi_n(X) = Phi_{n/r}(X^r) puts x*c there at
-        every r-th coefficient.  Otherwise n is squarefree, or twice an odd
-        squarefree number, and the maps of each odd prime r in turn (all
-        k = 1 mod n/r but the one k = 0 mod r) leave a rational.  The
-        result keeps the order n.
+        every r-th coefficient.  Otherwise n is squarefree, and the maps of
+        each odd prime r in turn (all k = 1 mod n/r but the one k = 0 mod r)
+        leave a rational.  The result keeps the order n.
         """
         if not any(self._num):
             raise DivisionByZero("inverse of zero")
         n = self.order
-        r = _square_factor(n)
+        primes = _primes(n)
+        r = next((p for p in primes if n % (p * p) == 0), None)
         if r is not None:
             c = prod(self.conjugate(1 + j * (n // r)) for j in range(1, r))
             y = self * c
             return c * CyclotomicNumber._raw(n // r, list(y._num[::r]), y._den).inv()
-        c, y, rest = zeta(n, 0), self, n
-        for r in range(3, n + 1, 2):
-            if rest % r:
-                continue
-            rest //= r
+        c, y = zeta(n, 0), self
+        for r in (p for p in primes if p > 2):
             ks = (1 + j * (n // r) for j in range(1, r))
             norm = prod(y.conjugate(k) for k in ks if k % r)
             c, y = c * norm, y * norm

@@ -282,13 +282,13 @@ def test_closed_stdout_exits_1_without_traceback():
     # The read end is closed before the child prints, so its first write
     # fails with EPIPE whatever the timing.
     env = dict(os.environ, PYTHONPATH=str(Path(minmod.__file__).resolve().parents[1]))
-    child = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "minmod.cli", "info", "--p", "13", "--q", "14"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-    )
-    child.stdout.close()
-    err = child.stderr.read()
-    assert child.wait(timeout=120) == 1
+    ) as child:
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == 1
     assert "Traceback" not in err and "Exception" not in err
     lines = err.splitlines()
     assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines)

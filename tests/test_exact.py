@@ -338,11 +338,26 @@ def test_reduction_matches_dense_long_division(order):
 
 
 @pytest.mark.parametrize(
-    "orders", [range(1, 301), (336, 728, 1104, 2208)], ids=["le300", "program"]
+    "orders", [range(1, 301), (336, 728, 1104, 2208, 3480, 6888)], ids=["le300", "program"]
 )
 def test_cyclotomic_matches_moebius_product(orders):
     for n in orders:
         assert _cyclotomic(n) == oracles.cyclotomic_poly(n), n
+
+
+def test_cyclotomic_over_the_divisors_multiplies_to_x_n_minus_1():
+    # A check that does not rest on the Moebius formula _cyclotomic and
+    # the oracle share: the Phi_d over d | n multiply out to X^n - 1.
+    for n in (*range(1, 301), 2208):
+        product = [1]
+        for phi_d in (_cyclotomic(d) for d in range(1, n + 1) if n % d == 0):
+            out = [0] * (len(product) + len(phi_d) - 1)
+            for j, c in enumerate(phi_d):
+                if c:
+                    for i, a in enumerate(product):
+                        out[i + j] += c * a
+            product = out
+        assert product == [-1] + [0] * (n - 1) + [1], n
 
 
 def test_reduction_orders_cover_a_coefficient_two():
