@@ -181,6 +181,32 @@ class CyclotomicNumber:
         vec[::t] = self._num
         return CyclotomicNumber._raw(order, _reduce(vec, order), self._den)
 
+    def at_conductor(self) -> "CyclotomicNumber":
+        """The same value in Q(zeta_c), c the least order whose field holds it.
+
+        Each prime p of the order n is taken off while the value lies in
+        Q(zeta_{n/p}), that is while its trace there over the degree, y,
+        promotes back to it.  When p^2 | n, Phi_n(X) = Phi_{n/p}(X^p) and y
+        is the slice of exponents p divides.  Otherwise zeta_n^e traces to
+        zeta_{n/p}^(e/p mod n/p) times p - 1 if p | e, else -1.
+        """
+        x = self
+        for p in _primes(self.order):
+            while x.order % p == 0:
+                n, m = x.order, x.order // p
+                if m % p == 0:
+                    y = CyclotomicNumber._raw(m, list(x._num[::p]), x._den)
+                else:
+                    vec, r = [0] * m, pow(p, -1, m)
+                    for e, c in enumerate(x._num):
+                        if c:
+                            vec[e * r % m] += c * (p - 1) if e % p == 0 else -c
+                    y = CyclotomicNumber._raw(m, _reduce(vec, m), x._den * (p - 1))
+                if y.promote(n) != x:
+                    break
+                x = y
+        return x
+
     @staticmethod
     def _coerce(value) -> "CyclotomicNumber":
         if isinstance(value, CyclotomicNumber):
@@ -484,18 +510,4 @@ def echelon(rows):
                 f = row[c] * inv
                 row[c + 1:] = [x - f * y for x, y in zip(row[c + 1:], top[c + 1:])]
     return rows, tuple(pivots), sign
-
-
-def solve(aug):
-    """A solution of the system whose augmented matrix is aug, free
-    unknowns set to 0; None when the system is inconsistent."""
-    rows, pivots, _ = echelon(aug)
-    width = len(aug[0]) - 1
-    if pivots and pivots[-1] == width:
-        return None
-    sol = [0] * width
-    for row, c in reversed(list(zip(rows, pivots))):
-        known = sum(row[j] * sol[j] for j in range(c + 1, width))
-        sol[c] = (row[width] - known) / row[c]
-    return tuple(sol)
 

@@ -827,25 +827,31 @@ def test_det_matches_leibniz_on_random_externals(data):
 
 
 def _det_matches_numpy(model, exts, channels):
-    # the exact det against numpy's det of the embedded matrix; returns that
+    # the exact det against numpy's det of the embedded matrix; returns
+    # that matrix and the det
     matrix = braid_matrix(model, tuple(model.label(m, n) for m, n in exts))
     assert len(matrix.rows) == len(matrix.cols) == channels
     array = np.array([[_embed(x) for x in row] for row in _array(matrix)])
     det = matrix.det()
     assert not det.is_zero()
     assert abs(_embed(det) - np.linalg.det(array)) < 1e-9
-    return array
+    return array, det
 
 
 def test_dense_eight_channel_det():
     # far past the reach of the permutation expansion: 8! * 8 products
-    array = _det_matches_numpy(M1112, ((2, 7), (2, 7), (3, 6), (3, 4)), 8)
+    array, _ = _det_matches_numpy(M1112, ((2, 7), (2, 7), (3, 6), (3, 4)), 8)
     assert np.all(np.abs(array) > 1e-12)
 
 
 @pytest.mark.parametrize("p,q,channels", [(13, 14, 6), (23, 24, 14)])
 def test_large_order_braid_det(p, q, channels):
     # externals `3,7,3,7,4,11,2,11`: every pivot is inverted in the
-    # entries' field, of order 4pq = 728 and 2208
+    # entries' field, of order 4pq = 728 and 2208, and the det, a root of
+    # unity there, demotes to -zeta_7^4 and -zeta_3
     model = MinimalModel(p, q)
-    _det_matches_numpy(model, ((3, 7), (3, 7), (4, 11), (2, 11)), channels)
+    _, det = _det_matches_numpy(model, ((3, 7), (3, 7), (4, 11), (2, 11)), channels)
+    assert det.order == 4 * p * q
+    want = {13: -zeta(7, 4), 23: -zeta(3)}[p]
+    got = det.at_conductor()
+    assert (got.order, got) == (want.order, want)

@@ -22,7 +22,7 @@ from minmod import (
     parse_exact, zeta,
 )
 from minmod.cli import main
-from minmod.exact import solve
+from test_exact import at_its_conductor, solve
 
 
 def run(capsys, *argv):
@@ -118,21 +118,40 @@ def test_precision_flag_widens_output(capsys):
 
 # -- radical rendering, against the elimination over lcm(n, 24) -----------------
 
+_RADICAL_NAMES = ("", "sqrt(2)", "sqrt(3)", "sqrt(6)",
+                  "i", "sqrt(2)*i", "sqrt(3)*i", "sqrt(6)*i")
+
+
+def _radical_basis():
+    s2, s3 = zeta(8) + zeta(8, -1), zeta(12) + zeta(12, -1)
+    reals = (CyclotomicNumber.from_rational(1), s2, s3, s2 * s3)
+    return reals + tuple(zeta(4) * b for b in reals)
+
+
 def _radical_reference(value):
     # every basis element and the value promoted to lcm(n, 24), one
     # eight-column elimination there
-    s2, s3 = zeta(8) + zeta(8, -1), zeta(12) + zeta(12, -1)
-    reals = (CyclotomicNumber.from_rational(1), s2, s3, s2 * s3)
-    basis = reals + tuple(zeta(4) * b for b in reals)
     order = math.lcm(value.order, 24)
-    cols = [b.promote(order).coefficients for b in basis]
+    cols = [b.promote(order).coefficients for b in _radical_basis()]
     sol = solve([list(row) for row in zip(*cols, value.promote(order).coefficients)])
     return None if sol is None else tuple(sol)
 
 
-def _own_field_coordinates(value):
-    coords = cli._radical_coordinates(value)
-    return None if coords is None else tuple(coords)
+def _spelled_coordinates(text):
+    # the coordinates a radical rendering spells, in _RADICAL_NAMES order
+    coords = dict.fromkeys(_RADICAL_NAMES, 0)
+    for term in text.replace("- ", "-").replace("+ ", "").split(" "):
+        sign = -1 if term.startswith("-") else 1
+        mag, _, name = term.lstrip("-").partition("*")
+        if not mag[0].isdigit():
+            mag, name = "1", term.lstrip("-")
+        coords[name] += sign * Fraction(mag)
+    return tuple(coords.values())
+
+
+def _radical_coordinates(value):
+    radical = cli.as_radical(value)
+    return None if radical is None else _spelled_coordinates(radical)
 
 
 def test_radical_coordinates_of_verify_all_match_the_lcm_route(capsys):
@@ -141,7 +160,7 @@ def test_radical_coordinates_of_verify_all_match_the_lcm_route(capsys):
     values = [v for v in values if not v.is_rational()]
     assert values
     for value in values:
-        assert _own_field_coordinates(value) == _radical_reference(value), value
+        assert _radical_coordinates(value) == _radical_reference(value), value
 
 
 # Odd orders and orders 2 mod 4 that 3 divides, where sqrt(3)*i lies in
@@ -169,7 +188,7 @@ def test_radical_coordinates_of_seeded_values_match_the_lcm_route():
     outside = 0
     for value in _seeded_radical_values():
         want = _radical_reference(value)
-        assert _own_field_coordinates(value) == want, value
+        assert _radical_coordinates(value) == want, value
         outside += want is None
     assert outside
 
@@ -177,17 +196,8 @@ def test_radical_coordinates_of_seeded_values_match_the_lcm_route():
 def _rebuild_radical(text):
     # the value a radical rendering spells, from the test's own sqrt(2),
     # sqrt(3) and i
-    s2, s3, i = zeta(8) + zeta(8, -1), zeta(12) + zeta(12, -1), zeta(4)
-    names = {"": 1, "sqrt(2)": s2, "sqrt(3)": s3, "sqrt(6)": s2 * s3, "i": i,
-             "sqrt(2)*i": s2 * i, "sqrt(3)*i": s3 * i, "sqrt(6)*i": s2 * s3 * i}
-    total = CyclotomicNumber.from_rational(0)
-    for term in text.replace("- ", "-").replace("+ ", "").split(" "):
-        sign = -1 if term.startswith("-") else 1
-        mag, _, name = term.lstrip("-").partition("*")
-        if not mag[0].isdigit():
-            mag, name = "1", term.lstrip("-")
-        total = total + sign * Fraction(mag) * names[name]
-    return total
+    return sum((c * b for c, b in zip(_spelled_coordinates(text), _radical_basis())),
+               CyclotomicNumber.from_rational(0))
 
 
 def test_radical_renderings_rebuild_their_values(capsys):
@@ -449,6 +459,18 @@ def test_commands_json_is_pinned(capsys):
     assert json.dumps(reports, indent=2) + "\n" == COMMANDS_GOLDEN.read_text()
 
 
+def test_golden_exact_fields_are_at_their_conductors():
+    # every exact field the golden files pin parses back to a value that
+    # no smaller cyclotomic field holds
+    reports = [json.loads(GOLDEN.read_text())]
+    for path in (DECOMPOSE_GOLDEN, COMMANDS_GOLDEN):
+        reports += json.loads(path.read_text()).values()
+    fields = [c["exact"] for r in reports for c in r["checks"] if c["exact"]]
+    assert len(fields) > 100
+    for text in fields:
+        assert at_its_conductor(parse_exact(text)), text
+
+
 REPLAYS = [
     ("5A-uniqueness", "uniqueness-5a",
      "unique solution: mu^2 = 1 and gamma^2 = 1", "uniqueness replay"),
@@ -658,15 +680,17 @@ def test_arithmetic_error_is_one_error_line(capsys, monkeypatch, patch, argv):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("p,want", [(170, "-z684^174"), (340, "z1364^344")])
+@pytest.mark.parametrize("p,want", [(170, "-z57^5 - z57^24"), (340, "z341^86")])
 def test_braid_near_the_side_bound(capsys, p, want):
     # r(1, p, p, 1)_{p,p} on the primed side: the 6j sum has one term and
-    # nothing nests with m, so the Python stack sets no limit on p
-    code, out, err = run(capsys, "braid", "--p", str(p), "--q", str(p + 1),
-                         "--ext", f"1,{p - 1},1,{p - 1},1,1,1,1")
-    assert (code, err) == (0, "")
-    entry, det = out.splitlines()[:2]
-    assert entry.split()[2] == det.split()[2] == want
+    # nothing nests with m, so the Python stack sets no limit on p.  The
+    # value, -zeta_684^174 = zeta_57^43 and zeta_1364^344 = zeta_341^86,
+    # prints at its conductor.
+    code, report = run_json(capsys, "braid", "--p", str(p), "--q", str(p + 1),
+                            "--ext", f"1,{p - 1},1,{p - 1},1,1,1,1")
+    assert code == 0
+    entry, det = report["checks"]
+    assert entry["exact"] == det["exact"] == want
 
 
 @pytest.mark.parametrize("bits", ["0", "80", "x"])

@@ -15,7 +15,7 @@ from minmod import (
     parse_exact,
     zeta,
 )
-from minmod.exact import _cyclotomic, echelon, sine_inv, solve, two_i_sin
+from minmod.exact import _cyclotomic, echelon, sine_inv, two_i_sin
 
 ONE = CyclotomicNumber.from_rational(1)
 
@@ -93,6 +93,45 @@ def test_promotion_preserves_value():
     assert lifted == value
     with pytest.raises(ValueError):
         value.promote(12)
+
+
+def at_its_conductor(value):
+    """True when, for each prime p of the order c, some Galois map
+    zeta -> zeta^(1 + j*c/p) that fixes Q(zeta_{c/p}) moves the value, so
+    it lies in no smaller field.  No map moves it when c is 2 mod 4, as
+    Q(zeta_c) = Q(zeta_{c/2}) then."""
+    c = value.order
+    primes = [p for p in range(2, c + 1) if c % p == 0 and all(p % r for r in range(2, p))]
+    return all(any(value.conjugate(k) != value
+                   for k in range(1 + c // p, c, c // p) if math.gcd(k, c) == 1)
+               for p in primes)
+
+
+# (d, n): a value built in Q(zeta_d) and promoted to Q(zeta_n).  The d
+# cover rational, 2-power, odd prime square, squarefree odd and mixed
+# orders; the n add orders 2 mod 4 and reach 3480 = 8*3*5*29.
+_CONDUCTOR_PAIRS = (
+    (1, 2), (1, 30), (4, 32), (3, 6), (3, 9), (5, 25), (25, 50), (49, 98),
+    (15, 105), (15, 30), (105, 210), (8, 3480), (12, 3480), (116, 3480),
+    (435, 3480), (1740, 3480), (224, 448), (288, 864), (728, 1456),
+)
+
+
+@pytest.mark.parametrize("d,n", _CONDUCTOR_PAIRS)
+def test_at_conductor_recovers_the_field_built_in(d, n):
+    # a*zeta_d^u + b generates Q(zeta_d), so it comes back at order d;
+    # sums of random powers come back equal, at their own conductor, which
+    # divides d and so is never n
+    rng = random.Random(n * d)
+    u = next(u for u in range(rng.randrange(d), 2 * d) if math.gcd(u, d) == 1)
+    generator = rng.randint(1, 5) * zeta(d, u) + Fraction(rng.randint(-5, 5), 3)
+    got = generator.promote(n).at_conductor()
+    assert (got.order, got) == (d, generator)
+    for _ in range(3):
+        value = _value(d, [(rng.randrange(d), rng.randint(-5, 5)) for _ in range(4)])
+        got = value.promote(n).at_conductor()
+        assert got == value and d % got.order == 0 and at_its_conductor(got)
+        assert not at_its_conductor(value.promote(n)) and got.at_conductor() is got
 
 
 def test_parse_ignores_radical_suffix():
@@ -387,6 +426,22 @@ def _rank(rows):
 
 def _np_rank(rows):
     return int(np.linalg.matrix_rank(np.array(rows, dtype=float)))
+
+
+def solve(aug):
+    """A solution of the system whose augmented matrix is aug, free
+    unknowns set to 0; None when the system is inconsistent.  Back
+    substitution over `echelon`, and the reference elimination of the
+    radical tests in test_cli.py."""
+    rows, pivots, _ = echelon(aug)
+    width = len(aug[0]) - 1
+    if pivots and pivots[-1] == width:
+        return None
+    sol = [0] * width
+    for row, c in reversed(list(zip(rows, pivots))):
+        known = sum(row[j] * sol[j] for j in range(c + 1, width))
+        sol[c] = (row[width] - known) / row[c]
+    return tuple(sol)
 
 
 def _check_solve(a, b):
