@@ -19,7 +19,7 @@ from operator import mul
 from typing import Callable, NamedTuple
 
 from . import braiding
-from .braiding import named_entry
+from .braiding import entry_3c as _e3c, entry_5a as _b, named_entry
 from .exact import CyclotomicNumber, echelon, sine_inv, two_i_sin, zeta
 from .minimal import MinimalModel, ModuleLabel, QDim, _qdim_from, fuse, qdim_tensor
 
@@ -249,9 +249,6 @@ _Q_OF = {1: 1, 2: 2, 3: 4, 4: 3}
 # Row labels (i, j) of the nine-equation systems, in display order:
 # i indexes the B column, j the Bt column.
 _ROWS_9 = ((2, 2), (3, 3), (4, 4), (2, 3), (2, 4), (3, 2), (3, 4), (4, 2), (4, 3))
-
-_b = partial(named_entry, 7, (3, 3, 4, 4))
-_e3c = partial(named_entry, 11, (2, 2, 2, 2))
 
 
 def _bt(i: int, j: int) -> CyclotomicNumber:

@@ -120,16 +120,23 @@ def r_matrix(query: RQuery) -> CyclotomicNumber:
     return value
 
 
+def _brackets(side: Side, *ls: int) -> CyclotomicNumber:
+    # prod [l] over ls, with 1/[-l] for each l < 0
+    value = _ONE
+    for l in ls:
+        factor = side[l] if l > 0 else side.inv(-l)
+        value = factor if value is _ONE else value * factor
+    return value
+
+
 def _factorial_ratio(side: Side, ups, downs) -> CyclotomicNumber:
     # prod [u]! / prod [v]!, where [l] occurs #{u >= l} - #{v >= l} times
-    tally, run, value = Counter(ups), 0, _ONE
+    tally, run, ls = Counter(ups), 0, []
     tally.subtract(downs)
     for l in range(max(tally), 0, -1):
         run += tally[l]
-        for _ in range(abs(run)):
-            factor = side[l] if run > 0 else side.inv(l)
-            value = factor if value is _ONE else value * factor
-    return value
+        ls += [l if run > 0 else -l] * abs(run)
+    return _brackets(side, *ls)
 
 
 def _r_value(query: RQuery) -> CyclotomicNumber:
@@ -251,6 +258,14 @@ def named_entry(p: int, ext: tuple[int, int, int, int], i: int, j: int) -> Cyclo
     return named_matrix(p, ext).entry(named_label(model, i), named_label(model, j))
 
 
+# The paper's two lemma matrices, as (p, ext) of named_matrix, and their
+# entries (i, j), channels named too: B_{3,3}^{4,4} at (7,8) for 5A and
+# B_{2,2}^{2,2} at (11,12) for 3C
+_MATRIX_5A, _MATRIX_3C = (7, (3, 3, 4, 4)), (11, (2, 2, 2, 2))
+entry_5a = partial(named_entry, *_MATRIX_5A)
+entry_3c = partial(named_entry, *_MATRIX_3C)
+
+
 def lemma_5a_combos() -> tuple[CyclotomicNumber, CyclotomicNumber]:
     """The two 2x2 minors of B_{3,3}^{4,4} at (7,8) that the nonvanishing
     argument rests on.
@@ -258,7 +273,7 @@ def lemma_5a_combos() -> tuple[CyclotomicNumber, CyclotomicNumber]:
     Returns (B44*B23 - B43*B24, B32*B44 - B42*B34) with numeric
     subscripts referring to the named modules P2, P3, P4.
     """
-    e = partial(named_entry, 7, (3, 3, 4, 4))
+    e = entry_5a
     first = e(4, 4) * e(2, 3) - e(4, 3) * e(2, 4)
     second = e(3, 2) * e(4, 4) - e(4, 2) * e(3, 4)
     return first, second
@@ -266,4 +281,34 @@ def lemma_5a_combos() -> tuple[CyclotomicNumber, CyclotomicNumber]:
 
 def lemma_3c_entry() -> CyclotomicNumber:
     """The entry (B_{2,2}^{2,2})_{2,1} at (11,12), exactly."""
-    return named_entry(11, (2, 2, 2, 2), 2, 1)
+    return entry_3c(2, 1)
+
+
+def lemma_claims(lemma: str) -> list:
+    """The exact facts of the "5A" or "3C" uniqueness proof, as rows
+    (name, value, want): value == want, or value nonzero when want is None.
+    The forms are in the primed side's brackets and its y = power(4)."""
+    if lemma == "3C":
+        t, entry = Side(12, 11), lemma_3c_entry()
+        product = (t.power(24) * (t[1] + t[3]) * (t[4] * (t[1] + t[3]) + _brackets(t, 1, 2))
+                   * _brackets(t, 1, 1, 1, -2, -2, -2, -3, 10, 9, 8, -7, -6, -5, -3, -4))
+        return [("B21 nonzero", entry, None),
+                ("B21 matches its bracket product", entry, product),
+                ("det B nonzero", named_matrix(*_MATRIX_3C).det(), None)]
+    b, t = entry_5a, Side(8, 7)
+    first, second = lemma_5a_combos()
+    form_44 = _brackets(t, 6, 3, -5, -4) - _brackets(t, 1, 1, -5, -5, -6) * (t[4] + t[6])
+    form_24 = -t.power(-12) * _brackets(t, 1, 7) * (_brackets(t, -5, -5, -4) * (t[4] + t[6])
+                                                   + _brackets(t, -6, -6, -5) * (t[5] + t[7]))
+    return [
+        ("B44*B23 - B43*B24 nonzero", first, None),
+        ("B32*B44 - B42*B34 = 1 + i", second, _ONE + zeta(4)),
+        ("B32*B44 = (sqrt(2) - 1)/y", b(3, 2) * b(4, 4),
+         (zeta(8) + zeta(8, -1) - _ONE) * t.power(-4)),
+        ("B42*B34 = -1/y", b(4, 2) * b(3, 4), -t.power(-4)),
+        ("B44 matches its bracket form", b(4, 4), form_44),
+        ("B43 matches its bracket form", b(4, 3), t.power(8) * _brackets(t, 1, 6, -4, -5)),
+        ("B24 matches its bracket form", b(2, 4), form_24),
+        ("B23 = [6]'[7]'/(y [4]' [5]')", b(2, 3), t.power(-4) * _brackets(t, 6, 7, -4, -5)),
+        ("det B nonzero", named_matrix(*_MATRIX_5A).det(), None),
+    ]

@@ -294,57 +294,10 @@ def cmd_decompose(args) -> Report:
 
 # -- verify targets ---------------------------------------------------------
 
-def _verify_lemma_5a() -> list:
-    from .braiding import lemma_5a_combos, named_entry, named_matrix
-    b = partial(named_entry, 7, (3, 3, 4, 4))
-    t = MinimalModel(7, 8).sides[1]
-    y = t.power(4)
-    y_inv = t.power(-4)
-    sqrt2 = zeta(8) + zeta(8, -1)
-    first, second = lemma_5a_combos()
-    form_44 = (
-        t[6] * t[3] * t.inv(5) * t.inv(4)
-        - t[1] ** 2 * (t[4] + t[6]) * t.inv(5) ** 2 * t.inv(6)
-    )
-    form_43 = y ** 2 * t[1] * t[6] * t.inv(4) * t.inv(5)
-    form_24 = -t.power(-12) * (
-        t[1] * t[7] * (t[4] + t[6]) * t.inv(5) ** 2 * t.inv(4)
-        + t[1] * t[7] * (t[5] + t[7]) * t.inv(6) ** 2 * t.inv(5)
-    )
-    form_23 = y_inv * t[6] * t[7] * t.inv(4) * t.inv(5)
-    det = named_matrix(7, (3, 3, 4, 4)).det()
-    return [
-        _claim("B44*B23 - B43*B24 nonzero", not first.is_zero(), first),
-        _claim("B32*B44 - B42*B34 = 1 + i", second == _ONE + zeta(4), second),
-        _claim("B32*B44 = (sqrt(2) - 1)/y",
-               b(3, 2) * b(4, 4) == (sqrt2 - _ONE) * y_inv, b(3, 2) * b(4, 4)),
-        _claim("B42*B34 = -1/y", b(4, 2) * b(3, 4) == -y_inv, b(4, 2) * b(3, 4)),
-        _claim("B44 matches its bracket form", b(4, 4) == form_44, b(4, 4)),
-        _claim("B43 matches its bracket form", b(4, 3) == form_43, b(4, 3)),
-        _claim("B24 matches its bracket form", b(2, 4) == form_24, b(2, 4)),
-        _claim("B23 = [6]'[7]'/(y [4]' [5]')", b(2, 3) == form_23, b(2, 3)),
-        _claim("det B nonzero", not det.is_zero(), det),
-    ]
-
-
-def _verify_lemma_3c() -> list:
-    from .braiding import lemma_3c_entry, named_matrix
-    entry = lemma_3c_entry()
-    t = MinimalModel(11, 12).sides[1]
-    y = t.power(4)
-    product = (
-        y ** 6
-        * t[1] ** 3 * t.inv(2) ** 3
-        * (t[1] + t[3]) * t.inv(3)
-        * t[10] * t[9] * t[8] * t.inv(7) * t.inv(6) * t.inv(5)
-        * (t[3] * t[4] + t[1] * t[4] + t[1] * t[2]) * t.inv(3) * t.inv(4)
-    )
-    det = named_matrix(11, (2, 2, 2, 2)).det()
-    return [
-        _claim("B21 nonzero", not entry.is_zero(), entry),
-        _claim("B21 matches its bracket product", entry == product, entry),
-        _claim("det B nonzero", not det.is_zero(), det),
-    ]
+def _verify_lemma(lemma: str) -> list:
+    from .braiding import lemma_claims
+    return [_claim(name, not value.is_zero() if want is None else value == want, value)
+            for name, value, want in lemma_claims(lemma)]
 
 
 def _replay(system: str, fail_name: str, claim: str, shown: str | None = None) -> list:
@@ -413,8 +366,8 @@ def _verify_fusion(name: str) -> list:
 
 
 _VERIFY = {
-    "lemma-5a": _verify_lemma_5a,
-    "lemma-3c": _verify_lemma_3c,
+    "lemma-5a": partial(_verify_lemma, "5A"),
+    "lemma-3c": partial(_verify_lemma, "3C"),
     "uniqueness-5a": _verify_uniqueness_5a,
     "uniqueness-3c": _verify_uniqueness_3c,
     "chains-5a": partial(_verify_chains, "5A"),

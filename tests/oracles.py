@@ -5,8 +5,9 @@ package: plain complex floats for the braid recursion, a numpy S-matrix
 for fusion multiplicities, integer power iteration for quantum
 dimensions, the permutation expansion for determinants, dense long
 division by a Moebius-product cyclotomic polynomial for the reduction
-into the power basis, and plain dictionary sums for the fusion-ring
-axioms.  Nothing imports from minmod.
+into the power basis, plain dictionary sums for the fusion-ring
+axioms, and images in F_l at a split prime l for exact field values.
+Nothing imports from minmod.
 """
 import cmath
 import functools
@@ -351,3 +352,42 @@ def reduce_mod_cyclotomic(n, coeffs):
     1, zeta_n, ..., zeta_n^(phi-1): the remainder of plain long division
     by Phi_n over every one of its coefficients."""
     return _long_divide(coeffs, cyclotomic_poly(n))[1]
+
+
+# -- split-prime images -------------------------------------------------------
+#
+# For a prime l = 1 mod N, reduction mod l is a ring map from Q(zeta_n),
+# n | N, to F_l that sends zeta_n to w^((l-1)/n) for a primitive root w:
+# a nonzero image proves a value nonzero.  Only int and pow are used.
+
+def _prime_factors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def split_prime(n):
+    """(l, w): the least prime l >= 2^31 with l = 1 mod n, and the least
+    primitive root w mod l."""
+    ell = 2**31 + (1 - 2**31) % n
+    while _prime_factors(ell) != [ell]:
+        ell += n
+    rs = _prime_factors(ell - 1)
+    w = next(g for g in range(2, ell) if all(pow(g, (ell - 1) // r, ell) != 1 for r in rs))
+    return ell, w
+
+
+def image(value, ell, w):
+    """The image in F_l of a cyclotomic value: sum c_k zeta_n^k with
+    zeta_n -> w^((l-1)/n), read from its order n and coefficients c_k.
+    A denominator that l divides raises ValueError."""
+    n = value.order
+    assert (ell - 1) % n == 0, (ell, n)
+    zeta = pow(w, (ell - 1) // n, ell)
+    return sum(c.numerator * pow(c.denominator, -1, ell) * pow(zeta, k, ell)
+               for k, c in enumerate(value.coefficients)) % ell

@@ -264,14 +264,36 @@ def m_peeled(query):
 def peel(query, a1):
     """r(a, m, n, c)_{b,d}, m > 2, as the sum over d1 = d -+ 1 of
     r(a, 2, n, d1)_{a1,d} * r(a1, m-1, n, c)_{b,d1}; a product whose
-    m - 1 factor is zero is skipped."""
-    bound = query.side.bound
+    m - 1 factor is zero is skipped.
+
+    The m - 1 factors peel the same way, each through its smallest
+    splitting index, down to a base case of m_peeled.  The factors of one
+    level differ only in d, so the chain is walked as rows over d: down
+    to list the d's each level is asked at, then up in a loop, and m sets
+    no Python stack depth."""
+    levels = [(query, a1, {query.d})]
+    while True:
+        q, a, ds = levels[-1]
+        tail = q._replace(a=a, m=q.m - 1)
+        ds = {d1 for d in ds for d1 in (d - 1, d + 1) if 0 < d1 < q.side.bound}
+        live = {d for d in ds if braiding._supported(tail._replace(d=d))}
+        if tail.m == 2 or tail.n == 1 or not live:
+            row = {d: m_peeled(tail._replace(d=d)) for d in ds}
+            break
+        levels.append((tail, splittings(q.side, tail.a, tail.m, tail.b)[0], live))
+    for q, a, ds in reversed(levels):
+        row = {d: peel_step(q._replace(d=d), a, row) for d in ds}
+    return row[query.d]
+
+
+def peel_step(query, a1, tails):
+    """The sum of peel, with r(a1, m-1, n, c)_{b,d1} read from tails;
+    a d1 missing from tails has a zero factor."""
     total = ZERO
     for d1 in (query.d - 1, query.d + 1):
-        if 0 < d1 < bound:
-            tail = m_peeled(query._replace(a=a1, m=query.m - 1, d=d1))
-            if tail:
-                total = total + m_peeled(query._replace(m=2, c=d1, b=a1)) * tail
+        tail = tails.get(d1)
+        if tail:
+            total = total + m_peeled(query._replace(m=2, c=d1, b=a1)) * tail
     return total
 
 
@@ -656,6 +678,37 @@ def test_3c_entry_exact():
     assert entry == (5 - 3 * SQRT3) * Fraction(1, 2)
     assert entry.is_real()
     assert abs(_embed(entry) - (5 - 3 * math.sqrt(3)) / 2) < 1e-12
+
+
+def test_lemma_claims_hold_at_a_split_prime():
+    # an exact second route that uses neither is_zero nor ==: at a prime
+    # l = 1 mod 96 every lemma value, in Q(zeta_32) or Q(zeta_48), has an
+    # image in F_l; a nonzero image proves the value nonzero
+    ell, w = oracles.split_prime(96)
+    assert ell % 96 == 1
+    rows = [*braiding.lemma_claims("5A"), *braiding.lemma_claims("3C")]
+    assert len(rows) == 12
+    for name, value, want in rows:
+        got = oracles.image(value, ell, w)
+        if want is None:
+            assert got != 0, name
+        else:
+            assert got == oracles.image(want, ell, w), name
+
+
+def test_split_prime_image_is_a_ring_map():
+    ell, w = oracles.split_prime(96)
+    values = [value for _, value, _ in braiding.lemma_claims("5A")]
+    values += [zeta(96, 5), zeta(3), I, SQRT2 - Fraction(1, 3)]
+    image = lambda x: oracles.image(x, ell, w)
+    for n in (3, 4, 32, 48, 96):
+        # zeta_n goes to an element of order exactly n
+        z = image(zeta(n))
+        assert pow(z, n, ell) == 1
+        assert all(pow(z, n // r, ell) != 1 for r in (2, 3) if n % r == 0)
+    for x, y in itertools.product(values, repeat=2):
+        assert image(x * y) == image(x) * image(y) % ell
+        assert image(x - y) == (image(x) - image(y)) % ell
 
 
 def test_3c_entry_bracket_form():

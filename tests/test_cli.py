@@ -331,6 +331,24 @@ def test_verify_failing_check_exits_1(capsys, monkeypatch):
     assert (first["name"], first["status"]) == ("B44*B23 - B43*B24 nonzero", "fail")
 
 
+def test_verify_fails_a_wrong_claim(capsys, monkeypatch):
+    # B23 with y where the paper has 1/y, the slip of its displayed form
+    claims = braiding.lemma_claims
+    y2 = minimal.Side(8, 7).power(8)
+
+    def with_slip(lemma):
+        return [(name, value, want * y2 if name.startswith("B23") else want)
+                for name, value, want in claims(lemma)]
+
+    monkeypatch.setattr(braiding, "lemma_claims", with_slip)
+    code, report = run_json(capsys, "verify", "lemma-5a")
+    assert code == 1
+    statuses = {c["name"]: c["status"] for c in report["checks"]}
+    assert len(statuses) == 9
+    assert statuses.pop("B23 = [6]'[7]'/(y [4]' [5]')") == "fail"
+    assert set(statuses.values()) == {"pass"}
+
+
 def test_verify_uniqueness_3c_claim(capsys):
     code, report = run_json(capsys, "verify", "uniqueness-3c")
     assert code == 0
