@@ -166,17 +166,23 @@ class SectorProduct(NamedTuple):
     extras: tuple[tuple[tuple[ModuleLabel, ...], int], ...]
 
 
+def _matched(alg: GradedAlgebra, a: Sector, b: Sector) -> tuple[list, tuple[Sector, ...]]:
+    # the factorwise products of a and b, and the sectors they assemble
+    fused = [fuse(x, y) for x, y in zip(a.components, b.components)]
+    return fused, tuple(sector for sector in alg.sectors
+                        if all(t in f for f, t in zip(fused, sector.components)))
+
+
 def sector_fusion(alg: GradedAlgebra, a: Sector, b: Sector) -> SectorProduct:
     """Fuse two sectors factor by factor and combine by the product rule."""
     for sector in (a, b):
         if sector not in alg.sectors:
             raise ValueError(f"{sector.name} is not a sector of the {alg.name} algebra")
-    fused = [fuse(x, y) for x, y in zip(a.components, b.components)]
-    terms = tuple((sector, 1) for sector in alg.sectors
-                  if all(t in f for f, t in zip(fused, sector.components)))
-    matched = {sector.components for sector, _ in terms}
+    fused, matched = _matched(alg, a, b)
+    components = {sector.components for sector in matched}
     return SectorProduct(
-        terms, tuple((labels, 1) for labels in product(*fused) if labels not in matched)
+        tuple((sector, 1) for sector in matched),
+        tuple((labels, 1) for labels in product(*fused) if labels not in components),
     )
 
 
@@ -198,7 +204,7 @@ def _closure_check(alg: GradedAlgebra, subset: tuple[Sector, ...], name: str) ->
     offenders = []
     for a in subset:
         for b in subset:
-            for sector, _ in sector_fusion(alg, a, b).terms:
+            for sector in _matched(alg, a, b)[1]:
                 if sector not in allowed:
                     offenders.append(f"{a.name}*{b.name} -> {sector.name}")
     if offenders:

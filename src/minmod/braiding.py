@@ -19,7 +19,7 @@ from functools import lru_cache, partial
 from math import prod
 from typing import NamedTuple
 
-from .exact import CyclotomicNumber, echelon, zeta
+from .exact import CyclotomicNumber, DivisionByZero, echelon, zeta
 from .minimal import MinimalModel, ModelMismatch, ModuleLabel, NonUnitaryModel, Side, fuse
 
 
@@ -121,12 +121,32 @@ def r_matrix(query: RQuery) -> CyclotomicNumber:
 
 
 def _brackets(side: Side, *ls: int) -> CyclotomicNumber:
-    # prod [l] over ls, with 1/[-l] for each l < 0
-    value = _ONE
+    # prod [l] over ls, with 1/[-l] for each l < 0.  On Side(b, o),
+    # [l + b] = (-1)^o [l] and [b - l] = (-1)^(o+1) [l], so each l folds to
+    # f = min(l mod b, b - l mod b) with that sign, and ups cancel downs
+    # of the same f.  A [0 mod b] makes the product zero, or raises
+    # DivisionByZero below the line.
+    b, o = side.bound, side.other
+    tally, flip, vanishes = Counter(), 0, False
     for l in ls:
-        factor = side[l] if l > 0 else side.inv(-l)
-        value = factor if value is _ONE else value * factor
-    return value
+        k, f = divmod(abs(l), b)
+        if f == 0:
+            if l < 0:
+                raise DivisionByZero("inverse of zero")
+            vanishes = True
+        elif 2 * f > b:
+            f = b - f
+            flip += o + 1
+        flip += k * o
+        tally[f] += 1 if l > 0 else -1
+    if vanishes:
+        return _ZERO
+    value = _ONE
+    for f, count in tally.items():
+        factor = side[f] if count > 0 else side.inv(f)
+        for _ in range(abs(count)):
+            value = factor if value is _ONE else value * factor
+    return -value if flip % 2 else value
 
 
 def _factorial_ratio(side: Side, ups, downs) -> CyclotomicNumber:

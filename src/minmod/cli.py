@@ -16,7 +16,9 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 from functools import lru_cache, partial
+from operator import mul
 from typing import NamedTuple
 
 # braiding and algebra are imported inside the functions that read them,
@@ -25,9 +27,6 @@ from .exact import CyclotomicNumber, zeta
 from .minimal import (
     MinimalModel, ModuleLabel, check_fusion_ring, fuse, qdim, qdim_tensor,
 )
-
-_ONE = CyclotomicNumber.from_rational(1)
-
 
 # -- reports ----------------------------------------------------------------
 
@@ -109,20 +108,24 @@ def _fmt_complex(approx) -> str:
 # Values whose conductor divides 24 lie in Q(sqrt2, sqrt3, i) and get a
 # readable second rendering.  The eight products b below are orthogonal
 # under the trace form of Q(zeta_24), with b^2 the rational _RADICAL_SQUARES,
-# so the coordinate on b is Tr(x*b)/(8*b^2).  On the power basis of
-# Q(zeta_24) the trace of y is 8*y_0 + 4*y_4.
+# so the coordinate on b is Tr(x*b)/(8*b^2).  Each b is a sum of powers of
+# zeta_24, so Tr(x*b) is the dot product of x's power-basis coefficients
+# with the integers Tr(zeta_24^e * b), read off Tr = 8*y_0 + 4*y_4.
 
 _RADICAL_NAMES = ("", "sqrt(2)", "sqrt(3)", "sqrt(6)",
                   "i", "sqrt(2)*i", "sqrt(3)*i", "sqrt(6)*i")
 _RADICAL_SQUARES = (1, 2, 3, 6, -1, -2, -3, -6)
+# 1, sqrt2 = z^3 + z^-3, sqrt3 = z^2 + z^-2 and sqrt6 as exponents of z =
+# zeta_24; i = z^6 shifts them to the other four
+_RADICAL_EXPONENTS = ((0,), (3, 21), (2, 22), (1, 5, 19, 23))
 
 
 @lru_cache(maxsize=1)
-def _radical_basis() -> tuple:
-    # in Q(zeta_24), so that its product with any value there has 8 coordinates
-    s2, s3 = zeta(8) + zeta(8, -1), zeta(12) + zeta(12, -1)
-    reals = (_ONE, s2, s3, s2 * s3)
-    return tuple(b.promote(24) for b in reals + tuple(zeta(4) * b for b in reals))
+def _trace_rows() -> tuple:
+    # row b: Tr(zeta_24^e * b) for e < 8, one integer per power-basis slot
+    traces = [int(8 * y[0] + 4 * y[4]) for y in (zeta(24, k).coefficients for k in range(24))]
+    return tuple(tuple(sum(traces[(e + a + shift) % 24] for a in exps) for e in range(8))
+                 for shift in (0, 6) for exps in _RADICAL_EXPONENTS)
 
 
 def as_radical(value: CyclotomicNumber) -> str | None:
@@ -130,10 +133,10 @@ def as_radical(value: CyclotomicNumber) -> str | None:
     value = value.at_conductor()
     if 24 % value.order:
         return None
+    value = value.promote(24)
     parts = []
-    for b, square, name in zip(_radical_basis(), _RADICAL_SQUARES, _RADICAL_NAMES):
-        y = (value * b).coefficients
-        coeff = (y[0] + y[4] / 2) / square
+    for row, square, name in zip(_trace_rows(), _RADICAL_SQUARES, _RADICAL_NAMES):
+        coeff = Fraction(sum(map(mul, value._num, row)), 8 * square * value._den)
         if not coeff:
             continue
         mag = abs(coeff)

@@ -64,25 +64,23 @@ def _cyclotomic(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_tail(n: int) -> tuple[tuple[int, int], ...]:
-    # The nonzero terms (k, -c_k) of the monic Phi_n below its leading
-    # one, so zeta_n^phi = sum of -c_k * zeta_n^k.  Phi_n is sparse at the
-    # orders used here (30 terms at n = 2208, where phi = 704).
+def _field(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    # What every _reduce at n reads: phi and the nonzero terms (k, -c_k)
+    # of the monic Phi_n below its leading one, so zeta_n^phi = sum of
+    # -c_k * zeta_n^k.  Phi_n is sparse at the orders used here (30 terms
+    # at n = 2208, where phi = 704).
     poly = _cyclotomic(n)
-    return tuple((k, -c) for k, c in enumerate(poly[:-1]) if c)
-
-
-def _degree(n: int) -> int:
-    return len(_cyclotomic(n)) - 1
+    return len(poly) - 1, tuple((k, -c) for k, c in enumerate(poly[:-1]) if c)
 
 
 def _reduce(vec: list[int], n: int) -> list[int]:
-    # vec holds coefficients for exponents 0..len(vec)-1, below 2n.
-    # zeta_n^n = 1 folds the exponents from n up; for even n,
-    # zeta_n^(n/2) = -1 then folds the upper half; then long division by
-    # Phi_n, top exponent down, visits only its nonzero terms.
-    phi = _degree(n)
-    out = list(vec) + [0] * (phi - len(vec))
+    # vec holds coefficients for exponents 0..len(vec)-1, below 2n, and is
+    # reduced in place.  zeta_n^n = 1 folds the exponents from n up; for
+    # even n, zeta_n^(n/2) = -1 then folds the upper half; then long
+    # division by Phi_n, top exponent down, visits only its nonzero terms.
+    phi, tail = _field(n)
+    out = vec
+    out += [0] * (phi - len(out))
     if len(out) > n:
         for j in range(n, len(out)):
             out[j - n] += out[j]
@@ -93,7 +91,6 @@ def _reduce(vec: list[int], n: int) -> list[int]:
             out[j - half] -= out[j]
         del out[half:]
     if len(out) > phi:
-        tail = _reduction_tail(n)
         for j in range(len(out) - 1, phi - 1, -1):
             c = out[j]
             if c:
@@ -225,19 +222,23 @@ class CyclotomicNumber:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        # a zero summand whose field lies inside the other's changes nothing
-        if other.order % self.order == 0 and not any(self._num):
-            return other
-        if self.order % other.order == 0 and not any(other._num):
-            return self
-        a, b = self._pair(other)
-        den = lcm(a._den, b._den)
-        fa, fb = den // a._den, den // b._den
-        vec = [fa * x + fb * y for x, y in zip(a._num, b._num)]
-        return CyclotomicNumber._raw(a.order, vec, den)
+        if other.__class__ is not CyclotomicNumber or other.order != self.order:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+            # a zero summand whose field lies inside the other's changes nothing
+            if other.order % self.order == 0 and not any(self._num):
+                return other
+            if self.order % other.order == 0 and not any(other._num):
+                return self
+            self, other = self._pair(other)
+        if self._den == other._den:
+            den, vec = self._den, [x + y for x, y in zip(self._num, other._num)]
+        else:
+            den = lcm(self._den, other._den)
+            fa, fb = den // self._den, den // other._den
+            vec = [fa * x + fb * y for x, y in zip(self._num, other._num)]
+        return CyclotomicNumber._raw(self.order, vec, den)
 
     __radd__ = __add__
 
@@ -245,11 +246,10 @@ class CyclotomicNumber:
         return CyclotomicNumber._raw(self.order, [-c for c in self._num], self._den)
 
     def __sub__(self, other):
-        pair = self._pair(other)
-        if pair is None:
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        a, b = pair
-        return a + (-b)
+        return self + (-other)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -257,13 +257,17 @@ class CyclotomicNumber:
     def __mul__(self, other):
         # Both factors go straight into Q(zeta_n), n the least common
         # order: x_i * y_j lands at exponent i*(n/n1) + j*(n/n2).
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = lcm(self.order, other.order)
+        n = self.order
+        if other.__class__ is CyclotomicNumber and other.order == n:
+            s = t = 1
+        else:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+            n = lcm(n, other.order)
+            s, t = n // self.order, n // other.order
         if not any(self._num) or not any(other._num):
-            return CyclotomicNumber._raw(n, [0] * _degree(n), 1)
-        s, t = n // self.order, n // other.order
+            return CyclotomicNumber._raw(n, [0] * _field(n)[0], 1)
         ys = [(j * t, y) for j, y in enumerate(other._num) if y]
         conv = [0] * ((len(self._num) - 1) * s + (len(other._num) - 1) * t + 1)
         for i, x in enumerate(self._num):
@@ -332,6 +336,8 @@ class CyclotomicNumber:
     # -- predicates -------------------------------------------------------
 
     def __eq__(self, other):
+        if other.__class__ is CyclotomicNumber and other.order == self.order:
+            return self._num == other._num and self._den == other._den
         pair = self._pair(other)
         if pair is None:
             return NotImplemented

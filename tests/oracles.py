@@ -389,5 +389,11 @@ def image(value, ell, w):
     n = value.order
     assert (ell - 1) % n == 0, (ell, n)
     zeta = pow(w, (ell - 1) // n, ell)
-    return sum(c.numerator * pow(c.denominator, -1, ell) * pow(zeta, k, ell)
-               for k, c in enumerate(value.coefficients)) % ell
+    coefficients = value.coefficients
+    den = math.lcm(*(c.denominator for c in coefficients))
+    # running powers of zeta, and one inverse of the common denominator
+    total, power = 0, 1
+    for c in coefficients:
+        total += c.numerator * (den // c.denominator) * power
+        power = power * zeta % ell
+    return total * pow(den, -1, ell) % ell

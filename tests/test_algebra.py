@@ -393,6 +393,22 @@ def test_degenerate_fact_is_refused(monkeypatch, name, message, change, facts):
         solve_sector_system(change(system) if change else system)
 
 
+def test_nonzero_facts_have_a_nonzero_split_prime_image():
+    # m1, m2, the row (4,3) pivot B[4,4]*Bt[4,3] and the 3C entry B[2,1],
+    # proved nonzero by a second route: a nonzero image in F_l at a prime
+    # l = 1 mod the value's order, which uses neither is_zero nor ==
+    facts = []
+    for name, replay in algebra._REPLAYS.items():
+        rows = {eq.label: eq.coefficients for eq in build_sector_system(name).equations}
+        facts += [(name, fact, value(rows)) for fact, value in replay.nonzero]
+    assert [fact for _, fact, _ in facts] == [
+        "the (4,4)/(2,3) minor", "the (3,2)/(4,4) minor", "row (4,3) pivot",
+        "the (2,1) braid entry"]
+    for name, fact, value in facts:
+        ell, w = oracles.split_prime(value.order)
+        assert oracles.image(value, ell, w) != 0, (name, fact)
+
+
 RESIDUALS_5A = {
     "(2,2)": 10 - 8 * SQRT2,
     "(3,3)": 3 - 3 * SQRT2,

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -393,6 +394,83 @@ def test_6j_sum_matches_m_peeling_on_drawn_entries(ps, draws):
             for _ in range(draws):
                 query = RQuery(side, *drawn_entry(side, rng))
                 assert identical(braiding._r_value(query), m_peeled(query)), query
+
+
+# -- the folded bracket product, against the plain loop it replaced ----------
+
+
+def plain_brackets(side, *ls):
+    """prod [l] over ls, with 1/[-l] for each l < 0, one factor at a time."""
+    value = ONE
+    for l in ls:
+        factor = side[l] if l > 0 else side.inv(-l)
+        value = factor if value is ONE else value * factor
+    return value
+
+
+def plain_factorial_ratio(side, ups, downs):
+    """prod [u]! / prod [v]!, [l] taken #{u >= l} - #{v >= l} times, unfolded."""
+    tally, run, ls = Counter(ups), 0, []
+    tally.subtract(downs)
+    for l in range(max(tally), 0, -1):
+        run += tally[l]
+        ls += [l if run > 0 else -l] * abs(run)
+    return plain_brackets(side, *ls)
+
+
+def bits(value):
+    return value.order, value._num, value._den
+
+
+def plain_r_value(query, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(braiding, "_factorial_ratio", plain_factorial_ratio)
+        return braiding._r_value(query)
+
+
+def test_folded_r_values_match_the_plain_loop_at_small_bounds(monkeypatch):
+    # every supported entry with m, n > 1 on both sides of (p, p+1), p <= 7
+    count = 0
+    for p in range(3, 8):
+        for side in MinimalModel(p, p + 1).sides:
+            for i in supported_entries(side):
+                if i[1] > 1 and i[2] > 1:
+                    query = RQuery(side, *i)
+                    assert bits(braiding._r_value(query)) == bits(
+                        plain_r_value(query, monkeypatch)), query
+                    count += 1
+    assert count > 1000
+
+
+def test_folded_r_values_match_the_plain_loop_on_drawn_entries(monkeypatch):
+    # both unitary sides of each bound 11..30, and one side whose other
+    # index is odd at an odd bound, which no unitary model has
+    rng = random.Random(33)
+    for bound in range(11, 31):
+        odd = next(o for o in range(bound + 2, 3 * bound) if o % 2 and math.gcd(o, bound) == 1)
+        for side in (Side(bound, bound + 1), Side(bound, bound - 1), Side(bound, odd)):
+            for _ in range(3):
+                query = RQuery(side, *drawn_entry(side, rng))
+                assert bits(braiding._r_value(query)) == bits(
+                    plain_r_value(query, monkeypatch)), query
+
+
+def test_folded_brackets_match_the_plain_product():
+    rng = random.Random(8)
+    for bound, other in ((3, 4), (4, 3), (7, 8), (8, 7), (9, 4), (11, 12), (12, 11), (13, 5)):
+        side = Side(bound, other)
+        units = [l for l in range(1, 3 * bound) if l % bound]
+        for _ in range(12):
+            ls = [rng.choice(units) * rng.choice((1, -1)) for _ in range(rng.randint(0, 8))]
+            assert braiding._brackets(side, *ls) == plain_brackets(side, *ls), (side, ls)
+            # a [0 mod b] above the line makes the product zero, below it
+            # a division by zero, wherever it stands
+            zero = bound * rng.randint(1, 2)
+            at = rng.randint(0, len(ls))
+            assert braiding._brackets(side, *ls[:at], zero, *ls[at:]).is_zero()
+            for route in (braiding._brackets, plain_brackets):
+                with pytest.raises(DivisionByZero):
+                    route(side, *ls[:at], -zero, *ls[at:], zero)
 
 
 def test_r_matrix_does_not_recurse_on_m():

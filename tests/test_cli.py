@@ -217,6 +217,39 @@ def test_radical_renderings_rebuild_their_values(capsys):
     assert rendered
 
 
+def _radical_by_products(value):
+    # the rendering as it was read off eight field products: the coordinate
+    # on b is (y_0 + y_4/2)/b^2, y the Q(zeta_24) coefficients of x*b
+    value = value.at_conductor()
+    if 24 % value.order:
+        return None
+    parts = []
+    squares = (1, 2, 3, 6, -1, -2, -3, -6)
+    for b, square, name in zip(_radical_basis(), squares, _RADICAL_NAMES):
+        y = (value * b.promote(24)).coefficients
+        coeff = (y[0] + y[4] / 2) / square
+        if coeff:
+            mag = abs(coeff)
+            body = str(mag) if not name else name if mag == 1 else f"{mag}*{name}"
+            sign = ("" if coeff > 0 else "-") if not parts else ("+ " if coeff > 0 else "- ")
+            parts.append(sign + body)
+    return " ".join(parts) if parts else "0"
+
+
+def test_radical_dot_products_match_the_field_products():
+    # random values of Q(zeta_24) and of each of its subfields, in their
+    # own field and promoted, spelled alike by the trace rows
+    rng = random.Random(33)
+    for order in (1, 2, 3, 4, 6, 8, 12, 24):
+        for _ in range(12):
+            value = sum((Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                         * zeta(order, rng.randrange(order))
+                         for _ in range(rng.randint(0, 4))),
+                        CyclotomicNumber.from_rational(0))
+            for shown in (value, value.promote(24), value.promote(48)):
+                assert cli.as_radical(shown) == _radical_by_products(shown), shown
+
+
 def test_braid_entry_example(capsys):
     code, out, err = run(
         capsys,

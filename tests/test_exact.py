@@ -268,6 +268,42 @@ def test_sine_inv_closed_form_is_the_field_inverse():
                 sine_inv(k, b)
 
 
+# -- split-prime images: a ring map into F_l that shares no code with exact ----
+
+
+def _sparse(order, rng, den):
+    # a few random powers of zeta_order over one denominator
+    return CyclotomicNumber.from_rational(rng.randint(-5, 5)) / den + sum(
+        (zeta(order, rng.randrange(order)) * rng.randint(-5, 5) for _ in range(3)),
+        CyclotomicNumber.from_rational(0))
+
+
+@pytest.mark.parametrize("order", (*_INVERSE_ORDERS, 2208))
+def test_split_prime_image_is_a_field_homomorphism(order):
+    # At l = 1 mod order, zeta_order -> w^((l-1)/order) maps Q(zeta_order)
+    # into F_l.  Operands of one order run the same-order paths of +, *
+    # and ==; a divisor's operand runs the mixed-order ones.
+    ell, w = oracles.split_prime(order)
+    image = lambda x: oracles.image(x, ell, w)
+    rng = random.Random(order)
+    divisors = [d for d in range(1, order) if order % d == 0] or [1]
+    for draw in range(2):
+        x, y = (_sparse(order, rng, rng.choice((1, 1, 2, 3))) for _ in range(2))
+        z = _sparse(rng.choice(divisors), rng, rng.choice((1, 4)))
+        for a, b in ((x, y), (x, z), (z, x), (y, y)):
+            assert image(a + b) == (image(a) + image(b)) % ell
+            assert image(a - b) == (image(a) - image(b)) % ell
+            assert image(a * b) == image(a) * image(b) % ell
+            assert (a == b) == (image(a) == image(b))
+        assert z.promote(order) == z and x == (x + y) - y
+        for a in (x, z):
+            if a:
+                assert image(a.inv()) == pow(image(a), -1, ell)
+            k = next(k for k in range(rng.randrange(1, a.order + 1), 2 * a.order + 1)
+                     if math.gcd(k, a.order) == 1)
+            assert image(a.conjugate(k)) == oracles.image(a, ell, pow(w, k, ell))
+
+
 # -- products across orders, against shift, convolve and reduce ---------------
 
 # The same order, order 1 against the largest field, divisor pairs both
