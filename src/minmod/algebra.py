@@ -10,8 +10,6 @@ structure constants, and the irreducible-module data with its fusion
 rules.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product

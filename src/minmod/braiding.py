@@ -12,8 +12,6 @@ stays in the smaller field when one side is trivial.  Every nonvanishing
 claim is a decidable coefficient comparison.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from functools import lru_cache, partial
 from math import prod

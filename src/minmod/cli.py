@@ -9,8 +9,6 @@ a verification check failed or the exact arithmetic broke down, 2 on
 unusable arguments.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -130,9 +128,10 @@ def _trace_rows() -> tuple:
 
 def as_radical(value: CyclotomicNumber) -> str | None:
     """Render value over Q(sqrt2, sqrt3, i) when it lives there."""
-    value = value.at_conductor()
     if 24 % value.order:
-        return None
+        value = value.at_conductor()
+        if 24 % value.order:
+            return None
     value = value.promote(24)
     parts = []
     for row, square, name in zip(_trace_rows(), _RADICAL_SQUARES, _RADICAL_NAMES):

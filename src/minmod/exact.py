@@ -178,28 +178,32 @@ class CyclotomicNumber:
         vec[::t] = self._num
         return CyclotomicNumber._raw(order, _reduce(vec, order), self._den)
 
+    def _descend(self, p: int) -> "CyclotomicNumber":
+        # The trace to Q(zeta_{n/p}) over the degree, p a prime of the
+        # order n; the value itself when it lies there.  When p^2 | n,
+        # Phi_n(X) = Phi_{n/p}(X^p) and this is the slice of exponents p
+        # divides.  Otherwise zeta_n^e traces to zeta_{n/p}^(e/p mod n/p)
+        # times p - 1 if p | e, else -1.
+        m = self.order // p
+        if m % p == 0:
+            return CyclotomicNumber._raw(m, list(self._num[::p]), self._den)
+        vec, r = [0] * m, pow(p, -1, m)
+        for e, c in enumerate(self._num):
+            if c:
+                vec[e * r % m] += c * (p - 1) if e % p == 0 else -c
+        return CyclotomicNumber._raw(m, _reduce(vec, m), self._den * (p - 1))
+
     def at_conductor(self) -> "CyclotomicNumber":
         """The same value in Q(zeta_c), c the least order whose field holds it.
 
         Each prime p of the order n is taken off while the value lies in
-        Q(zeta_{n/p}), that is while its trace there over the degree, y,
-        promotes back to it.  When p^2 | n, Phi_n(X) = Phi_{n/p}(X^p) and y
-        is the slice of exponents p divides.  Otherwise zeta_n^e traces to
-        zeta_{n/p}^(e/p mod n/p) times p - 1 if p | e, else -1.
+        Q(zeta_{n/p}), that is while its descent there promotes back to it.
         """
         x = self
         for p in _primes(self.order):
             while x.order % p == 0:
-                n, m = x.order, x.order // p
-                if m % p == 0:
-                    y = CyclotomicNumber._raw(m, list(x._num[::p]), x._den)
-                else:
-                    vec, r = [0] * m, pow(p, -1, m)
-                    for e, c in enumerate(x._num):
-                        if c:
-                            vec[e * r % m] += c * (p - 1) if e % p == 0 else -c
-                    y = CyclotomicNumber._raw(m, _reduce(vec, m), x._den * (p - 1))
-                if y.promote(n) != x:
+                y = x._descend(p)
+                if y.promote(x.order) != x:
                     break
                 x = y
         return x
@@ -282,29 +286,22 @@ class CyclotomicNumber:
     def inv(self) -> "CyclotomicNumber":
         """Multiplicative inverse; raises DivisionByZero on zero.
 
-        x^-1 = c / (x*c), with c the product of x's images under the
-        Galois maps that fix a subfield, so that x*c lies in it.  When r^2
-        divides the order n, the maps zeta -> zeta^(1 + j*n/r) fix
-        Q(zeta_{n/r}), and Phi_n(X) = Phi_{n/r}(X^r) puts x*c there at
-        every r-th coefficient.  Otherwise n is squarefree, and the maps of
-        each odd prime r in turn (all k = 1 mod n/r but the one k = 0 mod r)
-        leave a rational.  The result keeps the order n.
+        One prime at a time, smallest first: with p the least prime of the
+        order n, c is the product of x's images under the Galois maps of
+        Q(zeta_n) over Q(zeta_{n/p}) but the identity, so x*c lies in that
+        subfield, and x^-1 = c / (x*c) inverts x*c there, through the same
+        descent step as at_conductor.  A large prime's many conjugates are
+        thus taken in the smallest field.  The result keeps the order n.
         """
         if not any(self._num):
             raise DivisionByZero("inverse of zero")
         n = self.order
-        primes = _primes(n)
-        r = next((p for p in primes if n % (p * p) == 0), None)
-        if r is not None:
-            c = prod(self.conjugate(1 + j * (n // r)) for j in range(1, r))
-            y = self * c
-            return c * CyclotomicNumber._raw(n // r, list(y._num[::r]), y._den).inv()
-        c, y = zeta(n, 0), self
-        for r in (p for p in primes if p > 2):
-            ks = (1 + j * (n // r) for j in range(1, r))
-            norm = prod(y.conjugate(k) for k in ks if k % r)
-            c, y = c * norm, y * norm
-        return c * Fraction(y._den, y._num[0])
+        if n <= 2:
+            return CyclotomicNumber._raw(n, [self._den], self._num[0])
+        p = _primes(n)[0]
+        ks = range(1 + n // p, n, n // p)
+        c = prod((self.conjugate(k) for k in ks if k % p), start=zeta(n, 0))
+        return c * (self * c)._descend(p).inv()
 
     def __truediv__(self, other):
         other = self._coerce(other)

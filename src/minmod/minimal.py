@@ -13,8 +13,6 @@ in Q(zeta_{2p}) and one in Q(zeta_{2q}), whose product lives in
 Q(zeta_{2pq}).
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain

@@ -2,6 +2,7 @@
 import cmath
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +22,12 @@ ONE = CyclotomicNumber.from_rational(1)
 
 _SMALL_ORDERS = (8, 16, 24)
 _ALL_ORDERS = (8, 16, 24, 224, 528)
-# Every branch of CyclotomicNumber.inv: rational, 2-power, odd prime
-# square, squarefree odd, twice squarefree, and mixed orders.
+# Every descent shape of CyclotomicNumber.inv, which takes the least
+# prime p off the order n at each step: the rational orders 1 and 2; the
+# slice when p^2 | n (4, 32, 9, 25, 49); the re-expression when
+# n = 2 mod 4 (30, 66); the trace at an odd p not dividing n/p (15); three
+# primes, smallest first (105, 182, 728); and slices that end in a
+# re-expression and a trace (224, 288).
 _INVERSE_ORDERS = (1, 2, 4, 32, 9, 25, 49, 15, 105, 30, 66, 182, 224, 288, 728)
 
 
@@ -65,6 +70,22 @@ def test_inverse_of_one_plus_zeta3():
     inverse = value.inv()
     assert inverse == ONE + zeta(3, 2)
     assert value * inverse == ONE
+
+
+def test_inverse_descends_smallest_prime_first(monkeypatch):
+    # At 435 = 3*5*29 one conjugate is taken at order 435 and three at
+    # 145 before the 27 of the prime 29, which are taken in Q(zeta_29).
+    orders = Counter()
+    conjugate = CyclotomicNumber.conjugate
+
+    def counted(self, k):
+        orders[self.order] += 1
+        return conjugate(self, k)
+
+    monkeypatch.setattr(CyclotomicNumber, "conjugate", counted)
+    value = zeta(435) + 2
+    assert value * value.inv() == ONE
+    assert orders == {435: 1, 145: 3, 29: 27}
 
 
 def test_embed_pinned_eighth_root():
@@ -165,7 +186,7 @@ def test_ring_associativity_and_distributivity(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-# one draw per order, so that each example runs every branch of inv; the
+# one draw per order, so that each example runs every descent shape; the
 # mixed orders get sparser draws, whose inverses are cheaper to invert
 @given(st.tuples(*(_values((n,), max_terms=2 if n > 200 else 4) for n in _INVERSE_ORDERS)))
 @settings(max_examples=10, deadline=None)

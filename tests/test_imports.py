@@ -18,6 +18,7 @@ import sys
 import types
 from collections import Counter
 from pathlib import Path
+from typing import ForwardRef
 
 import pytest
 
@@ -105,6 +106,23 @@ def test_bench_traced_names_resolve():
         importlib.import_module(module_name)
         owner, name = tracing._resolve(module_name, attr)
         assert name in vars(owner), (module_name, attr)
+
+
+def test_record_annotations_are_evaluated():
+    # typing.NamedTuple compiles each string field annotation, as under
+    # `from __future__ import annotations`, into a ForwardRef when the
+    # class is made, so every mm process would pay for them at import.
+    records, unevaluated = 0, []
+    for path in SOURCES:
+        module = minmod if path.stem == "__init__" else importlib.import_module(f"minmod.{path.stem}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == module.__name__:
+                notes = vars(obj).get("__annotations__", {})
+                records += bool(notes)
+                unevaluated += [f"{path.stem}.{name}.{field}" for field, note in notes.items()
+                            if isinstance(note, (str, ForwardRef))]
+    assert records > 10
+    assert unevaluated == []
 
 
 def run_python(*args):
