@@ -9,7 +9,6 @@ a verification check failed or the exact arithmetic broke down, 2 on
 unusable arguments.
 """
 
-import argparse
 import json
 import os
 import sys
@@ -215,8 +214,8 @@ def _qdim_row(name: str, exact: str, d) -> Check:
     return Check(name, "info", exact, _fmt_complex(d.approx))
 
 
-def cmd_info(args) -> Report:
-    model = MinimalModel(args.p, args.q)
+def cmd_info(p: int, q: int) -> Report:
+    model = MinimalModel(p, q)
     c = model.central_charge()
     checks = [Check("central charge", "info", str(c), _fmt_complex(float(c)))]
     for label in model.labels():
@@ -224,34 +223,31 @@ def cmd_info(args) -> Report:
     return Report(f"info ({model.p},{model.q})", checks)
 
 
-def cmd_fusion(args) -> Report:
-    model = MinimalModel(args.p, args.q)
-    a = ModuleLabel(model, *_pair(args.a))
-    b = ModuleLabel(model, *_pair(args.b))
+def cmd_fusion(p: int, q: int, a: str, b: str) -> Report:
+    model = MinimalModel(p, q)
+    a = ModuleLabel(model, *_pair(a))
+    b = ModuleLabel(model, *_pair(b))
     checks = [_qdim_row(f"({label.m},{label.n})", str(label.h), qdim(label))
               for label in fuse(a, b)]
-    command = (
-        f"fusion ({a.m},{a.n}) x ({b.m},{b.n}) at ({model.p},{model.q})"
-    )
-    return Report(command, checks)
+    return Report(f"fusion ({a.m},{a.n}) x ({b.m},{b.n}) at ({model.p},{model.q})", checks)
 
 
-def cmd_qdim(args) -> Report:
-    model = MinimalModel(args.p, args.q)
-    label = ModuleLabel(model, *_pair(args.label))
+def cmd_qdim(p: int, q: int, label: str) -> Report:
+    model = MinimalModel(p, q)
+    label = ModuleLabel(model, *_pair(label))
     d = qdim(label)
     check = _qdim_row(f"qdim ({label.m},{label.n})", _render_exact(d.exact), d)
     return Report(f"qdim ({label.m},{label.n}) at ({model.p},{model.q})", [check])
 
 
-def cmd_braid(args) -> Report:
+def cmd_braid(p: int, q: int, ext: str, entry: str | None) -> Report:
     from .braiding import braid_matrix
-    model = MinimalModel(args.p, args.q)
-    matrix = braid_matrix(model, _labels(model, args.ext, 4, "--ext"))
+    model = MinimalModel(p, q)
+    matrix = braid_matrix(model, _labels(model, ext, 4, "--ext"))
     checks = []
-    if args.entry:
-        mu, gamma = _labels(model, args.entry, 2, "--entry")
-        checks.append(_row(f"B[{args.entry}]", "info", matrix.entry(mu, gamma)))
+    if entry:
+        mu, gamma = _labels(model, entry, 2, "--entry")
+        checks.append(_row(f"B[{entry}]", "info", matrix.entry(mu, gamma)))
     else:
         for mu in matrix.rows:
             for gamma in matrix.cols:
@@ -259,25 +255,25 @@ def cmd_braid(args) -> Report:
                                    "info", matrix.entry(mu, gamma)))
         if len(matrix.rows) == len(matrix.cols):
             checks.append(_row("det", "info", matrix.det()))
-    return Report(f"braid {args.ext} at ({model.p},{model.q})", checks)
+    return Report(f"braid {ext} at ({model.p},{model.q})", checks)
 
 
-def cmd_verify(args) -> Report:
-    targets = tuple(_VERIFY) if args.target == "all" else (args.target,)
+def cmd_verify(target: str) -> Report:
+    targets = tuple(_VERIFY) if target == "all" else (target,)
     checks = []
-    for target in targets:
-        sub = _VERIFY[target]()
+    for name in targets:
+        sub = _VERIFY[name]()
         if len(targets) > 1:
-            sub = [c._replace(name=f"{target}: {c.name}") for c in sub]
+            sub = [c._replace(name=f"{name}: {c.name}") for c in sub]
         checks.extend(sub)
-    return Report(f"verify {args.target}", checks)
+    return Report(f"verify {target}", checks)
 
 
-def cmd_decompose(args) -> Report:
+def cmd_decompose(algebra: str, module: str | None) -> Report:
     from .algebra import build_algebra, irreducible_module, irreducible_modules
-    alg = build_algebra(args.algebra)
+    alg = build_algebra(algebra)
     vacuum = irreducible_modules(alg)[0]
-    spec = vacuum if args.module is None else irreducible_module(alg, _module_key(args.module))
+    spec = vacuum if module is None else irreducible_module(alg, _module_key(module))
     if spec is vacuum:
         # the vacuum module is the algebra itself; list its sectors
         checks = []
@@ -291,7 +287,7 @@ def cmd_decompose(args) -> Report:
         weights = ", ".join(str(l.h) for l in component)
         d = qdim_tensor(component)
         checks.append(_qdim_row(f"{labels}  [{weights}]", _render_exact(d.exact), d))
-    return Report(f"decompose {alg.name} module {args.module}", checks)
+    return Report(f"decompose {alg.name} module {module}", checks)
 
 
 # -- verify targets ---------------------------------------------------------
@@ -381,62 +377,83 @@ _VERIFY = {
 
 # -- entry point ------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mm", description="exact minimal-model and extension-algebra tool"
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("table", "json"), default="table")
-    model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--p", type=int, required=True)
-    model.add_argument("--q", type=int, required=True)
-    sub = parser.add_subparsers(dest="command", required=True)
+# command: (function, positional or "", required options, optional ones,
+# what it does).  An option maps to its metavar; every command also takes
+# --format.  --p and --q are integers; a name in _CHOICES takes only its values.
+_MODEL = {"p": "P", "q": "Q"}
+_COMMANDS = {
+    "info": (cmd_info, "", _MODEL, {}, "central charge and module list"),
+    "fusion": (cmd_fusion, "", {**_MODEL, "a": "M,N", "b": "M,N"}, {}, "fusion product"),
+    "qdim": (cmd_qdim, "", {**_MODEL, "label": "M,N"}, {}, "quantum dimension"),
+    "braid": (cmd_braid, "", {**_MODEL, "ext": "A,B,C,D"}, {"entry": "I,J"},
+              "braiding matrix or one entry of it"),
+    "verify": (cmd_verify, "target", {}, {}, "run one verification target or all of them"),
+    "decompose": (cmd_decompose, "algebra", {}, {"module": "KEY"},
+                  "sector or module decomposition of 5a or 3c"),
+}
+_CHOICES = {"format": ("table", "json"), "target": (*_VERIFY, "all")}
 
-    p = sub.add_parser("info", parents=[common, model],
-                       help="central charge and module list")
-    p.set_defaults(func=cmd_info)
 
-    p = sub.add_parser("fusion", parents=[common, model], help="fusion product")
-    p.add_argument("--a", required=True, metavar="M,N")
-    p.add_argument("--b", required=True, metavar="M,N")
-    p.set_defaults(func=cmd_fusion)
+def _refuse(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
-    p = sub.add_parser("qdim", parents=[common, model], help="quantum dimension")
-    p.add_argument("--label", required=True, metavar="M,N")
-    p.set_defaults(func=cmd_qdim)
 
-    p = sub.add_parser("braid", parents=[common, model],
-                       help="braiding matrix or one entry of it")
-    p.add_argument("--ext", required=True, metavar="A,B,C,D",
-                   help="externals: four named indices or four m,n pairs")
-    p.add_argument("--entry", metavar="I,J")
-    p.set_defaults(func=cmd_braid)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="run one verification target or all of them")
-    p.add_argument("target", choices=tuple(_VERIFY) + ("all",))
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("decompose", parents=[common],
-                       help="sector or module decomposition of 5A/3C")
-    p.add_argument("algebra", help="5a or 3c")
-    p.add_argument("--module", metavar="KEY",
-                   help="module key: i,j for 5A, an even integer for 3C")
-    p.set_defaults(func=cmd_decompose)
-    return parser
+def _parse(argv: list) -> tuple:
+    """The function argv names, its keyword values and the output format.
+    Options are --name value or --name=value, the last one counting; -h or
+    --help prints one usage line per command and exits 0, and argv that does
+    not fit the table exits 2 after one error line."""
+    if "-h" in argv or "--help" in argv:
+        for command, (_, positional, required, optional, about) in _COMMANDS.items():
+            words = [command, "|".join(_CHOICES.get(positional, [positional.upper()]))]
+            words += [f"--{name} {metavar}" for name, metavar in required.items()]
+            words += [f"[--{name} {metavar}]" for name, metavar in optional.items()]
+            print("mm", *filter(None, words), f"[--format table|json]  {about}")
+        raise SystemExit(0)
+    words = iter(argv)
+    command = next(words, None)
+    if command not in _COMMANDS:
+        _refuse(f"the first word must be a command: {', '.join(_COMMANDS)}")
+    func, positional, required, optional, _ = _COMMANDS[command]
+    values = {"format": "table", **dict.fromkeys(optional)}
+    for word in words:
+        if word.startswith("--"):
+            name, eq, value = word[2:].partition("=")
+            if name not in required and name not in optional and name != "format":
+                _refuse(f"{command} takes no option --{name}")
+            value = value if eq else next(words, None)
+            if value is None:
+                _refuse(f"--{name} needs a value")
+        elif positional and positional not in values:
+            name, value = positional, word
+        else:
+            _refuse(f"{command} takes no argument {word!r}")
+        if name in _MODEL:
+            try:
+                value = int(value)
+            except ValueError:
+                _refuse(f"--{name} wants an integer, got {value!r}")
+        elif value not in _CHOICES.get(name, (value,)):
+            _refuse(f"{name} must be one of {', '.join(_CHOICES[name])}; got {value!r}")
+        values[name] = value
+    missing = [f"--{name}" for name in required if name not in values]
+    if missing or positional and positional not in values:
+        _refuse(f"{command} needs {', '.join(missing) or positional}")
+    return func, values.pop("format"), values
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    func, output, values = _parse(sys.argv[1:] if argv is None else list(argv))
     start = time.perf_counter()
     try:
-        report = args.func(args)
+        report = func(**values)
     except (ValueError, KeyError, ArithmeticError) as exc:
         reason = exc.args[0] if exc.args else exc
         print(f"error: {reason}", file=sys.stderr)
         return 2 if isinstance(exc, (ValueError, KeyError)) else 1
     report.elapsed_ms = int((time.perf_counter() - start) * 1000)
-    render = _render_json if args.format == "json" else _render_table
+    render = _render_json if output == "json" else _render_table
     try:
         print(render(report))
         sys.stdout.flush()

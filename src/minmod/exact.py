@@ -290,17 +290,21 @@ class CyclotomicNumber:
         order n, c is the product of x's images under the Galois maps of
         Q(zeta_n) over Q(zeta_{n/p}) but the identity, so x*c lies in that
         subfield, and x^-1 = c / (x*c) inverts x*c there, through the same
-        descent step as at_conductor.  A large prime's many conjugates are
-        thus taken in the smallest field.  The result keeps the order n.
+        descent step as at_conductor (at n = 2 mod 4 the fields are one, and
+        c = 1).  A large prime's many conjugates are thus taken in the
+        smallest field.  The result keeps the order n.
         """
         if not any(self._num):
             raise DivisionByZero("inverse of zero")
         n = self.order
         if n <= 2:
             return CyclotomicNumber._raw(n, [self._den], self._num[0])
+        if n % 4 == 2:
+            return self._descend(2).inv().promote(n)
         p = _primes(n)[0]
         ks = range(1 + n // p, n, n // p)
-        c = prod((self.conjugate(k) for k in ks if k % p), start=zeta(n, 0))
+        c, *rest = (self.conjugate(k) for k in ks if k % p)
+        c = prod(rest, start=c)
         return c * (self * c)._descend(p).inv()
 
     def __truediv__(self, other):
@@ -411,9 +415,8 @@ class CyclotomicNumber:
         return self.to_string()
 
 
-_TERM_RE = re.compile(
-    r"^(?:(?P<coef>\d+(?:/0*[1-9]\d*)?)\*?)?(?:z(?P<order>\d+)(?:\^(?P<exp>\d+))?)?$"
-)
+# one term of a literal; parse_exact compiles it on first use, through re's cache
+_TERM = r"^(?:(?P<coef>\d+(?:/0*[1-9]\d*)?)\*?)?(?:z(?P<order>\d+)(?:\^(?P<exp>\d+))?)?$"
 
 
 def parse_exact(text: str) -> CyclotomicNumber:
@@ -433,7 +436,7 @@ def parse_exact(text: str) -> CyclotomicNumber:
         if chunk.startswith("-"):
             sign = -1
             chunk = chunk[1:].strip()
-        m = _TERM_RE.match(chunk)
+        m = re.match(_TERM, chunk)
         if not m or (m.group("coef") is None and m.group("order") is None):
             raise ValueError(f"bad cyclotomic term {chunk!r}")
         coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)

@@ -1,4 +1,5 @@
 """End-to-end CLI checks, run in process through main()."""
+import argparse
 import io
 import json
 import math
@@ -855,12 +856,12 @@ def _parse_approx(text):
     return complex(float(re), float(sign + im))
 
 
-def _call(argv):
+def _call(argv, run=main):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse refusing the argv
+            code = run(argv)
+        except SystemExit as exc:  # mm refusing the argv
             code = exc.code
     return code, out.getvalue(), err.getvalue()
 
@@ -894,3 +895,137 @@ def test_cli_contract_on_generated_argv(argv):
         want = complex(value.embed())
         got = _parse_approx(check["approx"])
         assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), check
+
+
+# -- the argv grammar, with argparse as its oracle -------------------------------
+
+@lru_cache(maxsize=1)
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser mm had before it read its own argv."""
+    parser = argparse.ArgumentParser(
+        prog="mm", description="exact minimal-model and extension-algebra tool"
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("table", "json"), default="table")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--p", type=int, required=True)
+    model.add_argument("--q", type=int, required=True)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("info", parents=[common, model],
+                       help="central charge and module list")
+    p.set_defaults(func=cli.cmd_info)
+
+    p = sub.add_parser("fusion", parents=[common, model], help="fusion product")
+    p.add_argument("--a", required=True, metavar="M,N")
+    p.add_argument("--b", required=True, metavar="M,N")
+    p.set_defaults(func=cli.cmd_fusion)
+
+    p = sub.add_parser("qdim", parents=[common, model], help="quantum dimension")
+    p.add_argument("--label", required=True, metavar="M,N")
+    p.set_defaults(func=cli.cmd_qdim)
+
+    p = sub.add_parser("braid", parents=[common, model],
+                       help="braiding matrix or one entry of it")
+    p.add_argument("--ext", required=True, metavar="A,B,C,D",
+                   help="externals: four named indices or four m,n pairs")
+    p.add_argument("--entry", metavar="I,J")
+    p.set_defaults(func=cli.cmd_braid)
+
+    p = sub.add_parser("verify", parents=[common],
+                       help="run one verification target or all of them")
+    p.add_argument("target", choices=tuple(cli._VERIFY) + ("all",))
+    p.set_defaults(func=cli.cmd_verify)
+
+    p = sub.add_parser("decompose", parents=[common],
+                       help="sector or module decomposition of 5A/3C")
+    p.add_argument("algebra", help="5a or 3c")
+    p.add_argument("--module", metavar="KEY",
+                   help="module key: i,j for 5A, an even integer for 3C")
+    p.set_defaults(func=cli.cmd_decompose)
+    return parser
+
+
+def _reference(argv):
+    values = vars(reference_parser().parse_args(argv))
+    del values["command"]
+    return values
+
+
+def _ours(argv):
+    func, output, values = cli._parse(argv)
+    return {**values, "format": output, "func": func}
+
+
+def _option_like_value(argv):
+    # argparse reads a word after an option as an option string when it
+    # starts with "-" and is neither "-" nor a negative number
+    return any(flag.startswith("--") and value[:1] == "-" and value != "-"
+               and not re.fullmatch(r"-\d+|-\d*\.\d+", value)
+               for flag, value in zip(argv, argv[1:]))
+
+
+def assert_parsers_agree(argv):
+    want = _call(argv, _reference)[0]
+    got, out, err = _call(argv, _ours)
+    if got == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    if want == 2 and got != 2 and _option_like_value(argv):
+        # mm takes such a word as the value it follows, and the command
+        # refuses it instead of the parser
+        assert _call(argv)[0] == 2, argv
+        return
+    assert got == want, argv
+
+
+_EDGE_ARGV = [
+    [],
+    ["foo"],
+    ["info", "--p=7", "--q=8"],
+    ["info", "--p", "3", "--q", "4", "--p", "7"],
+    ["info", "--p", "-3", "--q", "8"],
+    ["info", "--p", "x", "--q", "8"],
+    ["info", "--q", "8"],
+    ["qdim", "--p", "7", "--q", "8", "--label"],
+    ["info", "--p", "7", "--q", "8", "extra"],
+    ["info", "--p", "7", "--q", "8", "--module", "4"],
+    ["verify", "all", "--format", "xml"],
+    ["verify", "lemma-9x"],
+    ["verify"],
+    ["verify", "all", "all"],
+    ["verify", "--format=json", "all"],
+    ["decompose", "3c", "--module=4"],
+    ["decompose", "", "--module", ""],
+    ["braid", "--p", "7", "--q", "8", "--ext", "3,3,4,4", "--entry", "2,3"],
+    ["fusion", "--p", "7", "--q", "8", "--a", "-1,3", "--b", "1,1"],
+    ["-h"],
+    ["verify", "-h"],
+]
+
+
+@pytest.mark.parametrize("argv", _EDGE_ARGV, ids=" ".join)
+def test_parser_agrees_with_argparse_on_edge_argv(argv):
+    assert_parsers_agree(argv)
+
+
+@given(_argv())
+@settings(max_examples=300, deadline=None)
+def test_parser_agrees_with_argparse_on_generated_argv(argv):
+    assert_parsers_agree(argv)
+
+
+def test_abbreviated_option_is_refused():
+    # argparse took --lab for --label; mm names every option in full
+    argv = ["qdim", "--p", "7", "--q", "8", "--lab", "1,3"]
+    assert _call(argv, _reference)[0]["label"] == "1,3"
+    assert _call(argv) == (2, "", "error: qdim takes no option --lab\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["braid", "-h"],
+                                  ["info", "--p", "7", "--help"]])
+def test_help_lists_every_command(argv):
+    code, out, err = _call(argv)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert [line.split()[1] for line in lines] == list(cli._COMMANDS)
+    assert all(line.startswith("mm ") and "[--format table|json]" in line for line in lines)

@@ -88,6 +88,27 @@ def test_inverse_descends_smallest_prime_first(monkeypatch):
     assert orders == {435: 1, 145: 3, 29: 27}
 
 
+@pytest.mark.parametrize("order,products", [(6, {3: 2}), (30, {15: 2, 5: 4})])
+def test_inverse_forms_no_wasted_products(monkeypatch, order, products):
+    # At n = 2 mod 4 the value is inverted in Q(zeta_{n/2}) with no product
+    # at n, and a conjugate product starts from its first factor: each
+    # step takes x*c and c*y, and at 5 two more products join the three
+    # conjugates into c.
+    orders = Counter()
+    mul = CyclotomicNumber.__mul__
+
+    def counted(self, other):
+        orders[self.order] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", counted)
+    value = zeta(order) + 2
+    inverse = value.inv()
+    monkeypatch.undo()
+    assert orders == products
+    assert inverse.order == order and value * inverse == ONE
+
+
 def test_embed_pinned_eighth_root():
     approx = zeta(224, 196).embed()
     expect = cmath.exp(2j * cmath.pi * 7 / 8)

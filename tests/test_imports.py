@@ -140,6 +140,23 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_argparse_or_gettext():
+    # mm reads its own argv: argparse, and gettext behind its messages,
+    # would cost every process some 5 ms of imports and parser set-up
+    code = "import sys, minmod.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    done = run_python("-S", "-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_package_compiles_no_regex_at_import():
+    # parse_exact compiles its term pattern on first use; no mm command parses
+    patterns = [f"{path.stem}.{name}" for path in SOURCES if path.stem != "__init__"
+                for name, obj in vars(importlib.import_module(f"minmod.{path.stem}")).items()
+                if isinstance(obj, re.Pattern)]
+    assert patterns == []
+
+
 @pytest.mark.parametrize("argv,layers", [
     ([], ["exact", "minimal"]),
     (["qdim", "--p", "7", "--q", "8", "--label", "2,3"], ["exact", "minimal"]),
@@ -155,14 +172,15 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
 def test_each_command_loads_only_its_layers(argv, layers):
     # A cold mm process compiles every module it imports; qdim, fusion
     # and info need neither braiding nor algebra, and braid and the two
-    # lemma targets no algebra.
+    # lemma targets no algebra.  No command loads argparse or gettext.
     code = ("import sys, minmod.cli\n"
             "rc = minmod.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
             "print(sorted(m[7:] for m in sys.modules if m.startswith('minmod.')))\n"
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
             "sys.exit(rc)")
     done = run_python("-c", code, *argv)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == repr(sorted(["cli", *layers]))
+    assert done.stdout.splitlines()[-2:] == [repr(sorted(["cli", *layers])), "[]"]
 
 
 def test_package_names_resolve_lazily():
