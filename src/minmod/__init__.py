@@ -20,8 +20,6 @@ from .minimal import (
     ModuleLabel,
     NonUnitaryModel,
     QDim,
-    RingCheck,
-    check_fusion_ring,
     fuse,
     is_admissible,
     qdim,

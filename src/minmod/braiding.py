@@ -242,13 +242,19 @@ def _check_labels(model: MinimalModel, labels) -> None:
         raise ModelMismatch(f"labels {labels} do not all belong to {model!r}")
 
 
-def braid_matrix(model: MinimalModel, externals) -> BraidMatrix:
-    """Assemble the full braiding matrix over fusion-allowed channels."""
+def braid_channels(model: MinimalModel, externals) -> tuple[tuple, tuple]:
+    """The rows and cols of the braiding matrix on externals, as in
+    BraidMatrix; an entry off them is exactly zero."""
     _check_labels(model, externals)
     a4, a1, a3, a2 = externals
     a3a4, a3a1 = fuse(a3, a4), fuse(a3, a1)
-    rows = tuple(x for x in fuse(a2, a1) if x in a3a4)
-    cols = tuple(x for x in fuse(a2, a4) if x in a3a1)
+    return (tuple(x for x in fuse(a2, a1) if x in a3a4),
+            tuple(x for x in fuse(a2, a4) if x in a3a1))
+
+
+def braid_matrix(model: MinimalModel, externals) -> BraidMatrix:
+    """Assemble the full braiding matrix over fusion-allowed channels."""
+    rows, cols = braid_channels(model, externals)
     entries = {
         (mu, ga): braid_entry(model, tuple(externals), mu, ga)
         for mu in rows
@@ -330,3 +336,15 @@ def lemma_claims(lemma: str) -> list:
         ("B23 = [6]'[7]'/(y [4]' [5]')", b(2, 3), t.power(-4) * _brackets(t, 6, 7, -4, -5)),
         ("det B nonzero", named_matrix(*_MATRIX_5A).det(), None),
     ]
+
+
+# the `mm verify` targets answered here, each by the claims of one lemma
+TARGETS = {"lemma-5a": "5A", "lemma-3c": "3C"}
+
+
+def claims(target: str) -> list:
+    """The rows (name, status, value) of one verify target of TARGETS: a
+    claim passes when its value equals its want, or is nonzero for None."""
+    return [(name, "pass" if (not value.is_zero() if want is None else value == want)
+             else "fail", value)
+            for name, value, want in lemma_claims(TARGETS[target])]

@@ -9,21 +9,21 @@ a verification check failed or the exact arithmetic broke down, 2 on
 unusable arguments.
 """
 
+import gc
 import json
 import os
 import sys
 import time
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
+from importlib import import_module
 from operator import mul
 from typing import NamedTuple
 
 # braiding and algebra are imported inside the functions that read them,
 # so `info`, `fusion` and `qdim` never compile either
 from .exact import CyclotomicNumber, zeta
-from .minimal import (
-    MinimalModel, ModuleLabel, check_fusion_ring, fuse, qdim, qdim_tensor,
-)
+from .minimal import MinimalModel, ModuleLabel, fuse, qdim, qdim_tensor
 
 # -- reports ----------------------------------------------------------------
 
@@ -34,25 +34,15 @@ class Check(NamedTuple):
     approx: str = ""
 
 
-class Report:
-    def __init__(self, command: str, checks: list, elapsed_ms: int = 0) -> None:
-        self.command = command
-        self.checks = checks
-        self.elapsed_ms = elapsed_ms
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "checks": [c._asdict() for c in self.checks],
-            "elapsed_ms": self.elapsed_ms,
-        }
-
-    def failed(self) -> bool:
-        return any(c.status == "fail" for c in self.checks)
+class Report(NamedTuple):
+    command: str
+    checks: list
+    elapsed_ms: int = 0
 
 
 def _render_json(report: Report) -> str:
-    return json.dumps(report.as_dict(), indent=2)
+    checks = [c._asdict() for c in report.checks]
+    return json.dumps({**report._asdict(), "checks": checks}, indent=2)
 
 
 def _table_cell(exact: str) -> str:
@@ -76,13 +66,9 @@ def _render_table(report: Report) -> str:
         if c.approx:
             row += f"  ~ {c.approx}"
         lines.append(row.rstrip())
-    counts = {"pass": 0, "fail": 0, "info": 0}
-    for c in report.checks:
-        counts[c.status] += 1
-    lines.append(
-        f"{report.command}: {counts['pass']} pass, {counts['fail']} fail,"
-        f" {counts['info']} info, {report.elapsed_ms} ms"
-    )
+    statuses = [c.status for c in report.checks]
+    lines.append(f"{report.command}: {statuses.count('pass')} pass, {statuses.count('fail')}"
+                 f" fail, {statuses.count('info')} info, {report.elapsed_ms} ms")
     return "\n".join(lines)
 
 
@@ -161,13 +147,11 @@ def _render_exact(value: CyclotomicNumber) -> str:
     return f"{text} = {as_radical(value)}"
 
 
-def _row(name: str, status: str, value: CyclotomicNumber) -> Check:
+def _row(name: str, status: str, value) -> Check:
+    # value is a field element, a message or None, as in a claims row
+    if value is None or isinstance(value, str):
+        return Check(name, status, value or "")
     return Check(name, status, _render_exact(value), _fmt_complex(value.embed()))
-
-
-def _claim(name: str, ok: bool, value: CyclotomicNumber | None = None) -> Check:
-    status = "pass" if ok else "fail"
-    return Check(name, status) if value is None else _row(name, status, value)
 
 
 # -- argument parsing helpers -----------------------------------------------
@@ -241,31 +225,32 @@ def cmd_qdim(p: int, q: int, label: str) -> Report:
 
 
 def cmd_braid(p: int, q: int, ext: str, entry: str | None) -> Report:
-    from .braiding import braid_matrix
+    from .braiding import braid_channels, braid_entry, braid_matrix
     model = MinimalModel(p, q)
-    matrix = braid_matrix(model, _labels(model, ext, 4, "--ext"))
-    checks = []
+    externals = _labels(model, ext, 4, "--ext")
+    command = f"braid {ext} at ({model.p},{model.q})"
     if entry:
+        # one entry: zero off the channels, else braid_entry once
+        rows, cols = braid_channels(model, externals)
         mu, gamma = _labels(model, entry, 2, "--entry")
-        checks.append(_row(f"B[{entry}]", "info", matrix.entry(mu, gamma)))
-    else:
-        for mu in matrix.rows:
-            for gamma in matrix.cols:
-                checks.append(_row(f"B[({mu.m},{mu.n}),({gamma.m},{gamma.n})]",
-                                   "info", matrix.entry(mu, gamma)))
-        if len(matrix.rows) == len(matrix.cols):
-            checks.append(_row("det", "info", matrix.det()))
-    return Report(f"braid {ext} at ({model.p},{model.q})", checks)
+        value = (braid_entry(model, externals, mu, gamma) if mu in rows and gamma in cols
+                 else CyclotomicNumber.from_rational(0))
+        return Report(command, [_row(f"B[{entry}]", "info", value)])
+    matrix = braid_matrix(model, externals)
+    checks = [_row(f"B[({mu.m},{mu.n}),({gamma.m},{gamma.n})]", "info", matrix.entry(mu, gamma))
+              for mu in matrix.rows for gamma in matrix.cols]
+    if len(matrix.rows) == len(matrix.cols):
+        checks.append(_row("det", "info", matrix.det()))
+    return Report(command, checks)
 
 
 def cmd_verify(target: str) -> Report:
     targets = tuple(_VERIFY) if target == "all" else (target,)
     checks = []
     for name in targets:
-        sub = _VERIFY[name]()
-        if len(targets) > 1:
-            sub = [c._replace(name=f"{name}: {c.name}") for c in sub]
-        checks.extend(sub)
+        prefix = f"{name}: " if len(targets) > 1 else ""
+        layer = import_module(f".{_VERIFY[name]}", __package__)
+        checks += [_row(prefix + row, status, value) for row, status, value in layer.claims(name)]
     return Report(f"verify {target}", checks)
 
 
@@ -290,91 +275,6 @@ def cmd_decompose(algebra: str, module: str | None) -> Report:
     return Report(f"decompose {alg.name} module {module}", checks)
 
 
-# -- verify targets ---------------------------------------------------------
-
-def _verify_lemma(lemma: str) -> list:
-    from .braiding import lemma_claims
-    return [_claim(name, not value.is_zero() if want is None else value == want, value)
-            for name, value, want in lemma_claims(lemma)]
-
-
-def _replay(system: str, fail_name: str, claim: str, shown: str | None = None) -> list:
-    """The claim row and the printed steps of one solved sector system, or
-    one fail row when a fact the elimination relies on does not hold.
-    The claim row shows the solved value of the unknown `shown`, if any."""
-    from .algebra import DegenerateSystem, build_sector_system, solve_sector_system
-    try:
-        solution = solve_sector_system(build_sector_system(system))
-    except DegenerateSystem as exc:
-        return [Check(fail_name, "fail", str(exc))]
-    value = None if shown is None else solution.value(shown)
-    return [_claim(claim, True, value),
-            *(Check(step, "info") for step in solution.steps)]
-
-
-def _verify_uniqueness_5a() -> list:
-    from .algebra import build_sector_system
-    checks = _replay("5A-uniqueness", "uniqueness replay",
-                     "unique solution: mu^2 = 1 and gamma^2 = 1")
-    checks += _replay("5A-existence", "existence replay",
-                      "even-sector coefficient forced nonzero")
-    # Report only: with every structure constant 1, crossing would need
-    # sum_k B[k,i]*Bt[k,j] = delta(i,j).  The raw braid normalization does
-    # not promise it; row (i,j) of the existence system is that identity
-    # with its coefficients split out, so the residual is their sum.
-    for equation in build_sector_system("5A-existence").equations:
-        residual = sum(equation.coefficients, CyclotomicNumber.from_rational(0))
-        checks.append(_row(f"closure residual {equation.label}", "info", residual))
-    return checks
-
-
-def _verify_uniqueness_3c() -> list:
-    return _replay("3C", "uniqueness replay", "unique solution: lambda^2 = 1",
-                   "lambda^2")
-
-
-def _verify_chains(name: str) -> list:
-    from .algebra import build_algebra, check_subalgebra_chain
-    checks = []
-    for c in check_subalgebra_chain(build_algebra(name)):
-        label = c.name if c.passed else f"{c.name} ({c.detail})"
-        checks.append(Check(label, "pass" if c.passed else "fail"))
-    return checks
-
-
-def _verify_fusion(name: str) -> list:
-    from .algebra import build_algebra, irreducible_modules, module_fusion, qdim_module
-    alg = build_algebra(name)
-    modules = irreducible_modules(alg)
-    keys = [m.key for m in modules]
-    table = {(a, b): module_fusion(alg, a, b) for a in keys for b in keys}
-    ring = check_fusion_ring(keys, lambda a, b: table[(a, b)], keys[0])
-    dims = {k: qdim_module(alg, k).exact for k in keys}
-    zero = CyclotomicNumber.from_rational(0)
-    hom_ok = all(dims[a] * dims[b] == sum((dims[k] for k in table[(a, b)]), zero)
-                 for a in keys for b in keys)
-    return [
-        _claim(f"{len(modules)} irreducible modules",
-               len({m.components for m in modules}) == len(modules)),
-        _claim("vacuum module is the unit", ring.unit is None),
-        _claim("fusion is commutative", ring.commutative is None),
-        _claim("fusion is associative", ring.associative is None),
-        _claim("quantum dimension is multiplicative", hom_ok),
-    ]
-
-
-_VERIFY = {
-    "lemma-5a": partial(_verify_lemma, "5A"),
-    "lemma-3c": partial(_verify_lemma, "3C"),
-    "uniqueness-5a": _verify_uniqueness_5a,
-    "uniqueness-3c": _verify_uniqueness_3c,
-    "chains-5a": partial(_verify_chains, "5A"),
-    "chains-3c": partial(_verify_chains, "3C"),
-    "fusion-5a": partial(_verify_fusion, "5A"),
-    "fusion-3c": partial(_verify_fusion, "3C"),
-}
-
-
 # -- entry point ------------------------------------------------------------
 
 # command: (function, positional or "", required options, optional ones,
@@ -391,6 +291,9 @@ _COMMANDS = {
     "decompose": (cmd_decompose, "algebra", {}, {"module": "KEY"},
                   "sector or module decomposition of 5a or 3c"),
 }
+# verify target: the layer whose claims(target) gives its rows, in `verify all` order
+_VERIFY = dict.fromkeys(("lemma-5a", "lemma-3c"), "braiding") | dict.fromkeys((
+    "uniqueness-5a", "uniqueness-3c", "chains-5a", "chains-3c", "fusion-5a", "fusion-3c"), "algebra")
 _CHOICES = {"format": ("table", "json"), "target": (*_VERIFY, "all")}
 
 
@@ -452,7 +355,7 @@ def main(argv=None) -> int:
         reason = exc.args[0] if exc.args else exc
         print(f"error: {reason}", file=sys.stderr)
         return 2 if isinstance(exc, (ValueError, KeyError)) else 1
-    report.elapsed_ms = int((time.perf_counter() - start) * 1000)
+    report = report._replace(elapsed_ms=int((time.perf_counter() - start) * 1000))
     render = _render_json if output == "json" else _render_table
     try:
         print(render(report))
@@ -462,8 +365,18 @@ def main(argv=None) -> int:
         # flush at exit cannot fail again, and report it by status alone.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    return 1 if report.failed() else 0
+    return 1 if any(c.status == "fail" for c in report.checks) else 0
+
+
+def run() -> int:
+    """The entry of `mm` and `python -m minmod.cli`: main(), then a
+    gc.freeze() so that the collections at shutdown skip the heap.  In
+    process, call main(), which never freezes."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

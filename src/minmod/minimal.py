@@ -332,71 +332,6 @@ def fuse(a: ModuleLabel, b: ModuleLabel) -> FusionMultiset:
     return FusionMultiset(dict.fromkeys(_fusion_product(a, b), 1))
 
 
-class RingCheck(NamedTuple):
-    """The first counterexample to each fusion-ring axiom, None where it holds.
-
-    unit is (a,) with unit x a != a, commutative is (a, b) with
-    a x b != b x a, associative is (a, b, c) with (a x b) x c != a x (b x c).
-    """
-
-    unit: tuple | None = None
-    commutative: tuple | None = None
-    associative: tuple | None = None
-
-
-def check_fusion_ring(keys, multiply, unit) -> RingCheck:
-    """Check the unit, commutativity and associativity axioms over all keys.
-
-    multiply(a, b) returns a mapping (or FusionMultiset) from labels to
-    multiplicities; it is evaluated once per pair, and keys need not be
-    closed under it.  Associativity compares (a x b) x c with a x (b x c)
-    for every triple of keys.
-    """
-    keys = tuple(keys)
-    table = {}
-
-    def counts(a, b):
-        if (a, b) not in table:
-            table[(a, b)] = {c: n for c, n in multiply(a, b).items() if n}
-        return table[(a, b)]
-
-    unit_bad = next(((a,) for a in keys if counts(unit, a) != {a: 1}), None)
-    comm_bad = next(
-        ((a, b) for a in keys for b in keys if counts(a, b) != counts(b, a)), None
-    )
-    # Fill in every product the associativity sums read, then go over to
-    # integer ids.  A product's multiplicity vector packs into one
-    # integer, a signed digit per label wide enough for any sum of
-    # products, so each side of a triple is a short integer sum.
-    outputs = dict.fromkeys(c for a in keys for b in keys for c in counts(a, b))
-    for c in outputs:
-        for a in keys:
-            counts(a, c)
-            counts(c, a)
-    labels = dict.fromkeys(chain((unit,), keys, *table.values()))
-    ids = {x: i for i, x in enumerate(labels)}
-    bound = max((sum(map(abs, v.values())) for v in table.values()), default=0)
-    width = (bound * bound).bit_length() + 2
-    terms = [[()] * len(ids) for _ in ids]
-    packed = [[0] * len(ids) for _ in ids]
-    for (a, b), v in table.items():
-        terms[ids[a]][ids[b]] = tuple((ids[c], n) for c, n in v.items())
-        packed[ids[a]][ids[b]] = sum(n << width * ids[c] for c, n in v.items())
-    index = [ids[k] for k in keys]
-    assoc_bad = next(
-        (
-            (keys[i], keys[j], keys[k])
-            for i, a in enumerate(index)
-            for j, b in enumerate(index)
-            for k, c in enumerate(index)
-            if sum(n * packed[e][c] for e, n in terms[a][b])
-            != sum(n * packed[a][f] for f, n in terms[b][c])
-        ),
-        None,
-    )
-    return RingCheck(unit_bad, comm_bad, assoc_bad)
-
-
 def qdim(label: ModuleLabel) -> QDim:
     """Quantum dimension of a module, exact and positive.
 

@@ -1,5 +1,6 @@
 """End-to-end CLI checks, run in process through main()."""
 import argparse
+import gc
 import io
 import json
 import math
@@ -295,6 +296,60 @@ def test_braid_rejects_unknown_named_index(capsys):
     assert err.startswith("error: no named module")
 
 
+def _kac(label):
+    return f"{label.m},{label.n}"
+
+
+@pytest.mark.parametrize("p,ext", [(7, "3,3,4,4"), (11, "2,2,2,2"), (11, "2,7,2,7,3,6,3,4")])
+def test_braid_entry_computes_only_its_entry(capsys, monkeypatch, p, ext):
+    # --entry I,J prints the full matrix's row for every channel pair with
+    # one braid_entry call, and 0 off the channels with none
+    argv = ["braid", "--p", str(p), "--q", str(p + 1), "--ext", ext]
+    code, full = run_json(capsys, *argv)
+    assert code == 0
+    rows = {c["name"]: (c["exact"], c["approx"]) for c in full["checks"]}
+    calls = []
+    entry = braiding.braid_entry
+    monkeypatch.setattr(braiding, "braid_entry", lambda *a: calls.append(a) or entry(*a))
+    model = minimal.MinimalModel(p, p + 1)
+    externals = cli._labels(model, ext, 4, "--ext")
+    channels, cols = braiding.braid_channels(model, externals)
+    pairs = [(mu, gamma) for mu in channels for gamma in cols]
+    assert len(pairs) == len(rows) - 1  # and det
+    for mu, gamma in pairs:
+        del calls[:]
+        code, one = run_json(capsys, *argv, "--entry", f"{_kac(mu)},{_kac(gamma)}")
+        (check,) = one["checks"]
+        assert code == 0 and len(calls) == 1
+        assert (check["exact"], check["approx"]) == rows[f"B[({_kac(mu)}),({_kac(gamma)})]"]
+    del calls[:]
+    off = next(x for x in model.labels() if x not in channels)
+    code, one = run_json(capsys, *argv, "--entry", f"{_kac(off)},{_kac(cols[0])}")
+    assert (code, calls, one["checks"][0]["exact"]) == (0, [], "0")
+
+
+def test_braid_entry_is_refused_only_for_its_own_sign_exponent(capsys):
+    # two entries of this matrix have a half-integral sign exponent; the
+    # whole matrix is refused, one of its other entries is not
+    argv = ["braid", "--p", "7", "--q", "8", "--ext", "2,3,2,7,3,3,3,5", "--entry"]
+    code, out, err = run(capsys, *argv, "2,3,2,5")
+    assert (code, err) == (0, "")
+    assert out.startswith("INFO  B[2,3,2,5]  ")
+    code, out, err = run(capsys, *argv, "2,3,3,3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: sign exponent ") and err.count("\n") == 1
+
+
+def test_braid_entry_keeps_the_refusals_of_its_externals(capsys):
+    # a non-unitary model and a bad --entry are refused as for the matrix
+    code, out, err = run(capsys, "braid", "--p", "3", "--q", "5", "--ext", "1,1,1,1,1,1,1,1",
+                         "--entry", "1,1,1,1")
+    assert (code, out) == (2, "") and "has no braiding data" in err
+    code, out, err = run(capsys, "braid", "--p", "7", "--q", "8", "--ext", "3,3,4,4",
+                         "--entry", "9,9")
+    assert (code, out) == (2, "") and err.startswith("error: no named module")
+
+
 @pytest.mark.parametrize(
     "target",
     [
@@ -320,6 +375,52 @@ def test_verify_all(capsys):
         _, sub = run_json(capsys, "verify", target)
         want += [f"{target}: {c['name']}" for c in sub["checks"]]
     assert [c["name"] for c in report["checks"]] == want
+
+
+def test_verify_targets_are_the_layers_tables():
+    # cli names each target's layer without importing it; the layer's
+    # table lists what its claims(target) answers, in `verify all` order
+    layers = {"braiding": braiding.TARGETS, "algebra": algebra.TARGETS}
+    owned = [(target, layer) for layer, table in layers.items() for target in table]
+    assert owned == list(cli._VERIFY.items())
+
+
+# a child that runs `python -m minmod.cli ARGV` and reports, from atexit,
+# whether the program entry froze the heap before the interpreter exits
+_FREEZE_PROBE = (
+    "import atexit, gc, runpy, sys\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+    "runpy.run_module('minmod.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["info", "--p", "7", "--q", "8"], 0),
+    (["info", "--q", "8"], 2),
+    (["-h"], 0),
+], ids=["info", "usage-error", "help"])
+def test_program_entry_freezes_the_heap_before_exit(argv, code):
+    done = subprocess.run([sys.executable, "-c", _FREEZE_PROBE, *argv], capture_output=True,
+                          text=True, env=_subprocess_env(), timeout=120)
+    assert done.returncode == code, done.stderr
+    assert done.stderr.splitlines()[-1] == "frozen True"
+    assert bool(done.stdout) == (code == 0)
+
+
+def test_main_in_process_never_freezes(capsys):
+    before = gc.get_freeze_count()
+    assert run(capsys, "qdim", "--p", "7", "--q", "8", "--label", "2,3")[0] == 0
+    with pytest.raises(SystemExit):
+        main(["qdim", "--p", "7"])
+    assert gc.get_freeze_count() == before
+
+
+def test_mm_script_is_the_program_entry():
+    # pyproject's `mm` and `python -m minmod.cli` both go through cli.run
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^mm = "minmod\.cli:(\w+)"$', pyproject, re.M)[1] == "run"
+    source = Path(cli.__file__).read_text()
+    assert source.endswith('if __name__ == "__main__":\n    sys.exit(run())\n')
 
 
 def test_closed_stdout_exits_1_without_traceback():
