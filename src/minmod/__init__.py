@@ -29,9 +29,10 @@ from .minimal import (
 
 def __getattr__(name: str):
     # A public name of braiding or algebra is imported the first time it
-    # is read, so `mm info`, `fusion` and `qdim` never compile either.
-    # braiding comes first: algebra imports it, and a braiding name loads
-    # no more.
+    # is read, so `mm info`, `fusion` and `qdim` compile neither.  braiding
+    # comes first, and a braiding name loads no more.  algebra imports
+    # braiding and sectors and binds every public sectors name, so a
+    # sectors name read here is the one the bench traces as algebra's.
     if name in __all__:
         for layer in ("braiding", "algebra"):
             namespace = vars(import_module(f".{layer}", __name__))

@@ -20,8 +20,8 @@ from importlib import import_module
 from operator import mul
 from typing import NamedTuple
 
-# braiding and algebra are imported inside the functions that read them,
-# so `info`, `fusion` and `qdim` never compile either
+# sectors, braiding and algebra are imported inside the functions that
+# read them, so `info`, `fusion` and `qdim` compile none of them
 from .exact import CyclotomicNumber, zeta
 from .minimal import MinimalModel, ModuleLabel, fuse, qdim, qdim_tensor
 
@@ -255,7 +255,7 @@ def cmd_verify(target: str) -> Report:
 
 
 def cmd_decompose(algebra: str, module: str | None) -> Report:
-    from .algebra import build_algebra, irreducible_module, irreducible_modules
+    from .sectors import build_algebra, irreducible_module, irreducible_modules
     alg = build_algebra(algebra)
     vacuum = irreducible_modules(alg)[0]
     spec = vacuum if module is None else irreducible_module(alg, _module_key(module))

@@ -8,8 +8,6 @@ floating-point embedding in plain doubles, with no error bound, is
 available as a numeric cross-check, never as the source of truth.
 """
 
-from __future__ import annotations
-
 import cmath
 import re
 from fractions import Fraction

@@ -26,8 +26,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LIMIT_S = 300
 
-CLI, EXACT = "src/minmod/cli.py", "src/minmod/exact.py"
+CLI, EXACT, MINIMAL = "src/minmod/cli.py", "src/minmod/exact.py", "src/minmod/minimal.py"
 ALGEBRA, BRAIDING = "src/minmod/algebra.py", "src/minmod/braiding.py"
+SECTORS = "src/minmod/sectors.py"
+LAYERS = "tests/test_imports.py::test_each_command_loads_only_its_layers"
 
 MUTANTS = [
     ("entry-no-freeze", CLI, "        gc.freeze()", "        pass",
@@ -48,6 +50,24 @@ MUTANTS = [
     ("no-typeddict-warning-filter", "pyproject.toml",
      '    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning",\n', "",
      ["tests/test_settings.py"]),
+    ("decompose-loads-battery", CLI,
+     "    from .sectors import build_algebra,", "    from .algebra import build_algebra,",
+     [LAYERS]),
+    ("sectors-imports-braiding", SECTORS,
+     "from .minimal import MinimalModel,", "from . import braiding\nfrom .minimal import MinimalModel,",
+     [LAYERS]),
+    ("module-fusion-key-a-twice", SECTORS,
+     "irreducible_module(alg, key_b).index", "irreducible_module(alg, key_a).index",
+     ["tests/test_algebra.py::test_module_fusion_ring_axioms"]),
+    ("reduce-tail-base", EXACT, "base = j - phi", "base = j - phi + 1",
+     ["tests/test_exact.py::test_reduction_matches_dense_long_division"]),
+    ("echelon-no-row-update", EXACT,
+     "row[c + 1:] = [x - f * y for x, y in zip(row[c + 1:], top[c + 1:])]", "pass",
+     ["tests/test_exact.py::test_echelon_rank_matches_numpy",
+      "tests/test_exact.py::test_solve_substitutes_back"]),
+    ("fusion-bound-shift", MINIMAL,
+     "2 * self.bound - k1 - k2)", "2 * self.bound - k1 - k2 + 2)",
+     ["tests/test_minimal.py::test_fusion_matches_verlinde"]),
 ]
 
 

@@ -27,7 +27,8 @@ from minmod import (
     zeta,
 )
 from minmod import algebra, braiding
-from minmod.algebra import GradedAlgebra, Sector, _qdim_sum, _ratio_check
+from minmod.algebra import _qdim_sum, _ratio_check
+from minmod.sectors import GradedAlgebra, Sector
 from minmod.braiding import named_entry
 from minmod.cli import main
 from minmod.exact import two_i_sin

@@ -3,11 +3,11 @@
 No linter ships with the test dependencies, so this walks the syntax
 tree instead.  A module fails when it binds a name by import and never
 reads it, or when one of its functions imports a name that the function
-itself never reads; names the package re-exports through
-``__init__.__all__`` and ``from __future__`` switches are exempt.  The
-package fails when one of its public functions, classes, constants,
-methods or properties has no caller outside the tests, or when a private
-top-level function, class or constant has no reader in the package.
+itself never reads; names a module re-exports through its ``__all__``
+and ``from __future__`` switches are exempt.  The package fails when one
+of its public functions, classes, constants, methods or properties has
+no caller outside the tests, or when a private top-level function, class
+or constant has no reader in the package.
 """
 import ast
 import importlib
@@ -149,6 +149,14 @@ def test_cli_import_loads_no_argparse_or_gettext():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_future():
+    # a `from __future__` switch makes every mm process import the
+    # __future__ module, which nothing else loads
+    done = run_python("-S", "-c", "import sys, minmod.cli; print('__future__' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_package_compiles_no_regex_at_import():
     # parse_exact compiles its term pattern on first use; no mm command parses
     patterns = [f"{path.stem}.{name}" for path in SOURCES if path.stem != "__init__"
@@ -163,16 +171,20 @@ def test_package_compiles_no_regex_at_import():
     (["fusion", "--p", "7", "--q", "8", "--a", "1,3", "--b", "1,3"], ["exact", "minimal"]),
     (["info", "--p", "23", "--q", "24"], ["exact", "minimal"]),
     (["braid", "--p", "7", "--q", "8", "--ext", "3,3,4,4"], ["braiding", "exact", "minimal"]),
-    (["decompose", "3c"], ["algebra", "braiding", "exact", "minimal"]),
+    (["decompose", "3c"], ["exact", "minimal", "sectors"]),
+    (["decompose", "5a", "--module", "3,5"], ["exact", "minimal", "sectors"]),
+    (["decompose", "3c", "--module", "4"], ["exact", "minimal", "sectors"]),
     (["verify", "lemma-5a"], ["braiding", "exact", "minimal"]),
     (["verify", "lemma-3c"], ["braiding", "exact", "minimal"]),
-    (["verify", "all"], ["algebra", "braiding", "exact", "minimal"]),
-], ids=["import", "qdim", "fusion", "info", "braid", "decompose", "verify",
-        "verify-lemma-3c", "verify-all"])
+    (["verify", "all"], ["algebra", "braiding", "exact", "minimal", "sectors"]),
+], ids=["import", "qdim", "fusion", "info", "braid", "decompose", "decompose-module-5a",
+        "decompose-module-3c", "verify", "verify-lemma-3c", "verify-all"])
 def test_each_command_loads_only_its_layers(argv, layers):
     # A cold mm process compiles every module it imports; qdim, fusion
-    # and info need neither braiding nor algebra, and braid and the two
-    # lemma targets no algebra.  No command loads argparse or gettext.
+    # and info need none of sectors, braiding and algebra, braid and the
+    # two lemma targets neither sectors nor algebra, and decompose
+    # neither braiding nor the verify battery in algebra.  No command
+    # loads argparse or gettext.
     code = ("import sys, minmod.cli\n"
             "rc = minmod.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
             "print(sorted(m[7:] for m in sys.modules if m.startswith('minmod.')))\n"
@@ -206,11 +218,14 @@ def test_package_names_resolve_lazily():
 
 @pytest.mark.parametrize("name,layers", [
     ("braid_matrix", ["braiding"]),
-    ("SolutionSet", ["algebra", "braiding"]),
+    ("SolutionSet", ["algebra", "braiding", "sectors"]),
+    ("build_algebra", ["algebra", "braiding", "sectors"]),
 ])
 def test_a_package_name_loads_only_its_layers(name, layers):
     # minmod looks a name up in braiding before algebra, which imports
-    # braiding itself; a braiding name never compiles algebra.
+    # braiding and sectors itself; a braiding name never compiles algebra,
+    # and a sectors name is algebra's, so the bench's traced algebra rows
+    # see the calls made through the package.
     code = (f"import sys, minmod\nminmod.{name}\n"
             "print(sorted(m[7:] for m in sys.modules if m.startswith('minmod.')))")
     done = run_python("-c", code)
