@@ -30,9 +30,9 @@ from .minimal import (
 def __getattr__(name: str):
     # A public name of braiding or algebra is imported the first time it
     # is read, so `mm info`, `fusion` and `qdim` compile neither.  braiding
-    # comes first, and a braiding name loads no more.  algebra imports
-    # braiding and sectors and binds every public sectors name, so a
-    # sectors name read here is the one the bench traces as algebra's.
+    # (the r-matrix and braids) comes first and loads no more.  algebra's
+    # __all__ holds the battery, the lemma names among it, and every public
+    # sectors name, so the bench traces a sectors name read here as algebra's.
     if name in __all__:
         for layer in ("braiding", "algebra"):
             namespace = vars(import_module(f".{layer}", __name__))

@@ -2,10 +2,11 @@
 
 The algebras themselves, their sectors and irreducible modules, are data
 in `sectors`.  Here they are checked against the paper, on the fusion
-and braiding machinery: closure and quantum dimensions of the subalgebra
-chains, the small linear systems satisfied by products of structure
-constants, and the fusion-ring axioms of the module fusion rules.
-`claims(target)` gives the rows of the `mm verify` targets built on them.
+and braiding machinery: the exact lemma facts of the two braiding
+matrices the uniqueness proofs pivot on, closure and quantum dimensions
+of the subalgebra chains, the small linear systems satisfied by products
+of structure constants, and the fusion-ring axioms of the module fusion
+rules.  `claims(target)` gives the rows of every `mm verify` target.
 """
 
 from functools import lru_cache, partial
@@ -14,9 +15,9 @@ from operator import mul
 from typing import Callable, NamedTuple
 
 from . import braiding
-from .braiding import entry_3c as _e3c, entry_5a as _b, named_entry
+from .braiding import BraidMatrix, _brackets, named_label
 from .exact import CyclotomicNumber, echelon, sine_inv, two_i_sin, zeta
-from .minimal import qdim_tensor
+from .minimal import MinimalModel, Side, qdim_tensor
 from .sectors import (
     GradedAlgebra, IrreducibleModuleSpec, Sector, SectorProduct, _matched, build_algebra,
     irreducible_module, irreducible_modules, module_fusion, qdim_module, sector_fusion,
@@ -28,7 +29,8 @@ __all__ = [
     "ChainCheck", "DegenerateSystem", "GradedAlgebra", "IrreducibleModuleSpec", "RingCheck",
     "Sector", "SectorEquation", "SectorProduct", "SectorSystem", "SolutionSet", "TARGETS",
     "build_algebra", "build_sector_system", "check_fusion_ring", "check_subalgebra_chain",
-    "claims", "irreducible_module", "irreducible_modules", "module_fusion", "qdim_module",
+    "claims", "irreducible_module", "irreducible_modules", "lemma_3c_entry", "lemma_5a_combos",
+    "lemma_claims", "module_fusion", "named_entry", "named_matrix", "qdim_module",
     "sector_fusion", "solve_sector_system",
 ]
 
@@ -113,6 +115,77 @@ def check_subalgebra_chain(alg: GradedAlgebra) -> tuple[ChainCheck, ...]:
 
 
 # ---------------------------------------------------------------------------
+# The lemma matrices: both uniqueness proofs pivot on one braiding matrix
+# with named externals, B_{3,3}^{4,4} at (7,8) for 5A and B_{2,2}^{2,2}
+# at (11,12) for 3C, whose exact facts are the lemma targets' rows.
+
+@lru_cache(maxsize=None)
+def named_matrix(p: int, ext: tuple[int, int, int, int]) -> BraidMatrix:
+    """The braiding matrix at (p, p+1) whose externals are named modules;
+    the paper reads B_{4,4}^{3,3} at (7,8) too."""
+    model = MinimalModel(p, p + 1)
+    # read through the module, so that a replaced braid_matrix is the one called
+    return braiding.braid_matrix(model, tuple(named_label(model, i) for i in ext))
+
+
+def named_entry(p: int, ext: tuple[int, int, int, int], i: int, j: int) -> CyclotomicNumber:
+    """Entry (i, j) of named_matrix(p, ext), the channels named too."""
+    model = MinimalModel(p, p + 1)
+    return named_matrix(p, ext).entry(named_label(model, i), named_label(model, j))
+
+
+# the two as (p, ext) of named_matrix, and their entries (i, j), channels named too
+_MATRIX_5A, _MATRIX_3C = (7, (3, 3, 4, 4)), (11, (2, 2, 2, 2))
+_b = partial(named_entry, *_MATRIX_5A)
+_e3c = partial(named_entry, *_MATRIX_3C)
+
+
+@lru_cache(maxsize=None)
+def lemma_5a_combos() -> tuple[CyclotomicNumber, CyclotomicNumber]:
+    """The two 2x2 minors of B_{3,3}^{4,4} at (7,8) that the nonvanishing
+    argument rests on, (B44*B23 - B43*B24, B32*B44 - B42*B34), the numeric
+    subscripts naming the modules P2, P3, P4."""
+    first = _b(4, 4) * _b(2, 3) - _b(4, 3) * _b(2, 4)
+    second = _b(3, 2) * _b(4, 4) - _b(4, 2) * _b(3, 4)
+    return first, second
+
+
+def lemma_3c_entry() -> CyclotomicNumber:
+    """The entry (B_{2,2}^{2,2})_{2,1} at (11,12), exactly."""
+    return _e3c(2, 1)
+
+
+def lemma_claims(lemma: str) -> list:
+    """The exact facts of the "5A" or "3C" uniqueness proof, as rows
+    (name, value, want): value == want, or value nonzero when want is None.
+    The forms are in the primed side's brackets and its y = power(4)."""
+    if lemma == "3C":
+        t, entry = Side(12, 11), lemma_3c_entry()
+        product = (t.power(24) * (t[1] + t[3]) * (t[4] * (t[1] + t[3]) + _brackets(t, 1, 2))
+                   * _brackets(t, 1, 1, 1, -2, -2, -2, -3, 10, 9, 8, -7, -6, -5, -3, -4))
+        return [("B21 nonzero", entry, None),
+                ("B21 matches its bracket product", entry, product),
+                ("det B nonzero", named_matrix(*_MATRIX_3C).det(), None)]
+    t = Side(8, 7)
+    first, second = lemma_5a_combos()
+    form_44 = _brackets(t, 6, 3, -5, -4) - _brackets(t, 1, 1, -5, -5, -6) * (t[4] + t[6])
+    form_24 = -t.power(-12) * _brackets(t, 1, 7) * (_brackets(t, -5, -5, -4) * (t[4] + t[6])
+                                                   + _brackets(t, -6, -6, -5) * (t[5] + t[7]))
+    return [
+        ("B44*B23 - B43*B24 nonzero", first, None),
+        ("B32*B44 - B42*B34 = 1 + i", second, _ONE + zeta(4)),
+        ("B32*B44 = (sqrt(2) - 1)/y", _b(3, 2) * _b(4, 4),
+         (zeta(8) + zeta(8, -1) - _ONE) * t.power(-4)),
+        ("B42*B34 = -1/y", _b(4, 2) * _b(3, 4), -t.power(-4)),
+        ("B44 matches its bracket form", _b(4, 4), form_44),
+        ("B43 matches its bracket form", _b(4, 3), t.power(8) * _brackets(t, 1, 6, -4, -5)),
+        ("B24 matches its bracket form", _b(2, 4), form_24),
+        ("B23 = [6]'[7]'/(y [4]' [5]')", _b(2, 3), t.power(-4) * _brackets(t, 6, 7, -4, -5)),
+        ("det B nonzero", named_matrix(*_MATRIX_5A).det(), None),
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Structure-constant systems.
 #
 # The four-point functions of the non-vacuum sectors close into small
@@ -186,7 +259,7 @@ def _row_rule(ks: tuple[int, ...]) -> tuple[SectorEquation, ...]:
 
 def _minor(index: int) -> CyclotomicNumber:
     # m1 (0) or m2 (1), looked up at call time so that a replaced fact is read
-    return braiding.lemma_5a_combos()[index]
+    return lemma_5a_combos()[index]
 
 
 _ELIMINATION = "elimination identity failed"
@@ -250,9 +323,9 @@ _REPLAYS = {
             SectorEquation("(2,1)", (_e3c(2, 1),), _e3c(2, 1)),
             SectorEquation("(2,2)", (_e3c(2, 2) - 1,), _e3c(2, 2) - 1),
         ),
-        nonzero=(("the (2,1) braid entry", lambda rows: braiding.lemma_3c_entry()),),
+        nonzero=(("the (2,1) braid entry", lambda rows: lemma_3c_entry()),),
         identities=(("system coefficients drifted from the braid matrix",
-                     lambda: ((("(2,1)", _ONE),), (braiding.lemma_3c_entry(),))),),
+                     lambda: ((("(2,1)", _ONE),), (lemma_3c_entry(),))),),
         full_rank=(),
         solution=(_ONE,),
         steps=(
@@ -411,6 +484,13 @@ def _uniqueness_5a() -> list:
     return rows
 
 
+def _lemma(name: str) -> list:
+    # a claim passes when its value equals its want, or is nonzero for None
+    return [(row, "pass" if (not value.is_zero() if want is None else value == want)
+             else "fail", value)
+            for row, value, want in lemma_claims(name)]
+
+
 def _chains(name: str) -> list:
     return [(c.name, "pass", None) if c.passed else (f"{c.name} ({c.detail})", "fail", None)
             for c in check_subalgebra_chain(build_algebra(name))]
@@ -437,6 +517,8 @@ def _fusion(name: str) -> list:
 
 # the `mm verify` targets answered here, in the order `verify all` runs them
 TARGETS = {
+    "lemma-5a": partial(_lemma, "5A"),
+    "lemma-3c": partial(_lemma, "3C"),
     "uniqueness-5a": _uniqueness_5a,
     "uniqueness-3c": partial(_replay, "3C", "uniqueness replay",
                              "unique solution: lambda^2 = 1", "lambda^2"),

@@ -8,12 +8,10 @@ side), r on the p side.  A side's brackets and bracket inverses are
 sines in Q(zeta_{2q}) or Q(zeta_{2p}), and its quarter powers of the
 deformation parameter put r' in Q(zeta_{4q}) and r in Q(zeta_{4p}).
 Only a braiding-matrix entry multiplies the two up to Q(zeta_{4pq}), and
-stays in the smaller field when one side is trivial.  Every nonvanishing
-claim is a decidable coefficient comparison.
+stays in the smaller field when one side is trivial.
 """
 
 from collections import Counter
-from functools import lru_cache, partial
 from math import prod
 from typing import NamedTuple
 
@@ -219,20 +217,21 @@ def braid_entry(
 
     Each label's Kac pair is read against model.sides: its m indexes r on
     the p side, its n indexes r' on the q side.  The prefactor is a power
-    of i = zeta_4 times a sign whose exponent must come out integral.
+    of i = zeta_4 times a sign whose exponent must come out integral; the
+    sign is folded into the power of i.
     """
     a4, a1, a3, a2 = externals
     _check_labels(model, (*externals, mu, gamma))
     # the six indices of r(a, m, n, c)_{b,d}, one tuple per side
     indices = tuple(zip(*(x.kac for x in (a2, a4, a1, a3, mu, gamma))))
     (a, m, n, c, b, d), (a_p, m_p, n_p, c_p, b_p, d_p) = indices
-    ipow = (-(m_p - 1) * (n - 1) - (n_p - 1) * (m - 1)) % 4
+    ipow = -(m_p - 1) * (n - 1) - (n_p - 1) * (m - 1)
     doubled = (a - b + c - d) * (n_p + m) + (a_p - b_p + c_p - d_p) * (n + m)
     if doubled % 2:
         raise NonIntegerExponent(f"sign exponent {doubled}/2 for {externals}")
-    sign = -1 if (doubled // 2) % 2 else 1
     unprimed, primed = (r_matrix(RQuery(side, *i)) for side, i in zip(model.sides, indices))
-    return zeta(4, ipow) * sign * primed * unprimed
+    # the sign (-1)^(doubled/2) is i^doubled
+    return zeta(4, ipow + doubled) * primed * unprimed
 
 
 def _check_labels(model: MinimalModel, labels) -> None:
@@ -264,87 +263,3 @@ def braid_matrix(model: MinimalModel, externals) -> BraidMatrix:
         external=tuple(externals), rows=rows, cols=cols, entries=entries
     )
 
-
-@lru_cache(maxsize=None)
-def named_matrix(p: int, ext: tuple[int, int, int, int]) -> BraidMatrix:
-    """The braiding matrix at (p, p+1) whose externals are named modules.
-
-    The paper reads three: B_{3,3}^{4,4} and B_{4,4}^{3,3} at (7,8), and
-    B_{2,2}^{2,2} at (11,12).
-    """
-    model = MinimalModel(p, p + 1)
-    return braid_matrix(model, tuple(named_label(model, i) for i in ext))
-
-
-def named_entry(p: int, ext: tuple[int, int, int, int], i: int, j: int) -> CyclotomicNumber:
-    """Entry (i, j) of named_matrix(p, ext), the channels named too."""
-    model = MinimalModel(p, p + 1)
-    return named_matrix(p, ext).entry(named_label(model, i), named_label(model, j))
-
-
-# The paper's two lemma matrices, as (p, ext) of named_matrix, and their
-# entries (i, j), channels named too: B_{3,3}^{4,4} at (7,8) for 5A and
-# B_{2,2}^{2,2} at (11,12) for 3C
-_MATRIX_5A, _MATRIX_3C = (7, (3, 3, 4, 4)), (11, (2, 2, 2, 2))
-entry_5a = partial(named_entry, *_MATRIX_5A)
-entry_3c = partial(named_entry, *_MATRIX_3C)
-
-
-def lemma_5a_combos() -> tuple[CyclotomicNumber, CyclotomicNumber]:
-    """The two 2x2 minors of B_{3,3}^{4,4} at (7,8) that the nonvanishing
-    argument rests on.
-
-    Returns (B44*B23 - B43*B24, B32*B44 - B42*B34) with numeric
-    subscripts referring to the named modules P2, P3, P4.
-    """
-    e = entry_5a
-    first = e(4, 4) * e(2, 3) - e(4, 3) * e(2, 4)
-    second = e(3, 2) * e(4, 4) - e(4, 2) * e(3, 4)
-    return first, second
-
-
-def lemma_3c_entry() -> CyclotomicNumber:
-    """The entry (B_{2,2}^{2,2})_{2,1} at (11,12), exactly."""
-    return entry_3c(2, 1)
-
-
-def lemma_claims(lemma: str) -> list:
-    """The exact facts of the "5A" or "3C" uniqueness proof, as rows
-    (name, value, want): value == want, or value nonzero when want is None.
-    The forms are in the primed side's brackets and its y = power(4)."""
-    if lemma == "3C":
-        t, entry = Side(12, 11), lemma_3c_entry()
-        product = (t.power(24) * (t[1] + t[3]) * (t[4] * (t[1] + t[3]) + _brackets(t, 1, 2))
-                   * _brackets(t, 1, 1, 1, -2, -2, -2, -3, 10, 9, 8, -7, -6, -5, -3, -4))
-        return [("B21 nonzero", entry, None),
-                ("B21 matches its bracket product", entry, product),
-                ("det B nonzero", named_matrix(*_MATRIX_3C).det(), None)]
-    b, t = entry_5a, Side(8, 7)
-    first, second = lemma_5a_combos()
-    form_44 = _brackets(t, 6, 3, -5, -4) - _brackets(t, 1, 1, -5, -5, -6) * (t[4] + t[6])
-    form_24 = -t.power(-12) * _brackets(t, 1, 7) * (_brackets(t, -5, -5, -4) * (t[4] + t[6])
-                                                   + _brackets(t, -6, -6, -5) * (t[5] + t[7]))
-    return [
-        ("B44*B23 - B43*B24 nonzero", first, None),
-        ("B32*B44 - B42*B34 = 1 + i", second, _ONE + zeta(4)),
-        ("B32*B44 = (sqrt(2) - 1)/y", b(3, 2) * b(4, 4),
-         (zeta(8) + zeta(8, -1) - _ONE) * t.power(-4)),
-        ("B42*B34 = -1/y", b(4, 2) * b(3, 4), -t.power(-4)),
-        ("B44 matches its bracket form", b(4, 4), form_44),
-        ("B43 matches its bracket form", b(4, 3), t.power(8) * _brackets(t, 1, 6, -4, -5)),
-        ("B24 matches its bracket form", b(2, 4), form_24),
-        ("B23 = [6]'[7]'/(y [4]' [5]')", b(2, 3), t.power(-4) * _brackets(t, 6, 7, -4, -5)),
-        ("det B nonzero", named_matrix(*_MATRIX_5A).det(), None),
-    ]
-
-
-# the `mm verify` targets answered here, each by the claims of one lemma
-TARGETS = {"lemma-5a": "5A", "lemma-3c": "3C"}
-
-
-def claims(target: str) -> list:
-    """The rows (name, status, value) of one verify target of TARGETS: a
-    claim passes when its value equals its want, or is nonzero for None."""
-    return [(name, "pass" if (not value.is_zero() if want is None else value == want)
-             else "fail", value)
-            for name, value, want in lemma_claims(TARGETS[target])]

@@ -68,6 +68,15 @@ MUTANTS = [
     ("fusion-bound-shift", MINIMAL,
      "2 * self.bound - k1 - k2)", "2 * self.bound - k1 - k2 + 2)",
      ["tests/test_minimal.py::test_fusion_matches_verlinde"]),
+    ("lemma-status-flipped", ALGEBRA, "(not value.is_zero() if", "(value.is_zero() if",
+     ["tests/test_cli.py::test_verify_all_json_is_pinned",
+      "tests/test_cli.py::test_verify_failing_check_exits_1"]),
+    ("braid-phase-no-sign", BRAIDING,
+     "zeta(4, ipow + doubled)", "zeta(4, ipow)",
+     ["tests/test_cli.py::test_commands_json_is_pinned",
+      "tests/test_braiding.py::test_braid_matrix_against_float_oracle"]),
+    ("inverse-largest-prime-first", EXACT, "p = _primes(n)[0]", "p = _primes(n)[-1]",
+     ["tests/test_exact.py::test_inverse_descends_smallest_prime_first"]),
 ]
 
 

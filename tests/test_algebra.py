@@ -26,10 +26,9 @@ from minmod import (
     solve_sector_system,
     zeta,
 )
-from minmod import algebra, braiding
-from minmod.algebra import _qdim_sum, _ratio_check
+from minmod import algebra
+from minmod.algebra import _qdim_sum, _ratio_check, named_entry
 from minmod.sectors import GradedAlgebra, Sector
-from minmod.braiding import named_entry
 from minmod.cli import main
 from minmod.exact import two_i_sin
 
@@ -331,7 +330,7 @@ def _table_reasons():
             yield name, "claimed solution fails relation"
 
 
-# How each reason is reached: (id, change to the system, braiding facts
+# How each reason is reached: (id, change to the system, lemma facts
 # patched).  A reason the table gains without an entry here fails
 # collection.  The v = 0 columns keep rank 2 whenever the printed
 # eliminations hold, and the rank checks run first, so copying u into w
@@ -389,7 +388,7 @@ def test_degenerate_fact_is_refused(monkeypatch, name, message, change, facts):
     # message that names the system and the fact.
     system = build_sector_system(name)
     for attr, value in facts.items():
-        monkeypatch.setattr(braiding, attr, value)
+        monkeypatch.setattr(algebra, attr, value)
     with pytest.raises(DegenerateSystem, match=re.escape(message)):
         solve_sector_system(change(system) if change else system)
 

@@ -39,8 +39,8 @@ from minmod import (
     r_matrix,
     zeta,
 )
-from minmod import braiding
-from minmod.braiding import named_matrix
+from minmod import algebra, braiding
+from minmod.algebra import named_matrix
 from minmod.cli import main
 from minmod.exact import _reduce, sine_inv, two_i_sin
 from minmod.minimal import Side
@@ -764,7 +764,7 @@ def test_lemma_claims_hold_at_a_split_prime():
     # image in F_l; a nonzero image proves the value nonzero
     ell, w = oracles.split_prime(96)
     assert ell % 96 == 1
-    rows = [*braiding.lemma_claims("5A"), *braiding.lemma_claims("3C")]
+    rows = [*algebra.lemma_claims("5A"), *algebra.lemma_claims("3C")]
     assert len(rows) == 12
     for name, value, want in rows:
         got = oracles.image(value, ell, w)
@@ -776,7 +776,7 @@ def test_lemma_claims_hold_at_a_split_prime():
 
 def test_split_prime_image_is_a_ring_map():
     ell, w = oracles.split_prime(96)
-    values = [value for _, value, _ in braiding.lemma_claims("5A")]
+    values = [value for _, value, _ in algebra.lemma_claims("5A")]
     values += [zeta(96, 5), zeta(3), I, SQRT2 - Fraction(1, 3)]
     image = lambda x: oracles.image(x, ell, w)
     for n in (3, 4, 32, 48, 96):

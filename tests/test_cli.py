@@ -378,11 +378,15 @@ def test_verify_all(capsys):
 
 
 def test_verify_targets_are_the_layers_tables():
-    # cli names each target's layer without importing it; the layer's
+    # cli names the targets without importing the battery; algebra's
     # table lists what its claims(target) answers, in `verify all` order
-    layers = {"braiding": braiding.TARGETS, "algebra": algebra.TARGETS}
-    owned = [(target, layer) for layer, table in layers.items() for target in table]
-    assert owned == list(cli._VERIFY.items())
+    assert tuple(cli._VERIFY) == tuple(algebra.TARGETS)
+
+
+def test_braiding_defines_no_verify_target():
+    # every verify row comes from algebra.claims; braiding keeps the
+    # r-matrix and the braids
+    assert not {"claims", "TARGETS", "lemma_claims", "named_matrix"} & set(vars(braiding))
 
 
 # a child that runs `python -m minmod.cli ARGV` and reports, from atexit,
@@ -459,7 +463,7 @@ def test_report_does_not_rest_on_assert(argv):
 
 def test_verify_failing_check_exits_1(capsys, monkeypatch):
     zero = CyclotomicNumber.from_rational(0)
-    monkeypatch.setattr(braiding, "lemma_5a_combos", lambda: (zero, zero))
+    monkeypatch.setattr(algebra, "lemma_5a_combos", lambda: (zero, zero))
     code, report = run_json(capsys, "verify", "lemma-5a")
     assert code == 1
     first = report["checks"][0]
@@ -468,14 +472,14 @@ def test_verify_failing_check_exits_1(capsys, monkeypatch):
 
 def test_verify_fails_a_wrong_claim(capsys, monkeypatch):
     # B23 with y where the paper has 1/y, the slip of its displayed form
-    claims = braiding.lemma_claims
+    claims = algebra.lemma_claims
     y2 = minimal.Side(8, 7).power(8)
 
     def with_slip(lemma):
         return [(name, value, want * y2 if name.startswith("B23") else want)
                 for name, value, want in claims(lemma)]
 
-    monkeypatch.setattr(braiding, "lemma_claims", with_slip)
+    monkeypatch.setattr(algebra, "lemma_claims", with_slip)
     code, report = run_json(capsys, "verify", "lemma-5a")
     assert code == 1
     statuses = {c["name"]: c["status"] for c in report["checks"]}

@@ -174,16 +174,16 @@ def test_package_compiles_no_regex_at_import():
     (["decompose", "3c"], ["exact", "minimal", "sectors"]),
     (["decompose", "5a", "--module", "3,5"], ["exact", "minimal", "sectors"]),
     (["decompose", "3c", "--module", "4"], ["exact", "minimal", "sectors"]),
-    (["verify", "lemma-5a"], ["braiding", "exact", "minimal"]),
-    (["verify", "lemma-3c"], ["braiding", "exact", "minimal"]),
+    (["verify", "lemma-5a"], ["algebra", "braiding", "exact", "minimal", "sectors"]),
+    (["verify", "lemma-3c"], ["algebra", "braiding", "exact", "minimal", "sectors"]),
     (["verify", "all"], ["algebra", "braiding", "exact", "minimal", "sectors"]),
 ], ids=["import", "qdim", "fusion", "info", "braid", "decompose", "decompose-module-5a",
         "decompose-module-3c", "verify", "verify-lemma-3c", "verify-all"])
 def test_each_command_loads_only_its_layers(argv, layers):
     # A cold mm process compiles every module it imports; qdim, fusion
-    # and info need none of sectors, braiding and algebra, braid and the
-    # two lemma targets neither sectors nor algebra, and decompose
-    # neither braiding nor the verify battery in algebra.  No command
+    # and info need none of sectors, braiding and algebra, braid neither
+    # sectors nor algebra, and decompose neither braiding nor the verify
+    # battery in algebra, which answers every verify target.  No command
     # loads argparse or gettext.
     code = ("import sys, minmod.cli\n"
             "rc = minmod.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
